@@ -29,31 +29,20 @@ import numpy as np
 
 from .energy import as_embedding, dirichlet_energy_trace
 from .errors import ValidationError
-from .graphs import Graph, augmented_normalized_laplacian, propagation_matrix
+from .graphs import Graph, propagation_matrix
 from .network import Activation, LayerSpec, Trajectory, apply_activation, layer_forward, make_weights, run_network
 from .sampling import random_embedding, random_graph, random_weight_chain
 from .seeding import derive_seed
 from .spectral import (
     PolynomialFilter,
-    Spectrum,
     check_monotone_decreasing,
-    contraction_factors,
-    eigendecompose,
     eval_filter_matrix,
     eval_filter_scalar,
     filter_contraction,
 )
 
 STATEMENTS = ("L3.1", "L3.2", "L3.3", "T3.4", "C3.5", "L7.2", "P7.1")
-SUITE_TOKENS = {
-    "l31": "L3.1",
-    "l32": "L3.2",
-    "l33": "L3.3",
-    "t34": "T3.4",
-    "c35": "C3.5",
-    "l72": "L7.2",
-    "p71": "P7.1",
-}
+SUITE_TOKENS = {s.replace(".", "").lower(): s for s in STATEMENTS}  # "l31" -> "L3.1"
 
 TOLERANCE_REL = 1e-9
 TOLERANCE_ABS = 1e-12
@@ -107,29 +96,32 @@ class BoundReport:
 
 
 def _dual_report(statement: str, lhs: float, ex: float, factor_paper: float,
-                 factor_safe: float, context: str, rel: float = TOLERANCE_REL) -> BoundReport:
+                 factor_safe: float | None = None, context: str = "", *,
+                 rel: float = TOLERANCE_REL, asserted: bool = True) -> BoundReport:
+    """Check ``lhs <= factor * ex`` against the paper and, when given, the safe factor.
+
+    Zero input energy makes the report vacuous: it holds iff ``lhs`` is zero
+    up to 1e-12.
+    """
     rhs_paper = factor_paper * ex
-    rhs_safe = factor_safe * ex
+    rhs_safe = None if factor_safe is None else factor_safe * ex
     if ex == 0.0:
         ok = lhs <= VACUOUS_LHS_TOL
-        return BoundReport(statement, lhs, rhs_paper, rhs_safe, rhs_paper - lhs,
-                           holds_paper=ok, holds_safe=ok, vacuous=True, context=context)
+        holds_paper, holds_safe = ok, None if rhs_safe is None else ok
+    else:
+        holds_paper = _holds(lhs, rhs_paper, rel)
+        holds_safe = None if rhs_safe is None else _holds(lhs, rhs_safe, rel)
     return BoundReport(statement, lhs, rhs_paper, rhs_safe, rhs_paper - lhs,
-                       holds_paper=_holds(lhs, rhs_paper, rel),
-                       holds_safe=_holds(lhs, rhs_safe, rel),
-                       context=context)
+                       holds_paper=holds_paper, holds_safe=holds_safe,
+                       vacuous=ex == 0.0, asserted=asserted, context=context)
 
 
-def verify_lemma_3_1(g: Graph, x, *, spectrum: Spectrum | None = None,
-                     context: str = "") -> BoundReport:
+def verify_lemma_3_1(g: Graph, x, *, context: str = "") -> BoundReport:
     """One propagation step contracts energy by the squared spectral gap."""
-    lap = augmented_normalized_laplacian(g)
-    if spectrum is None:
-        spectrum = eigendecompose(lap)
-    cf = contraction_factors(spectrum)
+    cf = g.factors
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, lap)
-    lhs = dirichlet_energy_trace(propagation_matrix(g) @ x, lap)
+    ex = dirichlet_energy_trace(x, g.laplacian)
+    lhs = dirichlet_energy_trace(propagation_matrix(g) @ x, g.laplacian)
     return _dual_report("L3.1", lhs, ex, cf.lambda_bar_paper, cf.lambda_bar_safe, context)
 
 
@@ -144,13 +136,7 @@ def verify_lemma_3_2(x, w, lap: np.ndarray, context: str = "") -> BoundReport:
     ex = dirichlet_energy_trace(x, lap)
     lhs = dirichlet_energy_trace(x @ w, lap)
     top = float(np.linalg.svd(w, compute_uv=False)[0])
-    rhs = top * top * ex
-    if ex == 0.0:
-        ok = lhs <= VACUOUS_LHS_TOL
-        return BoundReport("L3.2", lhs, rhs, None, rhs - lhs, holds_paper=ok,
-                           holds_safe=None, vacuous=True, context=context)
-    return BoundReport("L3.2", lhs, rhs, None, rhs - lhs,
-                       holds_paper=_holds(lhs, rhs), holds_safe=None, context=context)
+    return _dual_report("L3.2", lhs, ex, top * top, context=context)
 
 
 def verify_lemma_3_3(g: Graph, x, act: Activation, context: str = "") -> BoundReport:
@@ -160,24 +146,17 @@ def verify_lemma_3_3(g: Graph, x, act: Activation, context: str = "") -> BoundRe
     for Tanh and Sigmoid only on regular graphs (equal weighted degrees
     within 1e-12), so on irregular graphs those reports are informational.
     """
-    lap = augmented_normalized_laplacian(g)
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, lap)
-    lhs = dirichlet_energy_trace(apply_activation(x, act), lap)
+    ex = dirichlet_energy_trace(x, g.laplacian)
+    lhs = dirichlet_energy_trace(apply_activation(x, act), g.laplacian)
     degrees = g.weighted_degrees()
     regular = bool(np.ptp(degrees) <= 1e-12) if g.n > 1 else True
     asserted = act.kind in ("relu", "leaky_relu", "identity") or regular
-    if ex == 0.0:
-        ok = lhs <= VACUOUS_LHS_TOL
-        return BoundReport("L3.3", lhs, ex, None, ex - lhs, holds_paper=ok,
-                           holds_safe=None, vacuous=True, asserted=asserted, context=context)
-    return BoundReport("L3.3", lhs, ex, None, ex - lhs,
-                       holds_paper=_holds(lhs, ex), holds_safe=None,
-                       asserted=asserted, context=context)
+    return _dual_report("L3.3", lhs, ex, 1.0, context=context, asserted=asserted)
 
 
 def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
-                       *, spectrum: Spectrum | None = None, context: str = "") -> BoundReport:
+                       *, context: str = "") -> BoundReport:
     """Full layer with the propagation filter ``1 - x``.
 
     The bound multiplies the squared spectral gap by the product ``s`` of the
@@ -192,28 +171,21 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
         raise ValidationError(
             f"statement T3.4 requires ReLU/LeakyReLU (or identity), got {layer.activation.kind}"
         )
-    lap = augmented_normalized_laplacian(g)
-    if spectrum is None:
-        spectrum = eigendecompose(lap)
-    cf = contraction_factors(spectrum)
+    cf = g.factors
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, lap)
-    lhs = dirichlet_energy_trace(layer_forward(x, layer, spectrum, placement), lap)
+    ex = dirichlet_energy_trace(x, g.laplacian)
+    lhs = dirichlet_energy_trace(layer_forward(x, layer, g.spectrum, placement), g.laplacian)
     gain = layer.gain()
     return _dual_report("T3.4", lhs, ex, gain * cf.lambda_bar_paper,
                         gain * cf.lambda_bar_safe, context)
 
 
-def verify_lemma_7_2(g: Graph, x, f: PolynomialFilter, *, spectrum: Spectrum | None = None,
-                     context: str = "") -> BoundReport:
+def verify_lemma_7_2(g: Graph, x, f: PolynomialFilter, *, context: str = "") -> BoundReport:
     """One polynomially filtered propagation step: E(P(Ltil) X) <= P(lam)^2 E(X)."""
-    lap = augmented_normalized_laplacian(g)
-    if spectrum is None:
-        spectrum = eigendecompose(lap)
-    fc = filter_contraction(f, spectrum)
+    fc = filter_contraction(f, g.spectrum)
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, lap)
-    lhs = dirichlet_energy_trace(eval_filter_matrix(f, spectrum) @ x, lap)
+    ex = dirichlet_energy_trace(x, g.laplacian)
+    lhs = dirichlet_energy_trace(eval_filter_matrix(f, g.spectrum) @ x, g.laplacian)
     return _dual_report("L7.2", lhs, ex, fc.paper, fc.safe, context)
 
 
@@ -255,24 +227,15 @@ def verify_corollary_3_5(traj: Trajectory, context: str = "") -> BoundReport:
     depth = traj.depth
     e0 = traj.records[0].energy
     lhs = traj.records[-1].energy
-    rhs_paper = rho_paper**depth * e0
-    rhs_safe = rho_safe**depth * e0
     ctx = f"{context} rho_safe={rho_safe:.17g} rho_paper={rho_paper:.17g} depth={depth}"
-    if e0 == 0.0:
-        ok = lhs <= VACUOUS_LHS_TOL
-        return BoundReport("C3.5", lhs, rhs_paper, rhs_safe, rhs_paper - lhs,
-                           holds_paper=ok, holds_safe=ok, vacuous=True, context=ctx.strip())
-    slope = fit_log_energy_slope(traj.energies())
-    slope_limit = np.log(rho_safe) + DECAY_REL
-    slope_ok = bool(slope <= slope_limit) if np.isfinite(slope) else True
-    ctx += (f" slope={slope:.17g} slope_limit={slope_limit:.17g}"
-            f" slope_ok={str(slope_ok).lower()}")
-    return BoundReport(
-        "C3.5", lhs, rhs_paper, rhs_safe, rhs_paper - lhs,
-        holds_paper=_holds(lhs, rhs_paper, DECAY_REL),
-        holds_safe=_holds(lhs, rhs_safe, DECAY_REL),
-        context=ctx.strip(),
-    )
+    if e0 != 0.0:
+        slope = fit_log_energy_slope(traj.energies())
+        slope_limit = np.log(rho_safe) + DECAY_REL
+        slope_ok = bool(slope <= slope_limit) if np.isfinite(slope) else True
+        ctx += (f" slope={slope:.17g} slope_limit={slope_limit:.17g}"
+                f" slope_ok={str(slope_ok).lower()}")
+    return _dual_report("C3.5", lhs, e0, rho_paper**depth, rho_safe**depth, ctx.strip(),
+                        rel=DECAY_REL)
 
 
 @dataclass(frozen=True)
@@ -307,10 +270,9 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
     layers = tuple(layers)
     if not layers:
         raise ValidationError("need at least one layer")
-    lap = augmented_normalized_laplacian(g)
-    spectrum = eigendecompose(lap)
+    spectrum = g.spectrum
     nonzero = spectrum.eigenvalues[~spectrum.zero_mask]
-    contraction_factors(spectrum)  # raises on a degenerate spectrum
+    g.factors  # raises on a degenerate spectrum
     lam_max = spectrum.lambda_max
     for i, layer in enumerate(layers):
         mono = check_monotone_decreasing(layer.filter, 0.0, lam_max)
@@ -333,7 +295,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
                 witness=None, per_layer=(), decay=None,
             )
     x = as_embedding(x0, g.n)
-    e0 = dirichlet_energy_trace(x, lap)
+    e0 = dirichlet_energy_trace(x, g.laplacian)
     per_layer = []
     energies = [e0]
     for i, layer in enumerate(layers, start=1):
@@ -341,7 +303,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
         fc = filter_contraction(layer.filter, spectrum)
         gain = layer.gain()
         x = layer_forward(x, layer, spectrum, placement=placement)
-        e_after = dirichlet_energy_trace(x, lap)
+        e_after = dirichlet_energy_trace(x, g.laplacian)
         energies.append(e_after)
         per_layer.append(_dual_report("P7.1", e_after, e_before, gain * fc.paper,
                                       gain * fc.safe, f"{context} layer={i}".strip()))
@@ -349,14 +311,11 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
     for l in range(1, len(energies)):
         worst_ratio = max(worst_ratio, energies[l] / threshold**l)
     ctx = f"{context} eps={epsilon:.17g} depth={len(layers)}".strip()
-    if e0 == 0.0:
-        ok = all(e <= VACUOUS_LHS_TOL for e in energies[1:])
-        decay = BoundReport("P7.1", worst_ratio, e0, None, e0 - worst_ratio,
-                            holds_paper=ok, holds_safe=None, vacuous=True, context=ctx)
-    else:
-        decay = BoundReport("P7.1", worst_ratio, e0, None, e0 - worst_ratio,
-                            holds_paper=_holds(worst_ratio, e0, DECAY_REL),
-                            holds_safe=None, context=ctx)
+    # a zero input passes iff every layer's energy, not the scaled worst ratio, is <= 1e-12
+    holds = (all(e <= VACUOUS_LHS_TOL for e in energies[1:]) if e0 == 0.0
+             else _holds(worst_ratio, e0, DECAY_REL))
+    decay = BoundReport("P7.1", worst_ratio, e0, None, e0 - worst_ratio, holds_paper=holds,
+                        holds_safe=None, vacuous=e0 == 0.0, context=ctx)
     return Prop71Verdict(ok=True, reason="preconditions satisfied", witness=None,
                          per_layer=tuple(per_layer), decay=decay)
 
@@ -440,9 +399,8 @@ def _suite_l32(rng: np.random.Generator, trial: int) -> list[BoundReport]:
     cols = int(rng.integers(1, 9))
     target = float(rng.uniform(0.2, 2.0))
     w = make_weights(x.shape[1], cols, target, seed=int(rng.integers(2**63)))
-    lap = augmented_normalized_laplacian(g)
     ctx = f"trial={trial} graph={desc} C={x.shape[1]} W={x.shape[1]}x{cols} target={target:.3f}"
-    return [verify_lemma_3_2(x, w, lap, context=ctx)]
+    return [verify_lemma_3_2(x, w, g.laplacian, context=ctx)]
 
 
 _L33_SLOPES = (0.01, 0.2, 0.5)
@@ -490,8 +448,7 @@ def _suite_c35(rng: np.random.Generator, trial: int) -> list[BoundReport]:
         for _ in range(depth)
     ]
     x0 = rng.standard_normal((g.n, channels))
-    spectrum = eigendecompose(augmented_normalized_laplacian(g))
-    traj = run_network(x0, layers, spectrum)
+    traj = run_network(x0, layers, g)
     ctx = f"trial={trial} graph={desc} C={channels} L={depth} target={target:.3f} act={act.kind}"
     return [verify_corollary_3_5(traj, context=ctx)]
 
@@ -529,8 +486,7 @@ def _suite_p71(rng: np.random.Generator, trial: int) -> list[BoundReport]:
             weights=(make_weights(channels, channels, target, seed=int(rng.integers(2**63))),),
             activation=Activation.relu(),
         ))
-    spectrum = eigendecompose(augmented_normalized_laplacian(g))
-    nonzero = spectrum.eigenvalues[~spectrum.zero_mask]
+    nonzero = g.spectrum.eigenvalues[~g.spectrum.zero_mask]
     worst = max(
         float(np.max(layer.gain() * eval_filter_scalar(layer.filter, nonzero) ** 2))
         for layer in layers
@@ -545,15 +501,8 @@ def _suite_p71(rng: np.random.Generator, trial: int) -> list[BoundReport]:
     return list(verdict.per_layer) + [verdict.decay]
 
 
-_SUITE_BUILDERS = {
-    "L3.1": _suite_l31,
-    "L3.2": _suite_l32,
-    "L3.3": _suite_l33,
-    "T3.4": _suite_t34,
-    "C3.5": _suite_c35,
-    "L7.2": _suite_l72,
-    "P7.1": _suite_p71,
-}
+_SUITE_BUILDERS = dict(zip(STATEMENTS, (_suite_l31, _suite_l32, _suite_l33, _suite_t34,
+                                          _suite_c35, _suite_l72, _suite_p71)))
 
 
 def run_suite(statement: str, trials: int, seed: int) -> SuiteResult:

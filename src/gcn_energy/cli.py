@@ -31,17 +31,12 @@ from .config import (
 )
 from .energy import dirichlet_energy_edge_sum, dirichlet_energy_trace, rayleigh_quotient
 from .errors import DegenerateSpectrumError, NumericError, ValidationError
-from .graphs import augmented_normalized_laplacian
 from .network import run_network
 from .spectral import contraction_factors, eigendecompose
-from .sweeps import duality_csv, duality_report, energy_increase_fraction, run_sweep, sweep_rows_csv
+from .sweeps import _fmt, duality_csv, duality_report, energy_increase_fraction, run_sweep, sweep_rows_csv
 
 RANGE_LO = -1e-10
 RANGE_HI = 2.0 - 1e-12
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _bool(b) -> str:
@@ -83,8 +78,7 @@ def _reports_csv(reports) -> str:
 
 def _cmd_spectrum(args) -> int:
     g = resolve_graph_source(args.graph)
-    lap = augmented_normalized_laplacian(g)
-    spectrum = eigendecompose(lap, zero_tol=args.zero_tol)
+    spectrum = eigendecompose(g.laplacian, zero_tol=args.zero_tol)
     doc = {"command": "spectrum", "graph": args.graph,
            "zero_tol": args.zero_tol, "n": g.n, "edges": g.edge_count}
     lines = [_header(doc, "-").rstrip("\n"), "index,eigenvalue"]
@@ -112,12 +106,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_energy(args) -> int:
     g = resolve_graph_source(args.graph)
-    lap = augmented_normalized_laplacian(g)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((g.n, args.channels))
-    e_trace = dirichlet_energy_trace(x, lap)
+    e_trace = dirichlet_energy_trace(x, g.laplacian)
     e_edge = dirichlet_energy_edge_sum(x, g)
-    rq = rayleigh_quotient(x, lap)
+    rq = rayleigh_quotient(x, g.laplacian)
     doc = {"command": "energy", "graph": args.graph,
            "channels": args.channels, "seed": args.seed}
     body = ("n,edges,channels,seed,energy_trace,energy_edge_sum,rayleigh\n"
@@ -131,8 +124,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_run(args) -> int:
     setup = load_run_config(args.config)
-    spectrum = eigendecompose(augmented_normalized_laplacian(setup.graph))
-    traj = run_network(setup.x0, setup.layers, spectrum, placement=setup.placement)
+    traj = run_network(setup.x0, setup.layers, setup.graph, placement=setup.placement)
     lines = ["layer,energy,rayleigh,bound_paper,bound_safe,channels"]
     for rec in traj.records:
         lines.append(",".join([

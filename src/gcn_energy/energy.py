@@ -49,14 +49,9 @@ def dirichlet_energy_trace(x, lap: np.ndarray) -> float:
 def dirichlet_energy_edge_sum(x, g: Graph) -> float:
     """Edge-wise form of the Dirichlet energy; equals the trace form."""
     x = as_embedding(x, g.n)
-    if not g.edges:
-        return 0.0
     y = x / np.sqrt(augmented_degrees(g))[:, None]
-    us = np.fromiter((e[0] for e in g.edges), dtype=int, count=g.edge_count)
-    vs = np.fromiter((e[1] for e in g.edges), dtype=int, count=g.edge_count)
-    ws = np.fromiter((e[2] for e in g.edges), dtype=float, count=g.edge_count)
-    diffs = y[us] - y[vs]
-    return float(np.sum(ws * np.sum(diffs * diffs, axis=1)))
+    diffs = y[g.u] - y[g.v]
+    return float(np.sum(g.w * np.sum(diffs * diffs, axis=1)))
 
 
 def rayleigh_quotient(x, lap: np.ndarray) -> float:

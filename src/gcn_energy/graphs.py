@@ -1,11 +1,12 @@
 """Undirected weighted graphs and their augmented normalized Laplacians.
 
-The central object is an immutable :class:`Graph`: a node count plus a
-sorted, duplicate-free list of weighted edges ``(u, v, w)`` with ``u < v``
-and ``w > 0``.  Explicit self-loops are rejected; augmentation adds the
-implicit unit self-loop to every node instead.  With ``A`` the weighted
-adjacency matrix, ``Atil = A + I`` and ``Dtil = D + I`` (``D`` the diagonal
-of weighted degrees), the augmented normalized Laplacian is
+The central object is an immutable :class:`Graph`: a node count plus three
+read-only edge arrays, endpoints ``u``, ``v`` and weights ``w``, sorted by
+``(u, v)`` with ``u < v``, no duplicate pair and ``w > 0``; ``Graph.edges``
+derives ``(u, v, w)`` tuples from them.  Explicit self-loops are rejected;
+augmentation adds the implicit unit self-loop to every node instead.  With
+``A`` the weighted adjacency matrix, ``Atil = A + I`` and ``Dtil = D + I``
+(``D`` the diagonal of weighted degrees), the augmented normalized Laplacian is
 
     Ltil = I - Dtil^{-1/2} Atil Dtil^{-1/2}
 
@@ -13,75 +14,135 @@ and the propagation matrix is its complement ``P = I - Ltil``.  ``Ltil`` is
 symmetric positive semidefinite with eigenvalues in ``[0, 2)``, and
 ``P`` fixes the vector ``Dtil^{1/2} 1``.
 
+A graph is also the context every statement, run and suite on it shares:
+its ``laplacian``, ``spectrum`` and ``factors`` are built on first use and
+then cached, read-only, on the graph.
+
 Everything here is dense ``numpy`` at desk scale (a few thousand nodes).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
+from .spectral import ContractionFactors, Spectrum, contraction_factors, eigendecompose
 
 Edge = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # value equality is defined below, over the arrays
 class Graph:
-    """Undirected weighted graph with normalized, validated edge storage."""
+    """Undirected weighted graph with normalized, validated, read-only edge arrays."""
 
     n: int
-    edges: tuple[Edge, ...]
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"node count must be a positive integer, got {self.n!r}")
-        prev = None
-        for u, v, w in self.edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise ValidationError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
-            if u == v:
-                raise ValidationError(f"explicit self-loop on node {u}; loops are implicit")
-            if not (0 <= u < v < self.n):
-                raise ValidationError(
-                    f"edge ({u}, {v}) out of range for n={self.n} or not ordered u < v"
-                )
-            if not (isinstance(w, float) and math.isfinite(w) and w > 0.0):
-                raise ValidationError(f"edge ({u}, {v}) needs a finite positive weight, got {w!r}")
-            if prev is not None and (u, v) <= prev:
-                raise ValidationError(f"edges not sorted/unique at ({u}, {v})")
-            prev = (u, v)
+        # private read-only copies: the cached context relies on edges never changing
+        n, u, v, w = self.n, np.array(self.u), np.array(self.v), np.array(self.w)
+        if not isinstance(n, int) or n < 1:
+            raise ValidationError(f"node count must be a positive integer, got {n!r}")
+        if not (u.ndim == v.ndim == w.ndim == 1 and u.size == v.size == w.size):
+            raise ValidationError("edge arrays u, v, w must be 1-D and of one length")
+        if u.dtype.kind != "i" or v.dtype.kind != "i" or w.dtype != np.float64:
+            raise ValidationError("edge endpoints must be integers and weights float64")
+        unsorted = np.zeros(u.size, dtype=bool)
+        unsorted[1:] = (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
+        for bad, message in (
+            (u == v, "explicit self-loop on node {u}; loops are implicit"),
+            ((u < 0) | (u > v) | (v >= n),
+             "edge ({u}, {v}) out of range for n={n} or not ordered u < v"),
+            (~(np.isfinite(w) & (w > 0.0)),
+             "edge ({u}, {v}) needs a finite positive weight, got {w!r}"),
+            (unsorted, "edges not sorted/unique at ({u}, {v})"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValidationError(message.format(u=int(u[i]), v=int(v[i]),
+                                                     w=float(w[i]), n=n))
+        for name, arr in (("u", u), ("v", v), ("w", w)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[Edge]) -> Graph:
+        """Build from normalized ``(u, v, w)`` triples of ints and floats."""
+        edges = tuple(edges)
+        try:
+            u, v, w = zip(*edges, strict=True) if edges else ((), (), ())
+            if not (all(isinstance(x, int) for x in u + v) and all(isinstance(x, float) for x in w)):
+                raise TypeError
+            u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("edges must be (u, v, w) triples of int ids and float weights") from None
+        return cls(n, u, v, np.array(w, dtype=np.float64))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``(u, v, w)`` tuples of Python ints and floats."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.u.size
 
     def weighted_degrees(self) -> np.ndarray:
-        """Per-node sum of incident edge weights (no augmentation)."""
-        deg = np.zeros(self.n)
-        for u, v, w in self.edges:
-            deg[u] += w
-            deg[v] += w
-        return deg
+        """Per-node sum of incident edge weights (no augmentation), added in edge order."""
+        ends = np.column_stack((self.u, self.v)).ravel()
+        return np.bincount(ends, weights=np.repeat(self.w, 2), minlength=self.n)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
+        a[self.u, self.v] = self.w
+        a[self.v, self.u] = self.w
         return a
 
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """Read-only :func:`augmented_normalized_laplacian`, built on first use."""
+        lap = augmented_normalized_laplacian(self)
+        lap.flags.writeable = False
+        return lap
 
-def _merge_edges(n: int, raw: list[tuple[int, int, float]]) -> Graph:
-    """Normalize endpoint order and merge duplicate pairs by summing weights."""
-    merged: dict[tuple[int, int], float] = {}
-    for u, v, w in raw:
-        key = (u, v) if u < v else (v, u)
-        merged[key] = merged.get(key, 0.0) + w
-    edges = tuple((u, v, float(w)) for (u, v), w in sorted(merged.items()))
-    return Graph(n=n, edges=edges)
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """``eigendecompose(self.laplacian)``, built on first use."""
+        return eigendecompose(self.laplacian)
+
+    @cached_property
+    def factors(self) -> ContractionFactors:
+        """``contraction_factors(self.spectrum)``; raises on a degenerate spectrum."""
+        return contraction_factors(self.spectrum)
+
+
+def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
+    """Normalize endpoint order and merge duplicate pairs by summing weights.
+
+    The weights of one pair are added in input order, as a running sum.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable: duplicates keep their input order
+    lo, hi, w = lo[order], hi[order], w[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    merged = np.zeros(np.count_nonzero(first))
+    # np.add.at adds one element at a time; np.add.reduceat sums pairwise
+    np.add.at(merged, np.cumsum(first) - 1, w)
+    return Graph(n, lo[first], hi[first], merged)
 
 
 def from_edge_list(text: str, n_hint: int | None = None) -> Graph:
@@ -125,7 +186,8 @@ def from_edge_list(text: str, n_hint: int | None = None) -> Graph:
     n = max(max_id + 1, n_hint or 0)
     if n < 1:
         raise ValidationError("empty edge list and no node-count hint")
-    return _merge_edges(n, raw)
+    u, v, w = zip(*raw) if raw else ((), (), ())
+    return _merge_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
 
 
 def augmented_degrees(g: Graph) -> np.ndarray:
@@ -137,26 +199,30 @@ def augmented_normalized_laplacian(g: Graph) -> np.ndarray:
     """Dense symmetric ``I - Dtil^{-1/2} (A + I) Dtil^{-1/2}``.
 
     Diagonal entries are ``1 - 1/dtil_i``; the off-diagonal entry for edge
-    (i, j) is ``-w_ij / sqrt(dtil_i * dtil_j)``.
+    (i, j) is ``-w_ij / sqrt(dtil_i * dtil_j)``.  Raises
+    :class:`NumericError` when a weighted degree overflows.
     """
     dtil = augmented_degrees(g)
+    if not np.all(np.isfinite(dtil)):
+        raise NumericError("a weighted degree overflows to infinity; rescale the edge weights")
     inv_sqrt = 1.0 / np.sqrt(dtil)
     lap = np.zeros((g.n, g.n))
     np.fill_diagonal(lap, 1.0 - 1.0 / dtil)
-    for u, v, w in g.edges:
-        lap[u, v] = lap[v, u] = -w * inv_sqrt[u] * inv_sqrt[v]
+    off = -g.w * inv_sqrt[g.u] * inv_sqrt[g.v]
+    lap[g.u, g.v] = off
+    lap[g.v, g.u] = off
     return lap
 
 
 def propagation_matrix(g: Graph) -> np.ndarray:
-    """Complement ``P = I - Ltil``; fixes ``Dtil^{1/2} 1``."""
-    return np.eye(g.n) - augmented_normalized_laplacian(g)
+    """Complement ``P = I - Ltil`` of the graph's cached Laplacian; fixes ``Dtil^{1/2} 1``."""
+    return np.eye(g.n) - g.laplacian
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted node tuples, ordered by smallest member."""
     neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
         neighbors[u].append(v)
         neighbors[v].append(u)
     seen = [False] * g.n
@@ -188,36 +254,33 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
     """
     if n < 1:
         raise ValidationError(f"generator needs n >= 1, got {n}")
-    pairs: list[tuple[int, int]]
     if kind == "erdos_renyi":
         if p is None or not (0.0 <= p <= 1.0):
             raise ValidationError(f"erdos_renyi needs edge probability p in [0, 1], got {p!r}")
         rng = np.random.default_rng(seed)
-        pairs = []
-        for u in range(n):
-            draws = rng.random(n - u - 1)
-            pairs.extend((u, int(u + 1 + i)) for i in np.nonzero(draws < p)[0])
+        # one draw per pair, row by row: the seeded stream of every ER graph
+        rows = [np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1) for u in range(n)]
+        lo = np.repeat(np.arange(n), [row.size for row in rows])
+        hi = np.concatenate(rows)
     elif kind == "ring":
         if n < 3:
             raise ValidationError(f"ring needs n >= 3, got {n}")
-        pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        lo, hi = np.arange(n), (np.arange(n) + 1) % n
     elif kind == "k_regular":
         if k is None or k < 0 or k % 2 != 0 or k >= n:
             raise ValidationError(
                 f"k_regular needs even k with 0 <= k < n, got k={k!r}, n={n}"
             )
-        pairs = []
-        for offset in range(1, k // 2 + 1):
-            for i in range(n):
-                j = (i + offset) % n
-                pairs.append((i, j) if i < j else (j, i))
+        lo = np.tile(np.arange(n), k // 2)
+        hi = (lo + np.repeat(np.arange(1, k // 2 + 1), n)) % n
     elif kind == "complete":
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        lo, hi = np.triu_indices(n, 1)
     elif kind == "path":
-        pairs = [(i, i + 1) for i in range(n - 1)]
+        lo, hi = np.arange(n - 1), np.arange(1, n)
     else:
         raise ValidationError(f"unknown generator kind {kind!r}")
-    return _merge_edges(n, [(u, v, 1.0) for u, v in set(pairs)])
+    # no family repeats a pair, so merging only sorts and orients the edges
+    return _merge_edges(n, lo, hi, np.ones(lo.size))
 
 
 @dataclass(frozen=True)
@@ -262,16 +325,13 @@ def perturb(g: Graph, plan: PerturbationPlan) -> Graph:
         m = math.ceil(plan.ratio * g.edge_count)
         if m == 0:
             return g
-        dropped = set(rng.choice(g.edge_count, size=m, replace=False).tolist())
-        kept = tuple(e for i, e in enumerate(g.edges) if i not in dropped)
-        return Graph(n=g.n, edges=kept)
+        kept = np.ones(g.edge_count, dtype=bool)
+        kept[rng.choice(g.edge_count, size=m, replace=False)] = False
+        return Graph(g.n, g.u[kept], g.v[kept], g.w[kept])
     if plan.count > g.edge_count:
         raise ValidationError(
             f"cannot boost {plan.count} edges, graph has only {g.edge_count}"
         )
-    chosen = set(rng.choice(g.edge_count, size=plan.count, replace=False).tolist())
-    edges = tuple(
-        (u, v, w * plan.boost_factor) if i in chosen else (u, v, w)
-        for i, (u, v, w) in enumerate(g.edges)
-    )
-    return Graph(n=g.n, edges=edges)
+    w = g.w.copy()
+    w[rng.choice(g.edge_count, size=plan.count, replace=False)] *= plan.boost_factor
+    return Graph(g.n, g.u, g.v, w)

@@ -17,12 +17,13 @@ values of the layer weights and ``c`` is the filter contraction factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import as_embedding, dirichlet_energy_trace, rayleigh_quotient
 from .errors import NumericError, ValidationError
+from .graphs import Graph
 from .spectral import PolynomialFilter, Spectrum, eval_filter_matrix, filter_contraction
 
 ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "sigmoid", "identity")
@@ -123,6 +124,7 @@ class LayerSpec:
     filter: PolynomialFilter
     weights: tuple[np.ndarray, ...]
     activation: Activation
+    _gain: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) == 0:
@@ -139,6 +141,7 @@ class LayerSpec:
                     f"weight chain breaks between matrices {h} and {h + 1}: "
                     f"{self.weights[h].shape} -> {self.weights[h + 1].shape}"
                 )
+        object.__setattr__(self, "_gain", math.prod(top_singular_value(w) for w in self.weights))
 
     @property
     def input_channels(self) -> int:
@@ -150,10 +153,7 @@ class LayerSpec:
 
     def gain(self) -> float:
         """Product of the top singular values of the weight chain."""
-        out = 1.0
-        for w in self.weights:
-            out *= top_singular_value(w)
-        return out
+        return self._gain
 
 
 def layer_forward(x, spec: LayerSpec, lap_spectrum: Spectrum,
@@ -218,16 +218,17 @@ def _guarded_rayleigh(x: np.ndarray, lap: np.ndarray) -> float:
     return rayleigh_quotient(x, lap)
 
 
-def run_network(x0, layers, lap_spectrum: Spectrum, placement: str = "paper") -> Trajectory:
-    """Simulate ``L`` layers and record the energy trajectory.
+def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
+    """Simulate ``L`` layers on graph ``g`` and record the energy trajectory.
 
-    The trajectory holds ``L + 1`` records; record 0 describes the input and
-    carries NaN bounds since no layer produced it.
+    Layers filter through ``g.spectrum``; energies are taken on
+    ``g.laplacian``.  The trajectory holds ``L + 1`` records; record 0
+    describes the input and carries NaN bounds since no layer produced it.
     """
     layers = tuple(layers)
     if not layers:
         raise ValidationError("run needs at least one layer")
-    x = as_embedding(x0, lap_spectrum.n)
+    x = as_embedding(x0, g.n)
     channels = x.shape[1]
     for i, spec in enumerate(layers):
         if spec.input_channels != channels:
@@ -236,7 +237,7 @@ def run_network(x0, layers, lap_spectrum: Spectrum, placement: str = "paper") ->
                 f"previous stage emits {channels}"
             )
         channels = spec.output_channels
-    lap = lap_spectrum.reconstruct()
+    lap = g.laplacian
     records = [LayerRecord(
         layer=0,
         energy=dirichlet_energy_trace(x, lap),
@@ -247,10 +248,10 @@ def run_network(x0, layers, lap_spectrum: Spectrum, placement: str = "paper") ->
     )]
     gains = []
     for i, spec in enumerate(layers, start=1):
-        contraction = filter_contraction(spec.filter, lap_spectrum)
+        contraction = filter_contraction(spec.filter, g.spectrum)
         gain = spec.gain()
         gains.append(gain)
-        x = layer_forward(x, spec, lap_spectrum, placement=placement)
+        x = layer_forward(x, spec, g.spectrum, placement=placement)
         records.append(LayerRecord(
             layer=i,
             energy=dirichlet_energy_trace(x, lap),

@@ -201,8 +201,7 @@ def test_criterion_07_corollary_3_5_decay(tmp_path):
     cfg = tmp_path / "decay.json"
     cfg.write_text(json.dumps(doc))
     setup = load_run_config(str(cfg))
-    spectrum = eigendecompose(augmented_normalized_laplacian(setup.graph))
-    traj = run_network(setup.x0, setup.layers, spectrum, placement=setup.placement)
+    traj = run_network(setup.x0, setup.layers, setup.graph, placement=setup.placement)
     rho = max(rec.bound_safe for rec in traj.records[1:])
     energies = traj.energies()
     ratio = energies[-1] / energies[0]
@@ -227,8 +226,7 @@ def test_criterion_08_proposition_7_1():
         for l in range(20)
     )
     verdict = verify_prop_7_1(g, x0, layers, epsilon=0.5, placement="paper")
-    spectrum = eigendecompose(augmented_normalized_laplacian(g))
-    energies = run_network(x0, layers, spectrum, placement="paper").energies()
+    energies = run_network(x0, layers, g, placement="paper").energies()
     decay_ok = all(energies[l] <= 0.5**l * energies[0] * (1 + 1e-6) for l in range(21))
     bad_layers = tuple(
         LayerSpec(filter=PolynomialFilter((0.0, 1.0)), weights=s.weights,

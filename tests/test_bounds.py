@@ -203,7 +203,7 @@ def test_lemma_7_2_can_violate_paper_bound_but_not_safe():
     g = generate("path", 10)
     s = eigendecompose(augmented_normalized_laplacian(g))
     top = s.eigenvectors[:, -1]  # eigenvector of the largest eigenvalue
-    r = verify_lemma_7_2(g, top, PolynomialFilter((0.0, 1.0)), spectrum=s)
+    r = verify_lemma_7_2(g, top, PolynomialFilter((0.0, 1.0)))
     assert r.holds_safe
     assert not r.holds_paper
     assert r.paper_violation
@@ -221,10 +221,9 @@ def test_fit_log_energy_slope_ignores_dead_layers():
 
 def run_path3_trajectory(depth=20, target=1.0, seed=0):
     g = generate("path", 3)
-    s = eigendecompose(augmented_normalized_laplacian(g))
     layers = [propagation_layer(4, target, seed=seed + i) for i in range(depth)]
     x0 = np.random.default_rng(seed).standard_normal((3, 4))
-    return run_network(x0, layers, s)
+    return run_network(x0, layers, g)
 
 
 def test_corollary_3_5_path3_unit_gain():
@@ -265,9 +264,8 @@ def test_corollary_3_5_requires_contractive_bounds():
 
 def test_corollary_3_5_zero_input_is_vacuous():
     g = generate("path", 3)
-    s = eigendecompose(augmented_normalized_laplacian(g))
     layers = [propagation_layer(2, 0.9, seed=i) for i in range(4)]
-    traj = run_network(np.zeros((3, 2)), layers, s)
+    traj = run_network(np.zeros((3, 2)), layers, g)
     r = verify_corollary_3_5(traj)
     assert r.vacuous and r.gate_holds
 

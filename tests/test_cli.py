@@ -118,6 +118,17 @@ def test_spectrum_negative_zero_tol_exits_2(capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_spectrum_degree_overflow_exits_3(tmp_path, capsys):
+    # each weight is finite, but node 1's degree overflows to inf
+    path = tmp_path / "huge.txt"
+    path.write_text("0 1 1e308\n1 2 1e308\n")
+    assert main(["spectrum", "--graph", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # energy
 

@@ -1,0 +1,173 @@
+"""Array-backed graphs against per-edge loop references, and the cached
+per-graph context (Laplacian, spectrum, contraction factors)."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import gcn_energy.graphs as graphs
+import gcn_energy.network as network
+from gcn_energy import (
+    PerturbationPlan,
+    augmented_normalized_laplacian,
+    dirichlet_energy_edge_sum,
+    generate,
+    perturb,
+    run_suite,
+    verify_prop_7_1,
+)
+from gcn_energy.cli import main
+from gcn_energy.network import Activation, LayerSpec, make_weights
+from gcn_energy.spectral import PolynomialFilter
+
+# ---------------------------------------------------------------------------
+# loop references: the per-edge implementations the arrays replaced
+
+
+def ref_weighted_degrees(n, edges):
+    deg = np.zeros(n)
+    for u, v, w in edges:
+        deg[u] += w
+        deg[v] += w
+    return deg
+
+
+def ref_laplacian(n, edges):
+    dtil = 1.0 + ref_weighted_degrees(n, edges)
+    inv_sqrt = 1.0 / np.sqrt(dtil)
+    lap = np.zeros((n, n))
+    np.fill_diagonal(lap, 1.0 - 1.0 / dtil)
+    for u, v, w in edges:
+        lap[u, v] = lap[v, u] = -w * inv_sqrt[u] * inv_sqrt[v]
+    return lap
+
+
+def ref_merge_edges(raw):
+    merged = {}
+    for u, v, w in raw:
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0.0) + w
+    return tuple((u, v, float(w)) for (u, v), w in sorted(merged.items()))
+
+
+def ref_perturb(edges, plan):
+    rng = np.random.default_rng(plan.seed)
+    if plan.kind == "drop":
+        m = math.ceil(plan.ratio * len(edges))
+        if m == 0:
+            return edges
+        dropped = set(rng.choice(len(edges), size=m, replace=False).tolist())
+        return tuple(e for i, e in enumerate(edges) if i not in dropped)
+    chosen = set(rng.choice(len(edges), size=plan.count, replace=False).tolist())
+    return tuple((u, v, w * plan.boost_factor) if i in chosen else (u, v, w)
+                 for i, (u, v, w) in enumerate(edges))
+
+
+def ref_edge_sum(x, n, edges):
+    y = x / np.sqrt(1.0 + ref_weighted_degrees(n, edges))[:, None]
+    us = np.fromiter((e[0] for e in edges), dtype=int, count=len(edges))
+    vs = np.fromiter((e[1] for e in edges), dtype=int, count=len(edges))
+    ws = np.fromiter((e[2] for e in edges), dtype=float, count=len(edges))
+    diffs = y[us] - y[vs]
+    return float(np.sum(ws * np.sum(diffs * diffs, axis=1)))
+
+
+def raw_weighted_edges(seed, n=30, m=150):
+    """Random weighted pairs in both orientations, with one pair repeated
+    twelve times (reversed and forward) so its merged weight is a long sum."""
+    rng = np.random.default_rng(seed)
+    raw = []
+    for _ in range(m):
+        u, v = (int(a) for a in rng.choice(n, size=2, replace=False))
+        raw.append((u, v, float(rng.uniform(0.01, 10.0))))
+    raw += [((7, 3) if i % 2 else (3, 7)) + (float(rng.uniform(0.01, 10.0)),)
+            for i in range(12)]
+    return raw
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arrays_match_loop_references_exactly(seed):
+    raw = raw_weighted_edges(seed)
+    n = 30
+    u, v, w = (np.array(col) for col in zip(*raw))
+    g = graphs._merge_edges(n, u, v, w)
+    edges = ref_merge_edges(raw)
+    assert g.edges == edges
+    assert np.array_equal(g.weighted_degrees(), ref_weighted_degrees(n, edges))
+    assert np.array_equal(augmented_normalized_laplacian(g), ref_laplacian(n, edges))
+    x = np.random.default_rng(seed).standard_normal((n, 3))
+    assert dirichlet_energy_edge_sum(x, g) == ref_edge_sum(x, n, edges)
+    for plan in (PerturbationPlan.drop(0.3, seed=seed), PerturbationPlan.boost(9, 37.5, seed)):
+        assert perturb(g, plan).edges == ref_perturb(edges, plan)
+
+
+# ---------------------------------------------------------------------------
+# the graph as the prepared per-graph context
+
+
+def test_context_properties_are_cached_and_read_only():
+    g = generate("erdos_renyi", 15, seed=3, p=0.3)
+    assert g.laplacian is g.laplacian
+    assert g.spectrum is g.spectrum
+    assert g.factors is g.factors
+    assert np.array_equal(g.laplacian, augmented_normalized_laplacian(g))
+    with pytest.raises(ValueError):
+        g.laplacian[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.u[0] = 1
+    with pytest.raises(ValueError):
+        g.w[0] = 2.0
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the Laplacian builds and eigensolves the graph context makes."""
+    calls = {"laplacian": 0, "eigendecompose": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(graphs, "augmented_normalized_laplacian",
+                        counting("laplacian", graphs.augmented_normalized_laplacian))
+    monkeypatch.setattr(graphs, "eigendecompose",
+                        counting("eigendecompose", graphs.eigendecompose))
+    return calls
+
+
+def test_lemma_3_3_suite_builds_one_laplacian_per_trial(counted):
+    run_suite("L3.3", trials=5, seed=2)
+    assert counted["laplacian"] == 5
+
+
+def test_prop_7_1_suite_runs_one_eigensolve_per_trial(counted):
+    run_suite("P7.1", trials=5, seed=2)
+    assert counted["eigendecompose"] == 5
+
+
+def test_run_prop71_runs_one_eigensolve(counted, tmp_path, capsys):
+    doc = {"graph": "gen:ring:8", "layers": 4, "channels": 2, "filter": [0.6, -0.3],
+           "weights": {"target_singular": 0.9}, "activation": "relu", "seed": 1}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--mode", "prop71"]) == 0
+    assert "preconditions ok" in capsys.readouterr().out
+    assert counted["eigendecompose"] == 1
+
+
+def test_layer_gain_is_computed_once_at_construction(monkeypatch):
+    layers = [LayerSpec(PolynomialFilter((0.6, -0.3)), (make_weights(2, 2, 0.9, seed=i),),
+                        Activation.relu()) for i in range(3)]
+
+    def refuse(w):
+        raise AssertionError("gain recomputed an SVD")
+
+    monkeypatch.setattr(network, "top_singular_value", refuse)
+    x0 = np.random.default_rng(0).standard_normal((8, 2))
+    verdict = verify_prop_7_1(generate("ring", 8), x0, layers, epsilon=0.2)
+    assert verdict.ok and verdict.holds
+    assert layers[0].gain() == pytest.approx(0.9, rel=1e-12)

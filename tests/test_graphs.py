@@ -19,14 +19,14 @@ from gcn_energy import (
 
 
 def test_graph_basic_fields():
-    g = Graph(n=3, edges=((0, 1, 1.0), (1, 2, 2.0)))
+    g = Graph.from_edges(3, ((0, 1, 1.0), (1, 2, 2.0)))
     assert g.n == 3
     assert g.edge_count == 2
     assert g.weighted_degrees().tolist() == [1.0, 3.0, 2.0]
 
 
 def test_graph_edges_are_immutable():
-    g = Graph(n=2, edges=((0, 1, 1.0),))
+    g = Graph.from_edges(2, ((0, 1, 1.0),))
     with pytest.raises(AttributeError):
         g.n = 5
 
@@ -44,15 +44,40 @@ def test_graph_edges_are_immutable():
         (2, ((0, 1, 1),)),            # int weight, must be float
         (3, ((0, 1, 1.0), (0, 1, 2.0))),  # duplicate pair
         (3, ((0, 2, 1.0), (0, 1, 2.0))),  # unsorted
+        (3, ((0, 1, 1.0), (1, 2))),       # not a triple
+        (3, ((0, 1, 1.0), (1, 2, 2))),    # int weight mixed with floats
     ],
 )
 def test_graph_rejects_malformed_edges(n, edges):
     with pytest.raises(ValidationError):
-        Graph(n=n, edges=edges)
+        Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize(
+    "u, v, w",
+    [
+        ([0], [1, 2], [1.0]),             # lengths differ
+        ([[0]], [[1]], [[1.0]]),          # not 1-D
+        ([0.0], [1.0], [1.0]),            # float endpoints
+        ([0], [1], np.float32([1.0])),    # weights not float64
+    ],
+)
+def test_graph_rejects_malformed_edge_arrays(u, v, w):
+    with pytest.raises(ValidationError):
+        Graph(3, np.array(u), np.array(v), np.array(w))
+
+
+def test_graphs_compare_and_hash_by_value():
+    a, b = generate("ring", 4), generate("ring", 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == Graph.from_edges(4, a.edges)
+    assert a != generate("path", 4)
+    assert a != perturb(a, PerturbationPlan.boost(1, 2.0))
+    assert len({a, b, generate("path", 4)}) == 2
 
 
 def test_adjacency_is_symmetric_with_zero_diagonal():
-    g = Graph(n=3, edges=((0, 1, 2.0), (1, 2, 0.5)))
+    g = Graph.from_edges(3, ((0, 1, 2.0), (1, 2, 0.5)))
     a = g.adjacency()
     assert np.array_equal(a, a.T)
     assert np.all(np.diag(a) == 0.0)
@@ -123,7 +148,7 @@ def test_laplacian_path3_entries():
 
 
 def test_laplacian_weighted_triangle_entries():
-    g = Graph(n=3, edges=((0, 1, 2.0), (0, 2, 1.0), (1, 2, 4.0)))
+    g = Graph.from_edges(3, ((0, 1, 2.0), (0, 2, 1.0), (1, 2, 4.0)))
     lap = augmented_normalized_laplacian(g)
     # weighted degrees (3, 6, 5), augmented (4, 7, 6)
     assert np.allclose(np.diag(lap), [0.75, 6.0 / 7.0, 5.0 / 6.0], atol=1e-15)
@@ -138,7 +163,7 @@ def test_propagation_matrix_fixes_sqrt_degree_vector():
 
 
 def test_connected_components_orders_by_smallest_member():
-    g = Graph(n=6, edges=((0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0)))
+    g = Graph.from_edges(6, ((0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0)))
     assert connected_components(g) == ((0, 3), (1, 4), (2, 5))
 
 

@@ -182,7 +182,6 @@ def test_placements_agree_for_identity_activation():
 
 def test_run_network_record_shape_and_layer_zero():
     g = generate("erdos_renyi", 12, seed=2, p=0.4)
-    s = lap_spectrum(g)
     rng = np.random.default_rng(5)
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
@@ -190,7 +189,7 @@ def test_run_network_record_shape_and_layer_zero():
                   Activation.relu())
         for i in range(4)
     ]
-    traj = run_network(rng.standard_normal((12, 3)), layers, s)
+    traj = run_network(rng.standard_normal((12, 3)), layers, g)
     assert traj.depth == 4
     assert len(traj.records) == 5
     assert traj.records[0].layer == 0
@@ -203,7 +202,6 @@ def test_run_network_record_shape_and_layer_zero():
 
 def test_run_network_tracks_changing_channel_widths():
     g = generate("ring", 10)
-    s = lap_spectrum(g)
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(8, 16, 1.0, seed=0), make_weights(16, 4, 1.0, seed=1)),
@@ -212,7 +210,7 @@ def test_run_network_tracks_changing_channel_widths():
                   (make_weights(4, 2, 1.0, seed=2),),
                   Activation.relu()),
     ]
-    traj = run_network(np.random.default_rng(0).standard_normal((10, 8)), layers, s)
+    traj = run_network(np.random.default_rng(0).standard_normal((10, 8)), layers, g)
     assert [rec.channels for rec in traj.records] == [8, 4, 2]
 
 
@@ -220,13 +218,13 @@ def test_run_network_names_offending_layer_on_channel_mismatch():
     g = generate("ring", 6)
     layers = [identity_layer(2), identity_layer(3)]
     with pytest.raises(ValidationError, match="layer 1"):
-        run_network(np.ones((6, 2)), layers, lap_spectrum(g))
+        run_network(np.ones((6, 2)), layers, g)
 
 
 def test_run_network_requires_a_layer():
     g = generate("ring", 6)
     with pytest.raises(ValidationError):
-        run_network(np.ones(6), [], lap_spectrum(g))
+        run_network(np.ones(6), [], g)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -235,15 +233,13 @@ def test_per_layer_energy_respects_safe_bound_when_gain_at_most_one(seed):
     # gain * max P(lam_i)^2, checked layer by layer
     rng = np.random.default_rng(seed)
     g = generate("erdos_renyi", 20, seed=seed, p=0.3)
-    s = lap_spectrum(g)
-    lap = s.reconstruct()
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(3, 3, float(rng.uniform(0.2, 1.0)), seed=10 * seed + i),),
                   Activation.relu())
         for i in range(6)
     ]
-    traj = run_network(rng.standard_normal((20, 3)), layers, s)
+    traj = run_network(rng.standard_normal((20, 3)), layers, g)
     energies = traj.energies()
     for i in range(1, len(energies)):
         bound = traj.records[i].bound_safe * energies[i - 1]
@@ -264,7 +260,6 @@ def test_deep_contractive_run_decays_exponentially():
     # rho = 0.8 on the three-node path: after 30 layers the energy ratio
     # sits far below 0.8^30
     g = generate("path", 3)
-    s = lap_spectrum(g)
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(4, 4, 3.2, seed=100 + i),),
@@ -272,6 +267,6 @@ def test_deep_contractive_run_decays_exponentially():
         for i in range(30)
     ]
     x0 = np.random.default_rng(0).standard_normal((3, 4))
-    traj = run_network(x0, layers, s)
+    traj = run_network(x0, layers, g)
     e = traj.energies()
     assert e[30] <= (0.8**30) * e[0] * (1.0 + 1e-6)

@@ -83,7 +83,7 @@ def test_spectrum_stays_inside_zero_two(seed):
 
 
 def test_kernel_dim_matches_component_count():
-    g = Graph(n=7, edges=((0, 1, 1.0), (1, 2, 1.0), (3, 4, 5.0)))
+    g = Graph.from_edges(7, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 5.0)))
     s = lap_spectrum(g)
     assert s.kernel_dim == len(connected_components(g)) == 4
 
@@ -118,7 +118,7 @@ def test_eigendecompose_rejects_non_finite():
 
 def test_contraction_factors_need_a_nonzero_eigenvalue():
     # edgeless graph: the Laplacian is the zero matrix
-    s = lap_spectrum(Graph(n=4, edges=()))
+    s = lap_spectrum(Graph.from_edges(4, ()))
     with pytest.raises(DegenerateSpectrumError):
         contraction_factors(s)
 
@@ -226,4 +226,4 @@ def test_filter_contraction_constant_filter():
 
 def test_filter_contraction_needs_nonzero_spectrum():
     with pytest.raises(DegenerateSpectrumError):
-        filter_contraction(PolynomialFilter.propagation(), lap_spectrum(Graph(n=3, edges=())))
+        filter_contraction(PolynomialFilter.propagation(), lap_spectrum(Graph.from_edges(3, ())))
