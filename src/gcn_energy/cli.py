@@ -105,6 +105,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    if args.channels < 1:
+        raise ValidationError(f"--channels must be a positive integer, got {args.channels}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     g = resolve_graph_source(args.graph)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((g.n, args.channels))

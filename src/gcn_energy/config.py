@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,27 +55,27 @@ def parse_generator_spec(spec: str) -> Graph:
         n = int(parts[2])
     except ValueError:
         raise ValidationError(f"generator spec {spec!r}: node count must be an integer") from None
-    args = parts[3:]
+    args, params = parts[3:], {}
     if kind == "erdos_renyi":
         if len(args) not in (1, 2):
             raise ValidationError(f"gen:er needs gen:er:<n>:<p>[:<seed>], got {spec!r}")
         try:
-            p = float(args[0])
-            seed = int(args[1]) if len(args) == 2 else 0
+            params = {"p": float(args[0]), "seed": int(args[1]) if len(args) == 2 else 0}
         except ValueError:
             raise ValidationError(f"generator spec {spec!r}: bad numeric argument") from None
-        return generate("erdos_renyi", n, seed, p=p)
-    if kind == "k_regular":
+    elif kind == "k_regular":
         if len(args) != 1:
             raise ValidationError(f"gen:kregular needs gen:kregular:<n>:<k>, got {spec!r}")
         try:
-            k = int(args[0])
+            params = {"k": int(args[0])}
         except ValueError:
             raise ValidationError(f"generator spec {spec!r}: k must be an integer") from None
-        return generate("k_regular", n, k=k)
-    if args:
+    elif args:
         raise ValidationError(f"generator {parts[1]!r} takes no extra arguments, got {spec!r}")
-    return generate(kind, n)
+    try:
+        return generate(kind, n, **params)
+    except ValidationError as exc:
+        raise ValidationError(f"generator spec {spec!r}: {exc}") from None
 
 
 def resolve_graph_source(source: str) -> Graph:
@@ -106,79 +107,97 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, types, what: str):
-    if key not in doc:
-        raise ValidationError(f"config is missing required key {key!r}")
-    value = doc[key]
-    if not isinstance(value, types):
-        raise ValidationError(f"config key {key!r} must be {what}, got {type(value).__name__}")
-    return value
+_KINDS = {int: "integers", float: "finite numbers", str: "strings", list: "lists", dict: "objects"}
+_REQUIRED = object()
 
 
-def _parse_activation(raw) -> Activation:
-    if isinstance(raw, str):
-        if raw == "leaky_relu":
-            raise ValidationError("activation 'leaky_relu' needs a slope: "
-                                  '{"kind": "leaky_relu", "slope": 0.2}')
-        return Activation(raw)
+def _typed(value, kind, name: str):
+    """The one type rule of every config value; errors name the dotted key.
+
+    ``kind`` is ``int``, ``float``, ``str``, ``list``, ``dict``, ``[k]`` (a list
+    of ``k``) or a tuple (the first kind that fits).  A boolean is never a
+    number; an ``int`` is a JSON integer only, never ``2.0`` or ``"2"``; a
+    ``float`` is a JSON integer or float that is finite as a float.
+    """
+    if isinstance(kind, list):
+        items = _typed(value, list, name)
+        return [_typed(item, kind[0], f"{name}[{i}]") for i, item in enumerate(items)]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if k is float and type(value) in (int, float):
+            try:
+                if math.isfinite(value):
+                    return float(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        elif type(value) is k:
+            return value
+    shown = json.dumps(value)
+    raise ValidationError(f"config key {name!r} takes {' or '.join(_KINDS[k] for k in kinds)} "
+                          f"only, got {shown if len(shown) <= 40 else shown[:37] + '...'}")
+
+
+def _field(doc: dict, key: str, kind, default=_REQUIRED):
+    """``doc[key]`` under :func:`_typed`; ``"a.b"`` reads key ``b`` of object ``a``.
+
+    A key that is absent or null takes ``default``; without one it is required.
+    """
+    parent, _, last = key.rpartition(".")
+    if parent:
+        doc = _field(doc, parent, dict, {})
+    value = doc.get(last)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"config is missing required key {key!r}")
+        return default
+    return _typed(value, kind, key)
+
+
+def _parse_activation(doc: dict) -> Activation:
+    raw = _field(doc, "activation", (str, dict), "relu")
     if isinstance(raw, dict):
-        kind = _require(raw, "kind", str, "a string")
-        slope = raw.get("slope")
-        return Activation(kind, float(slope) if slope is not None else None)
-    raise ValidationError(f"activation must be a string or object, got {type(raw).__name__}")
+        return Activation(_field(doc, "activation.kind", str),
+                          _field(doc, "activation.slope", float, None))
+    if raw == "leaky_relu":
+        raise ValidationError("activation 'leaky_relu' needs a slope: "
+                              '{"kind": "leaky_relu", "slope": 0.2}')
+    return Activation(raw)
 
 
 def _parse_filters(doc: dict, depth: int) -> list[PolynomialFilter]:
-    if "filters" in doc and doc["filters"] is not None:
-        raw = _require(doc, "filters", list, "a list of coefficient lists")
-        if len(raw) != depth:
-            raise ValidationError(f"'filters' must list {depth} filters, got {len(raw)}")
-        return [PolynomialFilter.from_coefficients(c) for c in raw]
-    raw = doc.get("filter", [1.0, -1.0])
-    if not isinstance(raw, list):
-        raise ValidationError("'filter' must be a list of coefficients")
-    return [PolynomialFilter.from_coefficients(raw)] * depth
+    filters = _field(doc, "filters", [[float]], None)
+    if filters is None:
+        return [PolynomialFilter.from_coefficients(_field(doc, "filter", [float], [1.0, -1.0]))] * depth
+    if len(filters) != depth:
+        raise ValidationError(f"'filters' must list {depth} filters, got {len(filters)}")
+    return [PolynomialFilter.from_coefficients(c) for c in filters]
 
 
 def _parse_weight_plan(doc: dict, depth: int, channels: int):
     """Yield per-layer lists of (rows, cols, target) triples."""
-    weights = doc.get("weights", {})
-    if not isinstance(weights, dict):
-        raise ValidationError("'weights' must be an object")
-    shapes = weights.get("shapes")
-    target = weights.get("target_singular", 1.0)
-    if shapes is None:
-        per_layer_shapes = None  # square chain that follows the channel count
-    else:
-        if not (isinstance(shapes, list) and len(shapes) == depth):
+    shapes = _field(doc, "weights.shapes", [[[int]]], None)
+    target = _field(doc, "weights.target_singular", (float, list), 1.0)
+    if shapes is not None:
+        if len(shapes) != depth:
             raise ValidationError(f"'weights.shapes' must list {depth} layer chains")
-        per_layer_shapes = []
         for l, chain in enumerate(shapes):
-            if not (isinstance(chain, list) and chain
-                    and all(isinstance(s, list) and len(s) == 2 for s in chain)):
-                raise ValidationError(
-                    f"'weights.shapes[{l}]' must be a nonempty list of [rows, cols] pairs"
-                )
-            per_layer_shapes.append([(int(r), int(c)) for r, c in chain])
+            if not chain or any(len(pair) != 2 for pair in chain):
+                raise ValidationError(f"'weights.shapes[{l}]' must be a nonempty list "
+                                      "of [rows, cols] pairs")
 
     def target_for(l: int, h: int, chain_len: int) -> float:
-        if isinstance(target, (int, float)):
-            return float(target)
-        if isinstance(target, list) and len(target) == depth:
-            entry = target[l]
-            if isinstance(entry, (int, float)):
-                return float(entry)
-            if isinstance(entry, list) and len(entry) == chain_len:
-                return float(entry[h])
-        raise ValidationError(
-            "'weights.target_singular' must be a number, a per-layer list, "
-            "or a per-layer list of per-matrix lists"
-        )
+        key, value = "weights.target_singular", target
+        for index, size in ((l, depth), (h, chain_len)):
+            if isinstance(value, list):  # a per-layer, then a per-matrix list
+                if len(value) != size:
+                    raise ValidationError(f"{key!r} must list {size} targets, got {len(value)}")
+                key, value = f"{key}[{index}]", value[index]
+        return _typed(value, float, key)
 
     plan = []
     current = channels
     for l in range(depth):
-        chain = per_layer_shapes[l] if per_layer_shapes is not None else [(current, current)]
+        chain = shapes[l] if shapes is not None else [(current, current)]
         if chain[0][0] != current:
             raise ValidationError(
                 f"layer {l} weight chain starts at {chain[0][0]} rows "
@@ -207,26 +226,22 @@ class RunSetup:
 
 def load_run_config(path: str) -> RunSetup:
     doc = _load_json(path)
-    graph_source = _require(doc, "graph", str, "a path or gen: spec")
-    graph = resolve_graph_source(graph_source)
-    depth = _require(doc, "layers", int, "an integer")
+    graph = resolve_graph_source(_field(doc, "graph", str))
+    depth = _field(doc, "layers", int)
     if depth < 1:
         raise ValidationError(f"a run needs at least one layer, got layers={depth}")
-    channels = doc.get("channels", 4)
-    if not isinstance(channels, int) or channels < 1:
+    channels = _field(doc, "channels", int, 4)
+    if channels < 1:
         raise ValidationError(f"'channels' must be a positive integer, got {channels!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ValidationError(f"'seed' must be an integer, got {seed!r}")
-    placement = doc.get("activation_placement", "paper")
+    seed = _field(doc, "seed", int, 0)
+    placement = _field(doc, "activation_placement", str, "paper")
     if placement not in ("paper", "conventional"):
-        raise ValidationError(
-            f"'activation_placement' must be 'paper' or 'conventional', got {placement!r}"
-        )
-    epsilon = doc.get("epsilon", 0.5)
-    if not isinstance(epsilon, (int, float)) or not (0.0 < float(epsilon) < 1.0):
+        raise ValidationError(f"'activation_placement' must be 'paper' or 'conventional', "
+                              f"got {placement!r}")
+    epsilon = _field(doc, "epsilon", float, 0.5)
+    if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"'epsilon' must lie strictly in (0, 1), got {epsilon!r}")
-    act = _parse_activation(doc.get("activation", "relu"))
+    act = _parse_activation(doc)
     filters = _parse_filters(doc, depth)
     plan = _parse_weight_plan(doc, depth, channels)
     layers = []
@@ -239,38 +254,23 @@ def load_run_config(path: str) -> RunSetup:
     rng = np.random.default_rng(derive_seed(seed, _X0_STREAM))
     x0 = rng.standard_normal((graph.n, channels))
     return RunSetup(graph=graph, x0=x0, layers=tuple(layers), placement=placement,
-                    epsilon=float(epsilon), seed=seed, document=doc)
+                    epsilon=epsilon, seed=seed, document=doc)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
     doc = _load_json(path)
-    graph_source = _require(doc, "graph", str, "a path or gen: spec")
-    graph = resolve_graph_source(graph_source)
-    drop_ratios = doc.get("drop_ratios", [])
-    boost_counts = doc.get("boost_counts", [])
-    if not isinstance(drop_ratios, list) or not isinstance(boost_counts, list):
-        raise ValidationError("'drop_ratios' and 'boost_counts' must be lists")
-    probe_doc = doc.get("probe", {"kind": "fixed-field"})
-    if not isinstance(probe_doc, dict):
-        raise ValidationError("'probe' must be an object")
-    probe = ProbeSpec(
-        kind=probe_doc.get("kind", "fixed-field"),
-        channels=int(probe_doc.get("channels", 4)),
-        seed=int(probe_doc.get("seed", 0)),
-    )
-    trials = doc.get("trials", 1)
-    if not isinstance(trials, int):
-        raise ValidationError(f"'trials' must be an integer, got {trials!r}")
-    base_seed = doc.get("base_seed", 0)
-    if not isinstance(base_seed, int):
-        raise ValidationError(f"'base_seed' must be an integer, got {base_seed!r}")
+    graph_source = _field(doc, "graph", str)
     return SweepConfig(
-        graph=graph,
-        drop_ratios=tuple(float(r) for r in drop_ratios),
-        boost_counts=tuple(int(c) for c in boost_counts),
-        boost_factor=float(doc.get("boost_factor", 10000.0)),
-        trials=trials,
-        base_seed=base_seed,
-        probe=probe,
+        graph=resolve_graph_source(graph_source),
+        drop_ratios=tuple(_field(doc, "drop_ratios", [float], [])),
+        boost_counts=tuple(_field(doc, "boost_counts", [int], [])),
+        boost_factor=_field(doc, "boost_factor", float, 10000.0),
+        trials=_field(doc, "trials", int, 1),
+        base_seed=_field(doc, "base_seed", int, 0),
+        probe=ProbeSpec(
+            kind=_field(doc, "probe.kind", str, "fixed-field"),
+            channels=_field(doc, "probe.channels", int, 4),
+            seed=_field(doc, "probe.seed", int, 0),
+        ),
         source=graph_source,
     )

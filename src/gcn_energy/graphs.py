@@ -18,7 +18,7 @@ A graph is also the context every statement, run and suite on it shares:
 its ``laplacian``, ``spectrum`` and ``factors`` are built on first use and
 then cached, read-only, on the graph.
 
-Everything here is dense ``numpy`` at desk scale (a few thousand nodes).
+Everything here is dense ``numpy`` at desk scale: at most ``MAX_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ from .spectral import ContractionFactors, Spectrum, contraction_factors, eigende
 
 Edge = tuple[int, int, float]
 
+# at this n one dense float64 n x n matrix takes 0.8 GB, and a run holds about six
+MAX_NODES = 10_000
+
+
+def _check_node_count(n: int) -> None:
+    if n > MAX_NODES:
+        raise ValidationError(f"graph has {n} nodes, above the limit of {MAX_NODES} "
+                              "for dense n x n matrices")
+
 
 @dataclass(frozen=True, eq=False)  # value equality is defined below, over the arrays
 class Graph:
@@ -50,6 +59,7 @@ class Graph:
         n, u, v, w = self.n, np.array(self.u), np.array(self.v), np.array(self.w)
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"node count must be a positive integer, got {n!r}")
+        _check_node_count(n)
         if not (u.ndim == v.ndim == w.ndim == 1 and u.size == v.size == w.size):
             raise ValidationError("edge arrays u, v, w must be 1-D and of one length")
         if u.dtype.kind != "i" or v.dtype.kind != "i" or w.dtype != np.float64:
@@ -250,10 +260,13 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
 
     Kinds: ``erdos_renyi`` (edge probability ``p``), ``ring`` (cycle, n >= 3),
     ``k_regular`` (circulant; ``k`` even, ``k < n``), ``complete``, ``path``.
-    Only ``erdos_renyi`` consumes the seed.
+    Only ``erdos_renyi`` consumes the seed, which must be nonnegative.
     """
     if n < 1:
         raise ValidationError(f"generator needs n >= 1, got {n}")
+    _check_node_count(n)
+    if seed < 0:
+        raise ValidationError(f"generator seed must be nonnegative, got {seed}")
     if kind == "erdos_renyi":
         if p is None or not (0.0 <= p <= 1.0):
             raise ValidationError(f"erdos_renyi needs edge probability p in [0, 1], got {p!r}")

@@ -12,6 +12,7 @@ sits inside ``[0, 2)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,8 @@ def eigendecompose(m: np.ndarray, zero_tol: float | None = None) -> Spectrum:
     absorb round-off on kernel eigenvalues and far below any genuine spectral
     gap at desk scale.
     """
+    if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0):
+        raise ValidationError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
     m = require_symmetric(m)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh((m + m.T) / 2.0)
@@ -97,8 +100,6 @@ def eigendecompose(m: np.ndarray, zero_tol: float | None = None) -> Spectrum:
     if zero_tol is None:
         scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
         zero_tol = 1e-8 * max(1.0, scale)
-    elif zero_tol < 0:
-        raise ValidationError(f"zero_tol must be nonnegative, got {zero_tol}")
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors,
                     zero_tol=float(zero_tol))
 

@@ -1,11 +1,19 @@
 """End-to-end tests for the command line: flags, files, exit codes."""
 
+import copy
+import io
 import json
+import math
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcn_energy
 from gcn_energy.cli import build_parser, entry, main
@@ -113,9 +121,21 @@ def test_spectrum_missing_graph_file_exits_2(tmp_path, capsys):
     assert "gone.txt" in err
 
 
-def test_spectrum_negative_zero_tol_exits_2(capsys):
-    assert main(["spectrum", "--graph", "gen:ring:4", "--zero-tol", "-1"]) == 2
+@pytest.mark.parametrize("bad_tol", ["-1", "nan", "inf"])
+def test_spectrum_negative_zero_tol_exits_2(capsys, bad_tol):
+    assert main(["spectrum", "--graph", "gen:ring:4", "--zero-tol", bad_tol]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph", ["gen:er:1000000:0.5", "edges.txt"])
+def test_spectrum_oversized_graph_exits_2(tmp_path, capsys, graph):
+    # rejected before any n x n array or random draw: the unguarded case needs 8 TB
+    (tmp_path / "edges.txt").write_text("0 999999\n")
+    if graph == "edges.txt":
+        graph = str(tmp_path / graph)
+    assert main(["spectrum", "--graph", graph]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limit of 10000" in err
 
 
 def test_spectrum_degree_overflow_exits_3(tmp_path, capsys):
@@ -154,6 +174,22 @@ def test_energy_same_seed_identical_bytes(tmp_path, capsys):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [
+        (["--channels", "-1"], "--channels"),
+        (["--channels", "0"], "--channels"),
+        (["--seed", "-1"], "--seed"),
+        (["--graph", "gen:er:5:0.5:-1"], "gen:er:5:0.5:-1"),
+    ],
+)
+def test_energy_bad_flags_exit_2(capsys, flags, fragment):
+    argv = ["energy", "--graph", "gen:ring:8"] + flags  # a repeated flag takes the last value
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +370,66 @@ def test_sweep_stdout_rows_when_no_out_flag(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 0
     stdout = capsys.readouterr().out
     assert SWEEP_CSV_HEADER in stdout
+
+
+# ---------------------------------------------------------------------------
+# mutated config documents
+
+
+FUZZ_BASES = (
+    ("run", {"graph": "gen:ring:8", "layers": 2, "channels": 2, "seed": 1,
+             "filter": [1.0, -0.5], "activation": {"kind": "leaky_relu", "slope": 0.2},
+             "activation_placement": "paper", "epsilon": 0.5,
+             "weights": {"shapes": [[[2, 3], [3, 2]], [[2, 2]]],
+                         "target_singular": [[0.5, 1.0], 0.9]}}),
+    ("run", {"graph": "gen:path:4", "layers": 2, "filters": [[1.0, -1.0], [0.5, 0.25]],
+             "activation": "tanh", "weights": {"target_singular": 0.9}}),
+    ("sweep", {"graph": "gen:ring:12", "drop_ratios": [0.25, 0.5], "boost_counts": [2],
+               "boost_factor": 100.0, "trials": 1, "base_seed": 1,
+               "probe": {"kind": "fixed-field", "channels": 2, "seed": 1}}),
+)
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["x", "", "4", "-1", "0.25", "1e4", "true", "fixed-field"]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 64), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "slope", "channels", "shapes"]),
+                    st.integers(-3, 64), max_size=2),
+    st.floats(-10, 10).filter(lambda x: not x.is_integer()),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-3, 64),
+)
+
+
+def key_paths(node, prefix=()):
+    """Every key and list index below ``node``, as tuples of steps."""
+    steps = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for step, child in steps:
+        yield prefix + (step,)
+        yield from key_paths(child, prefix + (step,))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_config_exits_0_2_or_3(data):
+    # one key replaced or deleted, nested keys included; 10**400 only where a number goes
+    command, base = data.draw(st.sampled_from(FUZZ_BASES))
+    path = data.draw(st.sampled_from(list(key_paths(base))))
+    doc = copy.deepcopy(base)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    values = FUZZ_VALUES | st.just(10**400) if isinstance(parent[path[-1]], float) else FUZZ_VALUES
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(values)
+    mode = ["--mode", data.draw(st.sampled_from(["trajectory", "prop71"]))] if command == "run" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = [command, "--config", str(config), "--out", str(Path(tmp) / "out.csv")] + mode
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    assert code in (0, 2, 3), (doc, err.getvalue())

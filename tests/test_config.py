@@ -243,6 +243,26 @@ def test_run_config_bare_leaky_relu_gets_a_hint(tmp_path):
         ({"weights": [1.0]}, "weights"),
         ({"weights": {"shapes": [[[4, 4]]]}}, "shapes"),  # one chain for two layers
         ({"weights": {"target_singular": "big"}}, "target_singular"),
+        # one type rule for every value: no booleans as numbers, no numeric
+        # strings, no 2.5 or 2.0 for an integer, no number beyond the float range
+        ({"channels": True}, "'channels'"),
+        ({"filter": ["a"]}, "'filter"),
+        ({"filters": [3.0, 4.0]}, "'filters"),
+        ({"filters": [[1, -1], "ab"]}, "'filters"),
+        ({"activation": {"kind": "leaky_relu", "slope": "x"}}, "'activation.slope'"),
+        ({"weights": {"shapes": [[["x", 2]], [[2, 2]]]}}, "'weights.shapes"),
+        ({"epsilon": 10**400}, "'epsilon'"),
+        ({"weights": {"target_singular": 10**400}}, "'weights.target_singular'"),
+        ({"layers": True}, "'layers'"),
+        ({"seed": True}, "'seed'"),
+        ({"filter": [True, -1]}, "'filter"),
+        ({"filter": ["1", "-1"]}, "'filter"),
+        ({"activation": {"kind": "leaky_relu", "slope": "0.2"}}, "'activation.slope'"),
+        ({"weights": {"shapes": [[[4, 2.7]], [[2, 4]]]}}, "'weights.shapes"),
+        ({"weights": {"shapes": [[[4, "2"]], [[2, 4]]]}}, "'weights.shapes"),
+        ({"weights": {"target_singular": True}}, "'weights.target_singular'"),
+        ({"layers": 2.0}, "'layers'"),
+        ({"weights": {"target_singular": [[1.0, 2.0], 0.5]}}, "target_singular"),  # layer 0 has one matrix
     ],
 )
 def test_run_config_field_validation(tmp_path, overrides, fragment):
@@ -339,6 +359,23 @@ def test_sweep_config_full_document(tmp_path):
         ({"base_seed": "nine"}, "base_seed"),
         ({"probe": "fixed-field"}, "probe"),
         ({"drop_ratios": [1.0], "boost_counts": []}, "drop ratio"),  # SweepConfig bound
+        ({"probe": {"channels": "x"}}, "'probe.channels'"),
+        ({"probe": {"seed": "x"}}, "'probe.seed'"),
+        ({"drop_ratios": ["a"]}, "'drop_ratios"),
+        ({"drop_ratios": [10**400]}, "'drop_ratios"),
+        ({"boost_counts": ["x"]}, "'boost_counts"),
+        ({"boost_factor": "x"}, "'boost_factor'"),
+        ({"boost_factor": 10**400}, "'boost_factor'"),
+        ({"probe": {"channels": 4.7}}, "'probe.channels'"),
+        ({"probe": {"channels": "4"}}, "'probe.channels'"),
+        ({"drop_ratios": ["0.25"]}, "'drop_ratios"),
+        ({"boost_counts": [2.5]}, "'boost_counts"),
+        ({"boost_counts": [True]}, "'boost_counts"),
+        ({"boost_factor": "1e4"}, "'boost_factor'"),
+        ({"boost_factor": True}, "'boost_factor'"),
+        ({"trials": True}, "'trials'"),
+        ({"base_seed": True}, "'base_seed'"),
+        ({"drop_ratios": [float("nan")]}, "'drop_ratios"),
     ],
 )
 def test_sweep_config_validation(tmp_path, overrides, fragment):

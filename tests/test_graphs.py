@@ -16,6 +16,7 @@ from gcn_energy import (
     perturb,
     propagation_matrix,
 )
+from gcn_energy.graphs import MAX_NODES
 
 
 def test_graph_basic_fields():
@@ -46,6 +47,7 @@ def test_graph_edges_are_immutable():
         (3, ((0, 2, 1.0), (0, 1, 2.0))),  # unsorted
         (3, ((0, 1, 1.0), (1, 2))),       # not a triple
         (3, ((0, 1, 1.0), (1, 2, 2))),    # int weight mixed with floats
+        (10**6, ((0, 999999, 1.0),)),     # above MAX_NODES; rejected before any n x n array
     ],
 )
 def test_graph_rejects_malformed_edges(n, edges):
@@ -120,6 +122,7 @@ def test_parse_n_hint_adds_isolated_nodes():
         ("0 1 -1.0\n", ValidationError, "positive"),
         ("0 1 inf\n", ValidationError, "finite"),
         ("", ValidationError, "empty"),
+        ("0 999999\n", ValidationError, "limit of 10000"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, exc, fragment):
@@ -201,6 +204,9 @@ def test_generate_erdos_renyi_deterministic_per_seed():
         ("erdos_renyi", dict(n=5)),      # missing p
         ("erdos_renyi", dict(n=5, p=1.5)),
         ("nosuch", dict(n=5)),
+        ("erdos_renyi", dict(n=5, p=0.5, seed=-1)),
+        ("erdos_renyi", dict(n=10**6, p=0.5)),  # above MAX_NODES; rejected before any draw
+        ("path", dict(n=MAX_NODES + 1)),
     ],
 )
 def test_generate_rejects_bad_parameters(kind, kwargs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,11 +125,12 @@ def test_contraction_factors_need_a_nonzero_eigenvalue():
         contraction_factors(s)
 
 
-def test_zero_tol_override():
+@pytest.mark.parametrize("bad_tol", [-1.0, math.nan, math.inf])
+def test_zero_tol_override(bad_tol):
     s = eigendecompose(np.diag([0.0, 1e-6, 1.0]), zero_tol=1e-3)
     assert s.kernel_dim == 2
     with pytest.raises(ValidationError):
-        eigendecompose(np.eye(2), zero_tol=-1.0)
+        eigendecompose(np.eye(2), zero_tol=bad_tol)
 
 
 @given(
