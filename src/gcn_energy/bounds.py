@@ -174,7 +174,7 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
     cf = g.factors
     x = as_embedding(x, g.n)
     ex = dirichlet_energy_trace(x, g.laplacian)
-    lhs = dirichlet_energy_trace(layer_forward(x, layer, g.spectrum, placement), g.laplacian)
+    lhs = dirichlet_energy_trace(layer_forward(x, layer, g, placement), g.laplacian)
     gain = layer.gain()
     return _dual_report("T3.4", lhs, ex, gain * cf.lambda_bar_paper,
                         gain * cf.lambda_bar_safe, context)
@@ -302,7 +302,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
         e_before = energies[-1]
         fc = filter_contraction(layer.filter, spectrum)
         gain = layer.gain()
-        x = layer_forward(x, layer, spectrum, placement=placement)
+        x = layer_forward(x, layer, g, placement=placement)
         e_after = dirichlet_energy_trace(x, g.laplacian)
         energies.append(e_after)
         per_layer.append(_dual_report("P7.1", e_after, e_before, gain * fc.paper,

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .graphs import Graph, from_edge_list, generate
+from .graphs import MAX_CHANNELS, MAX_LAYERS, MAX_TRIALS, MAX_WEIGHT_ENTRIES, Graph
+from .graphs import check_work_size, from_edge_list, generate
 from .network import Activation, LayerSpec, make_weights
 from .seeding import derive_seed
 from .spectral import PolynomialFilter
@@ -184,6 +185,10 @@ def _parse_weight_plan(doc: dict, depth: int, channels: int):
             if not chain or any(len(pair) != 2 for pair in chain):
                 raise ValidationError(f"'weights.shapes[{l}]' must be a nonempty list "
                                       "of [rows, cols] pairs")
+            for h, pair in enumerate(chain):
+                for k, width in enumerate(pair):
+                    check_work_size(f"config key 'weights.shapes[{l}][{h}][{k}]'", width,
+                                    MAX_CHANNELS, "channels")
 
     def target_for(l: int, h: int, chain_len: int) -> float:
         key, value = "weights.target_singular", target
@@ -208,6 +213,8 @@ def _parse_weight_plan(doc: dict, depth: int, channels: int):
                 raise ValidationError(f"layer {l} weight chain breaks between matrices {h} and {h + 1}")
         plan.append([(r, c, target_for(l, h, len(chain))) for h, (r, c) in enumerate(chain)])
         current = chain[-1][1]
+    check_work_size("the run's weight matrices", sum(r * c for chain in plan for r, c, _ in chain),
+                    MAX_WEIGHT_ENTRIES, "entries in all")
     return plan
 
 
@@ -226,13 +233,15 @@ class RunSetup:
 
 def load_run_config(path: str) -> RunSetup:
     doc = _load_json(path)
-    graph = resolve_graph_source(_field(doc, "graph", str))
+    source = _field(doc, "graph", str)
     depth = _field(doc, "layers", int)
     if depth < 1:
         raise ValidationError(f"a run needs at least one layer, got layers={depth}")
+    check_work_size("config key 'layers'", depth, MAX_LAYERS, "layers")
     channels = _field(doc, "channels", int, 4)
     if channels < 1:
         raise ValidationError(f"'channels' must be a positive integer, got {channels!r}")
+    check_work_size("config key 'channels'", channels, MAX_CHANNELS, "channels")
     seed = _field(doc, "seed", int, 0)
     placement = _field(doc, "activation_placement", str, "paper")
     if placement not in ("paper", "conventional"):
@@ -244,6 +253,7 @@ def load_run_config(path: str) -> RunSetup:
     act = _parse_activation(doc)
     filters = _parse_filters(doc, depth)
     plan = _parse_weight_plan(doc, depth, channels)
+    graph = resolve_graph_source(source)
     layers = []
     for l in range(depth):
         mats = tuple(
@@ -260,17 +270,21 @@ def load_run_config(path: str) -> RunSetup:
 def load_sweep_config(path: str) -> SweepConfig:
     doc = _load_json(path)
     graph_source = _field(doc, "graph", str)
+    trials = _field(doc, "trials", int, 1)
+    check_work_size("config key 'trials'", trials, MAX_TRIALS, "trials")
+    probe_channels = _field(doc, "probe.channels", int, 4)
+    check_work_size("config key 'probe.channels'", probe_channels, MAX_CHANNELS, "channels")
     return SweepConfig(
-        graph=resolve_graph_source(graph_source),
         drop_ratios=tuple(_field(doc, "drop_ratios", [float], [])),
         boost_counts=tuple(_field(doc, "boost_counts", [int], [])),
         boost_factor=_field(doc, "boost_factor", float, 10000.0),
-        trials=_field(doc, "trials", int, 1),
+        trials=trials,
         base_seed=_field(doc, "base_seed", int, 0),
         probe=ProbeSpec(
             kind=_field(doc, "probe.kind", str, "fixed-field"),
-            channels=_field(doc, "probe.channels", int, 4),
+            channels=probe_channels,
             seed=_field(doc, "probe.seed", int, 0),
         ),
+        graph=resolve_graph_source(graph_source),  # built after every size check above
         source=graph_source,
     )

@@ -37,6 +37,17 @@ Edge = tuple[int, int, float]
 
 # at this n one dense float64 n x n matrix takes 0.8 GB, and a run holds about six
 MAX_NODES = 10_000
+# work sizes of one command, checked before any weight is drawn or array allocated
+MAX_LAYERS = 10_000          # run "layers"
+MAX_CHANNELS = 4_096         # every channel width, in configs and energy --channels
+MAX_WEIGHT_ENTRIES = 10**7   # all weight matrices of one run together, 80 MB
+MAX_TRIALS = 100_000         # sweep "trials" and verify --trials
+
+
+def check_work_size(name: str, value: int, limit: int, unit: str) -> None:
+    """Reject ``value`` of ``name`` above ``limit`` (exit 2)."""
+    if value > limit:
+        raise ValidationError(f"{name} is {value}, above the limit of {limit} {unit}")
 
 
 def _check_node_count(n: int) -> None:

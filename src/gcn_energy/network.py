@@ -1,17 +1,19 @@
 """Forward simulation of deep graph convolutional networks.
 
-One layer filters the embedding spectrally and pushes it through a small
-MLP:
+One layer filters the embedding with a polynomial of the augmented
+normalized Laplacian and pushes it through a small MLP:
 
     f(X) = sigma(... sigma(sigma(P(Ltil) X) W_1) W_2 ... W_H)
 
-With the default ``paper`` placement the activation wraps the filtered
-input first and then follows every weight multiplication, matching the
-parenthesization above; ``conventional`` placement skips the innermost
-activation, i.e. ``sigma(P(Ltil) X W_1)`` for a single weight.  A run
-records the Dirichlet energy, Rayleigh quotient and the per-layer energy
-bound ``s_l * c`` where ``s_l`` is the product of the realized top singular
-values of the layer weights and ``c`` is the filter contraction factor.
+``P(Ltil) X`` is formed by Horner's rule on the Laplacian (``deg P``
+products with an N x C matrix), never as an N x N filter matrix.  With the
+default ``paper`` placement the activation wraps the filtered input first
+and then follows every weight multiplication, matching the parenthesization
+above; ``conventional`` placement skips the innermost activation, i.e.
+``sigma(P(Ltil) X W_1)`` for a single weight.  A run records the Dirichlet
+energy (edge-sum form), Rayleigh quotient and the per-layer energy bound
+``s_l * c`` where ``s_l`` is the product of the realized top singular values
+of the layer weights and ``c`` is the filter contraction factor.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import as_embedding, dirichlet_energy_trace, rayleigh_quotient
+from .energy import as_embedding, dirichlet_energy_edge_sum
 from .errors import NumericError, ValidationError
 from .graphs import Graph
-from .spectral import PolynomialFilter, Spectrum, eval_filter_matrix, filter_contraction
+from .spectral import PolynomialFilter, apply_filter, filter_contraction
 
 ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "sigmoid", "identity")
 PLACEMENTS = ("paper", "conventional")
@@ -156,17 +158,16 @@ class LayerSpec:
         return self._gain
 
 
-def layer_forward(x, spec: LayerSpec, lap_spectrum: Spectrum,
-                  placement: str = "paper") -> np.ndarray:
-    """Run one layer on an embedding matrix."""
+def layer_forward(x, spec: LayerSpec, g: Graph, placement: str = "paper") -> np.ndarray:
+    """Run one layer on an embedding matrix; the filter acts on ``g.laplacian``."""
     if placement not in PLACEMENTS:
         raise ValidationError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
-    x = as_embedding(x, lap_spectrum.n)
+    x = as_embedding(x, g.n)
     if x.shape[1] != spec.input_channels:
         raise ValidationError(
             f"layer expects {spec.input_channels} input channels, got {x.shape[1]}"
         )
-    h = eval_filter_matrix(spec.filter, lap_spectrum) @ x
+    h = apply_filter(spec.filter, g.laplacian, x)
     if placement == "paper":
         h = apply_activation(h, spec.activation)
     for w in spec.weights:
@@ -212,18 +213,22 @@ class Trajectory:
         return np.array([rec.energy for rec in self.records])
 
 
-def _guarded_rayleigh(x: np.ndarray, lap: np.ndarray) -> float:
-    if float(np.sum(x * x)) <= 0.0:
-        return float("nan")
-    return rayleigh_quotient(x, lap)
+def _record(layer: int, x: np.ndarray, g: Graph, bound_paper: float,
+            bound_safe: float) -> LayerRecord:
+    energy = dirichlet_energy_edge_sum(x, g)
+    norm_sq = float(np.sum(x * x))
+    return LayerRecord(layer=layer, energy=energy,
+                       rayleigh=energy / norm_sq if norm_sq > 0.0 else float("nan"),
+                       bound_paper=bound_paper, bound_safe=bound_safe, channels=x.shape[1])
 
 
 def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
     """Simulate ``L`` layers on graph ``g`` and record the energy trajectory.
 
-    Layers filter through ``g.spectrum``; energies are taken on
-    ``g.laplacian``.  The trajectory holds ``L + 1`` records; record 0
-    describes the input and carries NaN bounds since no layer produced it.
+    Layers filter on ``g.laplacian``; ``g.spectrum`` only gives the bounds.
+    Energies take the elementwise edge-sum form, so record 0 does not depend
+    on the BLAS thread count; it describes the input and carries NaN bounds
+    since no layer produced it.  The trajectory holds ``L + 1`` records.
     """
     layers = tuple(layers)
     if not layers:
@@ -237,27 +242,12 @@ def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
                 f"previous stage emits {channels}"
             )
         channels = spec.output_channels
-    lap = g.laplacian
-    records = [LayerRecord(
-        layer=0,
-        energy=dirichlet_energy_trace(x, lap),
-        rayleigh=_guarded_rayleigh(x, lap),
-        bound_paper=float("nan"),
-        bound_safe=float("nan"),
-        channels=x.shape[1],
-    )]
+    records = [_record(0, x, g, float("nan"), float("nan"))]
     gains = []
     for i, spec in enumerate(layers, start=1):
         contraction = filter_contraction(spec.filter, g.spectrum)
         gain = spec.gain()
         gains.append(gain)
-        x = layer_forward(x, spec, g.spectrum, placement=placement)
-        records.append(LayerRecord(
-            layer=i,
-            energy=dirichlet_energy_trace(x, lap),
-            rayleigh=_guarded_rayleigh(x, lap),
-            bound_paper=gain * contraction.paper,
-            bound_safe=gain * contraction.safe,
-            channels=x.shape[1],
-        ))
+        x = layer_forward(x, spec, g, placement=placement)
+        records.append(_record(i, x, g, gain * contraction.paper, gain * contraction.safe))
     return Trajectory(records=tuple(records), layer_gains=tuple(gains))

@@ -1,7 +1,8 @@
-"""Eigendecomposition, polynomial spectral filters, and contraction factors.
+"""Eigendecomposition, polynomial filters, and contraction factors.
 
 For a symmetric matrix ``M = V diag(lam) V^T`` a polynomial filter with
 coefficients ``[a_0, ..., a_k]`` acts as ``P(M) = V diag(P(lam_i)) V^T``.
+:func:`apply_filter` forms ``P(M) X`` by Horner's rule on ``M``, with no eigenvectors.
 Eigenvalues with ``|lam| <= zero_tol`` are classified as zero; the smallest
 nonzero eigenvalue ``lam`` drives the contraction factor ``(1 - lam)^2``,
 while the "safe" variant takes the maximum of ``(1 - lam_i)^2`` (or
@@ -139,7 +140,7 @@ def contraction_factors(s: Spectrum) -> ContractionFactors:
 
 @dataclass(frozen=True)
 class PolynomialFilter:
-    """Polynomial ``P(x) = a_0 + a_1 x + ... + a_k x^k`` applied spectrally."""
+    """Polynomial ``P(x) = a_0 + a_1 x + ... + a_k x^k`` of a symmetric matrix."""
 
     coefficients: tuple[float, ...]
 
@@ -169,6 +170,15 @@ def eval_filter_scalar(f: PolynomialFilter, x):
     for c in reversed(f.coefficients):
         acc = acc * x + c
     return float(acc) if np.ndim(x) == 0 else acc
+
+
+def apply_filter(f: PolynomialFilter, lap: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``P(lap) @ x`` by Horner's rule: ``deg P`` products of ``lap`` with ``x``."""
+    coeffs = f.coefficients[::-1]
+    acc = coeffs[0] * x
+    for c in coeffs[1:]:
+        acc = lap @ acc + c * x
+    return acc
 
 
 def eval_filter_matrix(f: PolynomialFilter, s: Spectrum) -> np.ndarray:

@@ -4,6 +4,8 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -183,6 +185,7 @@ def test_energy_same_seed_identical_bytes(tmp_path, capsys):
         (["--channels", "0"], "--channels"),
         (["--seed", "-1"], "--seed"),
         (["--graph", "gen:er:5:0.5:-1"], "gen:er:5:0.5:-1"),
+        (["--channels", "4097"], "--channels is 4097, above the limit of 4096 channels"),
     ],
 )
 def test_energy_bad_flags_exit_2(capsys, flags, fragment):
@@ -249,6 +252,30 @@ def test_run_prop71_rejects_increasing_filter_with_witness(tmp_path, capsys):
     assert "monotone" in stdout and "witness x=" in stdout
 
 
+def test_run_bytes_repeat_at_a_fixed_blas_thread_count(tmp_path):
+    # byte identity holds at a fixed thread count; across counts the forward
+    # products may differ in the last digits, but the input row, taken in the
+    # elementwise edge-sum form, may not
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": "gen:er:600:0.02:3", "layers": 30, "channels": 16}))
+    src = str(Path(gcn_energy.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for rep in range(2):
+            out = tmp_path / f"traj_{threads}_{rep}.csv"
+            subprocess.run([sys.executable, "-m", "gcn_energy.cli", "run", "--config", str(cfg),
+                            "--out", str(out)], env=env, check=True, capture_output=True,
+                           timeout=120)
+            outputs[threads, rep] = out.read_bytes()
+    for threads in ("1", "2"):
+        assert outputs[threads, 0] == outputs[threads, 1], threads
+    rows = {threads: data_lines(outputs[threads, 0].decode()) for threads in ("1", "2")}
+    assert len(rows["1"]) == 32 and rows["1"][1].startswith("0,")
+    assert rows["1"][1] == rows["2"][1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -287,6 +314,14 @@ def test_verify_repeat_runs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for name in ("l72.csv", "summary.txt"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_verify_trials_above_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert main(["verify", "--trials", "100001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trials is 100001, above the limit of 100000 trials")
+    assert not out.exists()
 
 
 def test_verify_failed_safe_bound_exits_3(monkeypatch, capsys):

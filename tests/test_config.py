@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gcn_energy import config
 from gcn_energy.config import (
     RunSetup,
     config_hash,
@@ -14,7 +15,7 @@ from gcn_energy.config import (
     resolve_graph_source,
 )
 from gcn_energy.errors import ParseError, ValidationError
-from gcn_energy.graphs import generate
+from gcn_energy.graphs import MAX_LAYERS, check_work_size, generate
 from gcn_energy.network import top_singular_value
 
 
@@ -263,12 +264,42 @@ def test_run_config_bare_leaky_relu_gets_a_hint(tmp_path):
         ({"weights": {"target_singular": True}}, "'weights.target_singular'"),
         ({"layers": 2.0}, "'layers'"),
         ({"weights": {"target_singular": [[1.0, 2.0], 0.5]}}, "target_singular"),  # layer 0 has one matrix
+        # work-size caps
+        ({"graph": "gen:ring:8", "layers": 10000000, "channels": 1},
+         "'layers' is 10000000, above the limit of 10000 layers"),
+        ({"layers": 10001}, "'layers' is 10001, above the limit of 10000"),
+        ({"channels": 4097}, "'channels' is 4097, above the limit of 4096 channels"),
+        ({"weights": {"shapes": [[[4, 4097]], [[4097, 4]]]}},
+         r"'weights.shapes\[0\]\[0\]\[1\]' is 4097, above the limit of 4096 channels"),
+        ({"channels": 4096, "layers": 1},
+         "weight matrices is 16777216, above the limit of 10000000 entries in all"),
     ],
 )
 def test_run_config_field_validation(tmp_path, overrides, fragment):
     path = write_run_config(tmp_path, **overrides)
     with pytest.raises(ValidationError, match=fragment):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"layers": 10000000, "channels": 1},
+    {"channels": 4097},
+    {"layers": 3, "channels": 4096},
+])
+def test_run_config_caps_reject_before_any_graph_or_weight(tmp_path, monkeypatch, overrides):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(config, "resolve_graph_source", forbidden)
+    monkeypatch.setattr(config, "make_weights", forbidden)
+    with pytest.raises(ValidationError, match="above the limit"):
+        load_run_config(write_run_config(tmp_path, **overrides))
+
+
+def test_work_size_limit_is_inclusive():
+    check_work_size("x", MAX_LAYERS, MAX_LAYERS, "layers")
+    with pytest.raises(ValidationError, match="above the limit"):
+        check_work_size("x", MAX_LAYERS + 1, MAX_LAYERS, "layers")
 
 
 def test_run_config_missing_graph_key(tmp_path):
@@ -376,12 +407,25 @@ def test_sweep_config_full_document(tmp_path):
         ({"trials": True}, "'trials'"),
         ({"base_seed": True}, "'base_seed'"),
         ({"drop_ratios": [float("nan")]}, "'drop_ratios"),
+        # work-size caps
+        ({"trials": 100001}, "'trials' is 100001, above the limit of 100000 trials"),
+        ({"probe": {"channels": 4097}}, "'probe.channels' is 4097, above the limit of 4096 channels"),
     ],
 )
 def test_sweep_config_validation(tmp_path, overrides, fragment):
     path = write_sweep_config(tmp_path, **overrides)
     with pytest.raises(ValidationError, match=fragment):
         load_sweep_config(path)
+
+
+@pytest.mark.parametrize("overrides", [{"trials": 100001}, {"probe": {"channels": 4097}}])
+def test_sweep_config_caps_reject_before_any_graph(tmp_path, monkeypatch, overrides):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("graph built before the size check")
+
+    monkeypatch.setattr(config, "resolve_graph_source", forbidden)
+    with pytest.raises(ValidationError, match="above the limit"):
+        load_sweep_config(write_sweep_config(tmp_path, **overrides))
 
 
 def test_sweep_config_keeps_graph_source(tmp_path):

@@ -10,9 +10,8 @@ from gcn_energy import (
     Trajectory,
     ValidationError,
     apply_activation,
-    augmented_normalized_laplacian,
     dirichlet_energy_trace,
-    eigendecompose,
+    eval_filter_matrix,
     generate,
     layer_forward,
     make_weights,
@@ -20,10 +19,6 @@ from gcn_energy import (
     top_singular_value,
 )
 from gcn_energy.network import LayerRecord
-
-
-def lap_spectrum(g):
-    return eigendecompose(augmented_normalized_laplacian(g))
 
 
 def identity_layer(n_channels=1, filt=(1.0, -1.0), act=None):
@@ -142,41 +137,39 @@ def test_layer_forward_k2_hand_value():
     # P of K2 averages the two nodes: P(1,0) = (1/2, 1/2); identity weight
     # and ReLU leave it unchanged
     g = generate("complete", 2)
-    out = layer_forward([1.0, 0.0], identity_layer(), lap_spectrum(g))
+    out = layer_forward([1.0, 0.0], identity_layer(), g)
     assert np.allclose(out, [[0.5], [0.5]], atol=1e-12)
 
 
 def test_layer_forward_checks_channel_count():
     g = generate("path", 3)
     with pytest.raises(ValidationError, match="channels"):
-        layer_forward(np.ones((3, 2)), identity_layer(1), lap_spectrum(g))
+        layer_forward(np.ones((3, 2)), identity_layer(1), g)
 
 
 def test_layer_forward_rejects_unknown_placement():
     g = generate("path", 3)
     with pytest.raises(ValidationError):
-        layer_forward(np.ones(3), identity_layer(), lap_spectrum(g), placement="middle")
+        layer_forward(np.ones(3), identity_layer(), g, placement="middle")
 
 
 def test_placements_differ_for_sigmoid():
     # paper placement squashes the filtered input once more than the
     # conventional one, so outputs must differ
     g = generate("path", 4)
-    s = lap_spectrum(g)
     spec = identity_layer(act=Activation.sigmoid())
     x = np.array([1.0, -2.0, 3.0, -4.0])
-    a = layer_forward(x, spec, s, placement="paper")
-    b = layer_forward(x, spec, s, placement="conventional")
+    a = layer_forward(x, spec, g, placement="paper")
+    b = layer_forward(x, spec, g, placement="conventional")
     assert not np.allclose(a, b)
 
 
 def test_placements_agree_for_identity_activation():
     g = generate("path", 4)
-    s = lap_spectrum(g)
     spec = identity_layer(act=Activation.identity())
     x = np.array([1.0, -2.0, 3.0, -4.0])
-    a = layer_forward(x, spec, s, placement="paper")
-    b = layer_forward(x, spec, s, placement="conventional")
+    a = layer_forward(x, spec, g, placement="paper")
+    b = layer_forward(x, spec, g, placement="conventional")
     assert np.allclose(a, b)
 
 
@@ -198,6 +191,33 @@ def test_run_network_record_shape_and_layer_zero():
     assert all(rec.energy >= 0.0 for rec in traj.records)
     assert traj.layer_gains == pytest.approx((0.9,) * 4, rel=1e-12)
     assert traj.gain_sup == pytest.approx(0.9, rel=1e-12)
+
+
+@pytest.mark.parametrize("placement", ["paper", "conventional"])
+def test_run_network_matches_eigenbasis_reference_loop(placement):
+    # the Horner forward pass and edge-sum energies against a loop that filters
+    # with V diag(p(lam)) V^T and takes energies in the trace form
+    g = generate("erdos_renyi", 40, seed=4, p=0.15)
+    act = Activation.leaky_relu(0.3)
+    filters = [(1.0, -1.0), (0.6, -0.5, 0.1), (0.2, 0.9, -1.1, 0.3), (0.9,), (1.0, -1.0)]
+    layers = [LayerSpec(PolynomialFilter(f), (make_weights(3, 5, 1.3, seed=i),
+                                              make_weights(5, 3, 0.8, seed=50 + i)), act)
+              for i, f in enumerate(filters)]
+    x = np.random.default_rng(9).standard_normal((g.n, 3))
+    traj = run_network(x, layers, g, placement=placement)
+    for l, rec in enumerate(traj.records):
+        if l:
+            spec = layers[l - 1]
+            x = eval_filter_matrix(spec.filter, g.spectrum) @ x
+            if placement == "paper":
+                x = apply_activation(x, act)
+            for w in spec.weights:
+                x = apply_activation(x @ w, act)
+        norm_sq = float(np.sum(x * x))
+        energy = dirichlet_energy_trace(x, g.laplacian)
+        assert abs(rec.energy - energy) <= 1e-10 * norm_sq, l
+        assert rec.rayleigh == pytest.approx(energy / norm_sq, rel=1e-9, abs=1e-12)
+        assert rec.channels == x.shape[1]
 
 
 def test_run_network_tracks_changing_channel_widths():

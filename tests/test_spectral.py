@@ -13,6 +13,7 @@ from gcn_energy import (
     PerturbationPlan,
     PolynomialFilter,
     ValidationError,
+    apply_filter,
     augmented_normalized_laplacian,
     check_monotone_decreasing,
     connected_components,
@@ -164,6 +165,48 @@ def test_propagation_filter_reproduces_propagation_matrix():
     s = eigendecompose(lap)
     p = eval_filter_matrix(PolynomialFilter.propagation(), s)
     assert np.allclose(p, np.eye(6) - lap, atol=1e-12)
+
+
+def oracle_graph(kind, seed):
+    if kind == "ring":
+        return generate("ring", 17)
+    if kind == "path":
+        return generate("path", 23)
+    g = generate("erdos_renyi", 40, seed=seed, p=0.15)
+    if kind == "weighted":
+        w = np.random.default_rng(seed).uniform(0.05, 20.0, g.edge_count)
+        g = Graph(g.n, g.u, g.v, w)
+    return g
+
+
+def seeded_filter(rng, degree, monotone):
+    """Decreasing on [0, 2] if ``monotone``; otherwise increasing somewhere there."""
+    if monotone:
+        return PolynomialFilter((float(rng.uniform(-1, 1)),)
+                                + tuple(-float(c) for c in rng.uniform(0, 1, degree)))
+    if degree == 1:
+        return PolynomialFilter((float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 1))))
+    # two or more roots inside (0, 2) put a turning point between them
+    coeffs = np.polynomial.polynomial.polyfromroots(rng.uniform(0.1, 1.9, degree))
+    return PolynomialFilter.from_coefficients(float(rng.uniform(0.5, 2)) * coeffs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["er", "ring", "path", "weighted"])
+def test_apply_filter_matches_eigenbasis_oracle(kind, seed):
+    # Horner on the Laplacian against V diag(p(lam)) V^T X, both monotone and not
+    g = oracle_graph(kind, seed)
+    rng = np.random.default_rng(100 + seed)
+    cases = [(d, True) for d in range(5)] + [(d, False) for d in range(1, 5)]
+    for degree, monotone in cases:
+        f = seeded_filter(rng, degree, monotone)
+        assert f.degree == degree
+        assert check_monotone_decreasing(f, 0.0, 2.0).decreasing == monotone
+        x = rng.standard_normal((g.n, 3))
+        got = apply_filter(f, g.laplacian, x)
+        want = eval_filter_matrix(f, g.spectrum) @ x
+        scale = np.max(np.abs(eval_filter_scalar(f, g.spectrum.eigenvalues)))
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(x) * scale, (degree, monotone)
 
 
 @pytest.mark.parametrize(
