@@ -185,7 +185,7 @@ def verify_lemma_7_2(g: Graph, x, f: PolynomialFilter, *, context: str = "") -> 
     fc = filter_contraction(f, g.spectrum)
     x = as_embedding(x, g.n)
     ex = dirichlet_energy_trace(x, g.laplacian)
-    lhs = dirichlet_energy_trace(eval_filter_matrix(f, g.spectrum) @ x, g.laplacian)
+    lhs = dirichlet_energy_trace(eval_filter_matrix(f, g.laplacian) @ x, g.laplacian)
     return _dual_report("L7.2", lhs, ex, fc.paper, fc.safe, context)
 
 

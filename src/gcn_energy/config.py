@@ -154,6 +154,30 @@ def _field(doc: dict, key: str, kind, default=_REQUIRED):
     return _typed(value, kind, key)
 
 
+# every key a run or sweep document may hold; "a.b" is key b of object a
+_RUN_KEYS = frozenset({
+    "graph", "layers", "channels", "seed", "activation_placement", "epsilon", "filter",
+    "filters", "activation", "activation.kind", "activation.slope", "weights",
+    "weights.shapes", "weights.target_singular"})
+_SWEEP_KEYS = frozenset({
+    "graph", "drop_ratios", "boost_counts", "boost_factor", "trials", "base_seed",
+    "probe", "probe.kind", "probe.channels", "probe.seed"})
+
+
+def _check_keys(doc: dict, known: frozenset, prefix: str = "") -> None:
+    """Reject any key of ``doc`` or of a nested object that is not in ``known``.
+
+    A misspelt key would otherwise be ignored and its field take the default;
+    the error names the dotted key.
+    """
+    for key, value in doc.items():
+        name = prefix + key
+        if name not in known:
+            raise ValidationError(f"config has unknown key {name!r}")
+        if isinstance(value, dict) and any(k.startswith(name + ".") for k in known):
+            _check_keys(value, known, name + ".")
+
+
 def _parse_activation(doc: dict) -> Activation:
     raw = _field(doc, "activation", (str, dict), "relu")
     if isinstance(raw, dict):
@@ -233,6 +257,7 @@ class RunSetup:
 
 def load_run_config(path: str) -> RunSetup:
     doc = _load_json(path)
+    _check_keys(doc, _RUN_KEYS)
     source = _field(doc, "graph", str)
     depth = _field(doc, "layers", int)
     if depth < 1:
@@ -269,6 +294,7 @@ def load_run_config(path: str) -> RunSetup:
 
 def load_sweep_config(path: str) -> SweepConfig:
     doc = _load_json(path)
+    _check_keys(doc, _SWEEP_KEYS)
     graph_source = _field(doc, "graph", str)
     trials = _field(doc, "trials", int, 1)
     check_work_size("config key 'trials'", trials, MAX_TRIALS, "trials")

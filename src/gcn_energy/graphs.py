@@ -14,9 +14,10 @@ and the propagation matrix is its complement ``P = I - Ltil``.  ``Ltil`` is
 symmetric positive semidefinite with eigenvalues in ``[0, 2)``, and
 ``P`` fixes the vector ``Dtil^{1/2} 1``.
 
-A graph is also the context every statement, run and suite on it shares:
-its ``laplacian``, ``spectrum`` and ``factors`` are built on first use and
-then cached, read-only, on the graph.
+A graph is also the context every statement, run, suite and sweep on it
+shares: its ``laplacian``, ``spectrum`` (eigenvalues only) and ``factors``
+are built on first use and then cached, read-only, on the graph, so each
+graph gets one Laplacian and one eigensolve.
 
 Everything here is dense ``numpy`` at desk scale: at most ``MAX_NODES`` nodes.
 """
@@ -141,7 +142,7 @@ class Graph:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """``eigendecompose(self.laplacian)``, built on first use."""
+        """Eigenvalues of ``self.laplacian`` (``eigendecompose``), built on first use."""
         return eigendecompose(self.laplacian)
 
     @cached_property

@@ -1,8 +1,11 @@
-"""Eigendecomposition, polynomial filters, and contraction factors.
+"""Eigenvalues, polynomial filters, and contraction factors.
 
 For a symmetric matrix ``M = V diag(lam) V^T`` a polynomial filter with
 coefficients ``[a_0, ..., a_k]`` acts as ``P(M) = V diag(P(lam_i)) V^T``.
 :func:`apply_filter` forms ``P(M) X`` by Horner's rule on ``M``, with no eigenvectors.
+:func:`eigendecompose` computes eigenvalues only, since every contraction factor
+depends on them alone; :func:`eval_filter_matrix` runs its own full ``eigh``
+to state ``P(M)`` in the eigenbasis.
 Eigenvalues with ``|lam| <= zero_tol`` are classified as zero; the smallest
 nonzero eigenvalue ``lam`` drives the contraction factor ``(1 - lam)^2``,
 while the "safe" variant takes the maximum of ``(1 - lam_i)^2`` (or
@@ -37,15 +40,13 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvectors (as columns)."""
+    """Ascending eigenvalues and the tolerance below which one counts as zero."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     zero_tol: float
 
     def __post_init__(self) -> None:
         self.eigenvalues.flags.writeable = False
-        self.eigenvectors.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -63,29 +64,9 @@ class Spectrum:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def reconstruct(self) -> np.ndarray:
-        """Symmetrized ``V diag(lam) V^T``."""
-        m = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-        return (m + m.T) / 2.0
-
-    def validate(self, source: np.ndarray | None = None) -> None:
-        """Check ordering, orthonormality (1e-10) and reconstruction (1e-9 rel)."""
-        if np.any(np.diff(self.eigenvalues) < 0):
-            raise ValidationError("eigenvalues are not sorted ascending")
-        gram = self.eigenvectors.T @ self.eigenvectors
-        if np.max(np.abs(gram - np.eye(self.n))) > 1e-10:
-            raise ValidationError("eigenvectors are not orthonormal within 1e-10")
-        if source is not None:
-            err = np.linalg.norm(self.reconstruct() - source)
-            scale = max(1.0, float(np.linalg.norm(source)))
-            if err > 1e-9 * scale:
-                raise ValidationError(
-                    f"reconstruction error {err:.3e} exceeds 1e-9 relative"
-                )
-
 
 def eigendecompose(m: np.ndarray, zero_tol: float | None = None) -> Spectrum:
-    """Full symmetric eigendecomposition with zero-eigenvalue classification.
+    """Symmetric eigenvalues (``eigvalsh``, no eigenvectors) with zero classification.
 
     ``zero_tol`` defaults to ``1e-8 * max(1, |lam_max|)``, large enough to
     absorb round-off on kernel eigenvalues and far below any genuine spectral
@@ -95,14 +76,13 @@ def eigendecompose(m: np.ndarray, zero_tol: float | None = None) -> Spectrum:
         raise ValidationError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
     m = require_symmetric(m)
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh((m + m.T) / 2.0)
+        eigenvalues = np.linalg.eigvalsh((m + m.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     if zero_tol is None:
         scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
         zero_tol = 1e-8 * max(1.0, scale)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors,
-                    zero_tol=float(zero_tol))
+    return Spectrum(eigenvalues=eigenvalues, zero_tol=float(zero_tol))
 
 
 @dataclass(frozen=True)
@@ -181,10 +161,13 @@ def apply_filter(f: PolynomialFilter, lap: np.ndarray, x: np.ndarray) -> np.ndar
     return acc
 
 
-def eval_filter_matrix(f: PolynomialFilter, s: Spectrum) -> np.ndarray:
-    """Symmetric ``V diag(P(lam_i)) V^T``; commutes with the source matrix."""
-    vals = eval_filter_scalar(f, s.eigenvalues)
-    m = (s.eigenvectors * vals) @ s.eigenvectors.T
+def eval_filter_matrix(f: PolynomialFilter, lap: np.ndarray) -> np.ndarray:
+    """Symmetric ``V diag(P(lam_i)) V^T`` from the eigenbasis of ``lap``; commutes with it."""
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    m = (eigenvectors * eval_filter_scalar(f, eigenvalues)) @ eigenvectors.T
     return (m + m.T) / 2.0
 
 

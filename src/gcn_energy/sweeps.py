@@ -8,6 +8,11 @@ and records spectral and energy quantities before and after.  Dropping edges
 tends to increase the probe energy; boosting edge weights behaves as a rough
 dual, and :func:`duality_report` quantifies the gap without asserting a
 verdict.
+
+Every graph, the base and each perturbed one, is its own context: its
+Laplacian and eigenvalues are built once, through ``g.factors``.  Probe
+energies take the elementwise edge-sum form, so they do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -17,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import dirichlet_energy_trace
+from .energy import dirichlet_energy_edge_sum
 from .errors import DegenerateSpectrumError, ValidationError
-from .graphs import Graph, PerturbationPlan, augmented_normalized_laplacian, perturb
+from .graphs import Graph, PerturbationPlan, perturb
 from .seeding import derive_seed
-from .spectral import contraction_factors, eigendecompose
 
 SWEEP_CSV_HEADER = ("trial,seed,op,param,edges_before,edges_after,"
                     "lambda_min_before,lambda_min_after,"
@@ -107,7 +111,7 @@ def _spectral_summary(g: Graph) -> tuple[float, float]:
     if g.edge_count == 0:
         return float("nan"), float("nan")
     try:
-        cf = contraction_factors(eigendecompose(augmented_normalized_laplacian(g)))
+        cf = g.factors
     except DegenerateSpectrumError:
         return float("nan"), float("nan")
     return cf.lambda_min_nonzero, cf.lambda_bar_safe
@@ -132,13 +136,12 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRow, ...]:
     A drop that leaves zero edges yields a degenerate row (NaN spectral
     columns), not a failure.
     """
-    lap_before = augmented_normalized_laplacian(cfg.graph)
     lam_before, safe_before = _spectral_summary(cfg.graph)
     rows: list[SweepRow] = []
     for trial in range(cfg.trials):
         trial_seed = derive_seed(cfg.base_seed, trial)
         x = probe_field(cfg, trial)
-        energy_before = (dirichlet_energy_trace(x, lap_before)
+        energy_before = (dirichlet_energy_edge_sum(x, cfg.graph)
                          if x is not None else float("nan"))
         for op_index, (op, param) in enumerate(cfg.operations()):
             op_seed = derive_seed(trial_seed, op_index)
@@ -149,10 +152,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRow, ...]:
             g2 = perturb(cfg.graph, plan)
             lam_after, safe_after = _spectral_summary(g2)
             degenerate = g2.edge_count == 0
-            if x is not None:
-                energy_after = dirichlet_energy_trace(x, augmented_normalized_laplacian(g2))
-            else:
-                energy_after = float("nan")
+            energy_after = (dirichlet_energy_edge_sum(x, g2)
+                            if x is not None else float("nan"))
             rows.append(SweepRow(
                 trial=trial,
                 seed=trial_seed,

@@ -252,28 +252,49 @@ def test_run_prop71_rejects_increasing_filter_with_witness(tmp_path, capsys):
     assert "monotone" in stdout and "witness x=" in stdout
 
 
-def test_run_bytes_repeat_at_a_fixed_blas_thread_count(tmp_path):
-    # byte identity holds at a fixed thread count; across counts the forward
-    # products may differ in the last digits, but the input row, taken in the
-    # elementwise edge-sum form, may not
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"graph": "gen:er:600:0.02:3", "layers": 30, "channels": 16}))
+def outputs_at_thread_counts(tmp_path, command, doc):
+    """Output bytes of ``command`` on ``doc``, run twice at 1 and twice at 2 BLAS threads."""
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps(doc))
     src = str(Path(gcn_energy.__file__).resolve().parents[1])
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         for rep in range(2):
-            out = tmp_path / f"traj_{threads}_{rep}.csv"
-            subprocess.run([sys.executable, "-m", "gcn_energy.cli", "run", "--config", str(cfg),
+            out = tmp_path / f"{command}_{threads}_{rep}.csv"
+            subprocess.run([sys.executable, "-m", "gcn_energy.cli", command, "--config", str(cfg),
                             "--out", str(out)], env=env, check=True, capture_output=True,
                            timeout=120)
             outputs[threads, rep] = out.read_bytes()
     for threads in ("1", "2"):
         assert outputs[threads, 0] == outputs[threads, 1], threads
-    rows = {threads: data_lines(outputs[threads, 0].decode()) for threads in ("1", "2")}
+    return {threads: data_lines(outputs[threads, 0].decode()) for threads in ("1", "2")}
+
+
+def test_run_bytes_repeat_at_a_fixed_blas_thread_count(tmp_path):
+    # byte identity holds at a fixed thread count; across counts the forward
+    # products may differ in the last digits, but the input row, taken in the
+    # elementwise edge-sum form, may not
+    rows = outputs_at_thread_counts(
+        tmp_path, "run", {"graph": "gen:er:600:0.02:3", "layers": 30, "channels": 16})
     assert len(rows["1"]) == 32 and rows["1"][1].startswith("0,")
     assert rows["1"][1] == rows["2"][1]
+
+
+def test_sweep_energies_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # eigenvalues may differ across thread counts in the last digits; the
+    # energy columns, taken in the edge-sum form, may not
+    rows = outputs_at_thread_counts(
+        tmp_path, "sweep", {"graph": "gen:er:600:0.02:3", "drop_ratios": [0.1, 0.5],
+                            "boost_counts": [5], "trials": 2, "probe": {"channels": 16}})
+    header = rows["1"][0].split(",")
+    assert header[-2:] == ["energy_before", "energy_after"] and len(rows["1"]) == 1 + 6
+
+    def energies(lines):
+        return [line.split(",")[-2:] for line in lines[1:]]
+
+    assert energies(rows["1"]) == energies(rows["2"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Generator specs, graph-source resolution, and the JSON config loaders."""
 
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +277,12 @@ def test_run_config_bare_leaky_relu_gets_a_hint(tmp_path):
          r"'weights.shapes\[0\]\[0\]\[1\]' is 4097, above the limit of 4096 channels"),
         ({"channels": 4096, "layers": 1},
          "weight matrices is 16777216, above the limit of 10000000 entries in all"),
+        # unknown keys, top-level and nested, are rejected by their dotted name
+        ({"layer": 30}, "unknown key 'layer'"),
+        ({"chanels": None}, "unknown key 'chanels'"),
+        ({"probe": {"channels": 4}}, "unknown key 'probe'"),
+        ({"weights": {"target_singluar": 1}}, "unknown key 'weights.target_singluar'"),
+        ({"activation": {"kind": "leaky_relu", "slop": 0.2}}, "unknown key 'activation.slop'"),
     ],
 )
 def test_run_config_field_validation(tmp_path, overrides, fragment):
@@ -410,6 +420,11 @@ def test_sweep_config_full_document(tmp_path):
         # work-size caps
         ({"trials": 100001}, "'trials' is 100001, above the limit of 100000 trials"),
         ({"probe": {"channels": 4097}}, "'probe.channels' is 4097, above the limit of 4096 channels"),
+        # unknown keys, top-level and nested, are rejected by their dotted name
+        ({"probe": {"chanels": 4}}, "unknown key 'probe.chanels'"),
+        ({"trial": 3}, "unknown key 'trial'"),
+        ({"boost_count": [2]}, "unknown key 'boost_count'"),
+        ({"layers": 2}, "unknown key 'layers'"),
     ],
 )
 def test_sweep_config_validation(tmp_path, overrides, fragment):
@@ -431,3 +446,20 @@ def test_sweep_config_caps_reject_before_any_graph(tmp_path, monkeypatch, overri
 def test_sweep_config_keeps_graph_source(tmp_path):
     cfg = load_sweep_config(write_sweep_config(tmp_path))
     assert cfg.source == "gen:ring:12"
+
+
+def test_documented_and_benchmark_configs_hold_only_known_keys(tmp_path, monkeypatch):
+    # the README examples and the documents perfbench/workloads.py writes still load
+    root = Path(__file__).resolve().parents[1]
+    docs = [json.loads(block) for block in
+            re.findall(r"```json\n(.*?)```", (root / "README.md").read_text(), re.S)]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    docs += [workloads.run_deep_document(1), workloads.sweep_document(1)]
+    assert sum("layers" in doc for doc in docs) == 2 and len(docs) == 4
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        (load_run_config if "layers" in doc else load_sweep_config)(str(path))

@@ -3,6 +3,7 @@ per-graph context (Laplacian, spectrum, contraction factors)."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ import gcn_energy.graphs as graphs
 import gcn_energy.network as network
 from gcn_energy import (
     PerturbationPlan,
+    SweepConfig,
     augmented_normalized_laplacian,
     dirichlet_energy_edge_sum,
     generate,
     perturb,
     run_suite,
+    run_sweep,
     verify_prop_7_1,
 )
 from gcn_energy.cli import main
@@ -123,7 +126,7 @@ def test_context_properties_are_cached_and_read_only():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count the Laplacian builds and eigensolves the graph context makes."""
+    """Count the Laplacian builds and eigensolves, wherever a module calls them."""
     calls = {"laplacian": 0, "eigendecompose": 0}
 
     def counting(name, fn):
@@ -132,10 +135,13 @@ def counted(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(graphs, "augmented_normalized_laplacian",
-                        counting("laplacian", graphs.augmented_normalized_laplacian))
-    monkeypatch.setattr(graphs, "eigendecompose",
-                        counting("eigendecompose", graphs.eigendecompose))
+    for attr, name in (("augmented_normalized_laplacian", "laplacian"),
+                       ("eigendecompose", "eigendecompose")):
+        original = getattr(graphs, attr)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("gcn_energy") and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
     return calls
 
 
@@ -157,6 +163,15 @@ def test_run_prop71_runs_one_eigensolve(counted, tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--mode", "prop71"]) == 0
     assert "preconditions ok" in capsys.readouterr().out
     assert counted["eigendecompose"] == 1
+
+
+def test_sweep_builds_one_laplacian_and_one_eigensolve_per_graph(counted):
+    # 5 trials x 4 operations: the base graph and 20 perturbed graphs
+    cfg = SweepConfig(graph=generate("erdos_renyi", 30, seed=1, p=0.2),
+                      drop_ratios=(0.1, 0.3, 0.5), boost_counts=(5,), trials=5)
+    rows = run_sweep(cfg)
+    assert len(rows) == 20
+    assert counted == {"laplacian": 21, "eigendecompose": 21}
 
 
 def test_layer_gain_is_computed_once_at_construction(monkeypatch):

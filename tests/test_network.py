@@ -208,7 +208,7 @@ def test_run_network_matches_eigenbasis_reference_loop(placement):
     for l, rec in enumerate(traj.records):
         if l:
             spec = layers[l - 1]
-            x = eval_filter_matrix(spec.filter, g.spectrum) @ x
+            x = eval_filter_matrix(spec.filter, g.laplacian) @ x
             if placement == "paper":
                 x = apply_activation(x, act)
             for w in spec.weights:

@@ -12,6 +12,7 @@ from gcn_energy import (
     NumericError,
     PerturbationPlan,
     PolynomialFilter,
+    Spectrum,
     ValidationError,
     apply_filter,
     augmented_normalized_laplacian,
@@ -91,22 +92,17 @@ def test_kernel_dim_matches_component_count():
     assert s.kernel_dim == len(connected_components(g)) == 4
 
 
-def test_spectrum_validate_accepts_eigh_output():
-    lap = augmented_normalized_laplacian(generate("erdos_renyi", 30, seed=1, p=0.2))
-    s = eigendecompose(lap)
-    s.validate(source=lap)
-
-
 def test_spectrum_arrays_are_read_only():
     s = lap_spectrum(generate("ring", 5))
     with pytest.raises(ValueError):
         s.eigenvalues[0] = 9.0
 
 
-def test_reconstruct_round_trips():
-    lap = augmented_normalized_laplacian(generate("erdos_renyi", 40, seed=2, p=0.15))
-    s = eigendecompose(lap)
-    assert np.allclose(s.reconstruct(), lap, atol=1e-12)
+@pytest.mark.parametrize("n,seed,p", [(30, 1, 0.2), (40, 2, 0.15)])
+def test_identity_filter_matrix_rebuilds_the_laplacian(n, seed, p):
+    # V diag(lam) V^T from eval_filter_matrix's own eigh round-trips the source
+    lap = augmented_normalized_laplacian(generate("erdos_renyi", n, seed=seed, p=p))
+    assert np.allclose(eval_filter_matrix(PolynomialFilter((0.0, 1.0)), lap), lap, atol=1e-12)
 
 
 def test_eigendecompose_rejects_asymmetric_input():
@@ -153,17 +149,15 @@ def test_filter_scalar_on_arrays():
 
 def test_filter_matrix_matches_direct_powers():
     lap = augmented_normalized_laplacian(generate("erdos_renyi", 20, seed=5, p=0.3))
-    s = eigendecompose(lap)
     f = PolynomialFilter.from_coefficients([0.3, -1.2, 0.5])
     direct = 0.3 * np.eye(20) - 1.2 * lap + 0.5 * (lap @ lap)
-    assert np.allclose(eval_filter_matrix(f, s), direct, atol=1e-10)
+    assert np.allclose(eval_filter_matrix(f, lap), direct, atol=1e-10)
 
 
 def test_propagation_filter_reproduces_propagation_matrix():
     g = generate("ring", 6)
     lap = augmented_normalized_laplacian(g)
-    s = eigendecompose(lap)
-    p = eval_filter_matrix(PolynomialFilter.propagation(), s)
+    p = eval_filter_matrix(PolynomialFilter.propagation(), lap)
     assert np.allclose(p, np.eye(6) - lap, atol=1e-12)
 
 
@@ -204,9 +198,25 @@ def test_apply_filter_matches_eigenbasis_oracle(kind, seed):
         assert check_monotone_decreasing(f, 0.0, 2.0).decreasing == monotone
         x = rng.standard_normal((g.n, 3))
         got = apply_filter(f, g.laplacian, x)
-        want = eval_filter_matrix(f, g.spectrum) @ x
+        want = eval_filter_matrix(f, g.laplacian) @ x
         scale = np.max(np.abs(eval_filter_scalar(f, g.spectrum.eigenvalues)))
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(x) * scale, (degree, monotone)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["er", "ring", "path", "weighted"])
+def test_eigendecompose_values_match_full_eigh(kind, seed):
+    # eigvalsh behind every factor against the eigenvalues of a full eigh
+    lap = oracle_graph(kind, seed).laplacian
+    s = eigendecompose(lap)
+    full = np.linalg.eigh(lap)[0]
+    scale = max(1.0, abs(full[-1]))
+    assert np.max(np.abs(s.eigenvalues - full)) <= 1e-12 * scale
+    ref = Spectrum(full, zero_tol=1e-8 * scale)
+    assert s.kernel_dim == ref.kernel_dim
+    got, want = contraction_factors(s), contraction_factors(ref)
+    for name in ("lambda_min_nonzero", "lambda_bar_paper", "lambda_bar_safe"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

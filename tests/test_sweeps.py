@@ -9,8 +9,7 @@ from gcn_energy import (
     ProbeSpec,
     SweepConfig,
     ValidationError,
-    augmented_normalized_laplacian,
-    dirichlet_energy_trace,
+    dirichlet_energy_edge_sum,
     duality_report,
     energy_increase_fraction,
     generate,
@@ -72,10 +71,9 @@ def test_sweep_drop_counts_follow_ceil_rule():
 def test_sweep_probe_matches_exposed_field():
     cfg = small_config()
     rows = run_sweep(cfg)
-    lap = augmented_normalized_laplacian(cfg.graph)
     for trial in range(cfg.trials):
         x = probe_field(cfg, trial)
-        expected = dirichlet_energy_trace(x, lap)
+        expected = dirichlet_energy_edge_sum(x, cfg.graph)  # the form sweeps record
         got = next(r.energy_before for r in rows if r.trial == trial)
         assert got == expected
 
