@@ -33,13 +33,11 @@ from .errors import DegenerateSpectrumError, NumericError, ParseError, Validatio
 from .graphs import (
     Graph,
     PerturbationPlan,
-    augmented_degrees,
     augmented_normalized_laplacian,
     connected_components,
     from_edge_list,
     generate,
     perturb,
-    propagation_matrix,
 )
 from .network import (
     Activation,
@@ -63,7 +61,6 @@ from .spectral import (
     check_monotone_decreasing,
     contraction_factors,
     eigendecompose,
-    eval_filter_matrix,
     eval_filter_scalar,
     filter_contraction,
 )
@@ -111,7 +108,6 @@ __all__ = [
     "apply_activation",
     "apply_filter",
     "as_embedding",
-    "augmented_degrees",
     "augmented_normalized_laplacian",
     "check_monotone_decreasing",
     "connected_components",
@@ -122,7 +118,6 @@ __all__ = [
     "duality_report",
     "eigendecompose",
     "energy_increase_fraction",
-    "eval_filter_matrix",
     "eval_filter_scalar",
     "filter_contraction",
     "fit_log_energy_slope",
@@ -132,7 +127,6 @@ __all__ = [
     "make_weights",
     "perturb",
     "probe_field",
-    "propagation_matrix",
     "rayleigh_quotient",
     "run_network",
     "run_suite",

@@ -19,6 +19,9 @@ maximum over all nonzero eigenvalues (``rhs_safe``).  The safe bound is what
 suites assert; nominal-bound violations are possible when the spectrum
 extends past ``2 - lam``, and are counted and persisted as counterexamples
 rather than asserted away.
+
+Every check takes edge-sum energies and filters by Horner's rule on the cached
+Laplacian (:func:`apply_filter`), as a run does; eigenvalues supply the factors.
 """
 
 from __future__ import annotations
@@ -27,16 +30,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import as_embedding, dirichlet_energy_trace
+from .energy import as_embedding, dirichlet_energy_edge_sum
 from .errors import ValidationError
-from .graphs import Graph, propagation_matrix
-from .network import Activation, LayerSpec, Trajectory, apply_activation, layer_forward, make_weights, run_network
+from .graphs import Graph
+from .network import (Activation, LayerSpec, Trajectory, apply_activation, layer_forward,
+                      make_weights, run_network, top_singular_value)
 from .sampling import random_embedding, random_graph, random_weight_chain
 from .seeding import derive_seed
 from .spectral import (
     PolynomialFilter,
+    apply_filter,
     check_monotone_decreasing,
-    eval_filter_matrix,
     eval_filter_scalar,
     filter_contraction,
 )
@@ -120,22 +124,22 @@ def verify_lemma_3_1(g: Graph, x, *, context: str = "") -> BoundReport:
     """One propagation step contracts energy by the squared spectral gap."""
     cf = g.factors
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, g.laplacian)
-    lhs = dirichlet_energy_trace(propagation_matrix(g) @ x, g.laplacian)
+    ex = dirichlet_energy_edge_sum(x, g)
+    lhs = dirichlet_energy_edge_sum(apply_filter(PolynomialFilter.propagation(), g.laplacian, x), g)
     return _dual_report("L3.1", lhs, ex, cf.lambda_bar_paper, cf.lambda_bar_safe, context)
 
 
-def verify_lemma_3_2(x, w, lap: np.ndarray, context: str = "") -> BoundReport:
+def verify_lemma_3_2(g: Graph, x, w, context: str = "") -> BoundReport:
     """Right-multiplying by W scales energy by at most the squared top singular value."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValidationError(f"weight must be 2-D, got shape {w.shape}")
-    x = as_embedding(x, np.asarray(lap).shape[0])
+    x = as_embedding(x, g.n)
     if x.shape[1] != w.shape[0]:
         raise ValidationError(f"shape mismatch: X has {x.shape[1]} channels, W has {w.shape[0]} rows")
-    ex = dirichlet_energy_trace(x, lap)
-    lhs = dirichlet_energy_trace(x @ w, lap)
-    top = float(np.linalg.svd(w, compute_uv=False)[0])
+    ex = dirichlet_energy_edge_sum(x, g)
+    lhs = dirichlet_energy_edge_sum(x @ w, g)
+    top = top_singular_value(w)
     return _dual_report("L3.2", lhs, ex, top * top, context=context)
 
 
@@ -147,10 +151,9 @@ def verify_lemma_3_3(g: Graph, x, act: Activation, context: str = "") -> BoundRe
     within 1e-12), so on irregular graphs those reports are informational.
     """
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, g.laplacian)
-    lhs = dirichlet_energy_trace(apply_activation(x, act), g.laplacian)
-    degrees = g.weighted_degrees()
-    regular = bool(np.ptp(degrees) <= 1e-12) if g.n > 1 else True
+    ex = dirichlet_energy_edge_sum(x, g)
+    lhs = dirichlet_energy_edge_sum(apply_activation(x, act), g)
+    regular = bool(np.ptp(g.weighted_degrees()) <= 1e-12)
     asserted = act.kind in ("relu", "leaky_relu", "identity") or regular
     return _dual_report("L3.3", lhs, ex, 1.0, context=context, asserted=asserted)
 
@@ -173,8 +176,8 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
         )
     cf = g.factors
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, g.laplacian)
-    lhs = dirichlet_energy_trace(layer_forward(x, layer, g, placement), g.laplacian)
+    ex = dirichlet_energy_edge_sum(x, g)
+    lhs = dirichlet_energy_edge_sum(layer_forward(x, layer, g, placement), g)
     gain = layer.gain()
     return _dual_report("T3.4", lhs, ex, gain * cf.lambda_bar_paper,
                         gain * cf.lambda_bar_safe, context)
@@ -184,8 +187,8 @@ def verify_lemma_7_2(g: Graph, x, f: PolynomialFilter, *, context: str = "") -> 
     """One polynomially filtered propagation step: E(P(Ltil) X) <= P(lam)^2 E(X)."""
     fc = filter_contraction(f, g.spectrum)
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_trace(x, g.laplacian)
-    lhs = dirichlet_energy_trace(eval_filter_matrix(f, g.laplacian) @ x, g.laplacian)
+    ex = dirichlet_energy_edge_sum(x, g)
+    lhs = dirichlet_energy_edge_sum(apply_filter(f, g.laplacian, x), g)
     return _dual_report("L7.2", lhs, ex, fc.paper, fc.safe, context)
 
 
@@ -295,7 +298,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
                 witness=None, per_layer=(), decay=None,
             )
     x = as_embedding(x0, g.n)
-    e0 = dirichlet_energy_trace(x, g.laplacian)
+    e0 = dirichlet_energy_edge_sum(x, g)
     per_layer = []
     energies = [e0]
     for i, layer in enumerate(layers, start=1):
@@ -303,7 +306,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
         fc = filter_contraction(layer.filter, spectrum)
         gain = layer.gain()
         x = layer_forward(x, layer, g, placement=placement)
-        e_after = dirichlet_energy_trace(x, g.laplacian)
+        e_after = dirichlet_energy_edge_sum(x, g)
         energies.append(e_after)
         per_layer.append(_dual_report("P7.1", e_after, e_before, gain * fc.paper,
                                       gain * fc.safe, f"{context} layer={i}".strip()))
@@ -400,7 +403,7 @@ def _suite_l32(rng: np.random.Generator, trial: int) -> list[BoundReport]:
     target = float(rng.uniform(0.2, 2.0))
     w = make_weights(x.shape[1], cols, target, seed=int(rng.integers(2**63)))
     ctx = f"trial={trial} graph={desc} C={x.shape[1]} W={x.shape[1]}x{cols} target={target:.3f}"
-    return [verify_lemma_3_2(x, w, g.laplacian, context=ctx)]
+    return [verify_lemma_3_2(g, x, w, context=ctx)]
 
 
 _L33_SLOPES = (0.01, 0.2, 0.5)

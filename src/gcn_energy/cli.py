@@ -33,6 +33,7 @@ from .energy import dirichlet_energy_edge_sum, dirichlet_energy_trace, rayleigh_
 from .errors import DegenerateSpectrumError, NumericError, ValidationError
 from .graphs import MAX_CHANNELS, MAX_TRIALS, check_work_size
 from .network import run_network
+from .seeding import check_seed
 from .spectral import contraction_factors, eigendecompose
 from .sweeps import _fmt, duality_csv, duality_report, energy_increase_fraction, run_sweep, sweep_rows_csv
 
@@ -109,8 +110,7 @@ def _cmd_energy(args) -> int:
     if args.channels < 1:
         raise ValidationError(f"--channels must be a positive integer, got {args.channels}")
     check_work_size("--channels", args.channels, MAX_CHANNELS, "channels")
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    check_seed("--seed", args.seed)
     g = resolve_graph_source(args.graph)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((g.n, args.channels))
@@ -164,6 +164,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     check_work_size("--trials", args.trials, MAX_TRIALS, "trials")
+    check_seed("--seed", args.seed)
     tokens = list(SUITE_TOKENS) if args.suite == "all" else [args.suite]
     doc = {"command": "verify", "suite": args.suite,
            "trials": args.trials, "seed": args.seed}

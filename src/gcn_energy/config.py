@@ -23,7 +23,7 @@ from .errors import ParseError, ValidationError
 from .graphs import MAX_CHANNELS, MAX_LAYERS, MAX_TRIALS, MAX_WEIGHT_ENTRIES, Graph
 from .graphs import check_work_size, from_edge_list, generate
 from .network import Activation, LayerSpec, make_weights
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 from .spectral import PolynomialFilter
 from .sweeps import ProbeSpec, SweepConfig
 
@@ -268,6 +268,7 @@ def load_run_config(path: str) -> RunSetup:
         raise ValidationError(f"'channels' must be a positive integer, got {channels!r}")
     check_work_size("config key 'channels'", channels, MAX_CHANNELS, "channels")
     seed = _field(doc, "seed", int, 0)
+    check_seed("config key 'seed'", seed)
     placement = _field(doc, "activation_placement", str, "paper")
     if placement not in ("paper", "conventional"):
         raise ValidationError(f"'activation_placement' must be 'paper' or 'conventional', "

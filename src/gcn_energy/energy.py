@@ -3,12 +3,15 @@
 Two equivalent routes compute the same quantity for an embedding matrix
 ``X`` (one row per node, one column per channel):
 
-* trace form      ``E(X) = tr(X^T Ltil X)``
 * edge-sum form   ``E(X) = sum_{(i,j) in E} w_ij ||x_i/sqrt(1+d_i) - x_j/sqrt(1+d_j)||^2``
+* trace form      ``E(X) = tr(X^T Ltil X)``
 
 where ``d_i`` is the weighted degree, so the denominators are the augmented
 degrees.  The energy vanishes exactly on multiples of ``Dtil^{1/2} 1`` per
 channel and scales quadratically: ``E(cX) = c^2 E(X)``.
+
+Verdicts, runs and sweeps take the edge-sum form, a sum of squares; the trace
+form serves the ``energy`` command's cross-check and :func:`rayleigh_quotient`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import logging
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import Graph, augmented_degrees
+from .graphs import Graph
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +33,7 @@ def as_embedding(x, n: int) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] != n:
         raise ValidationError(f"embedding must have {n} rows, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValidationError("embedding has non-finite entries")
     return x
 
@@ -47,11 +50,11 @@ def dirichlet_energy_trace(x, lap: np.ndarray) -> float:
 
 
 def dirichlet_energy_edge_sum(x, g: Graph) -> float:
-    """Edge-wise form of the Dirichlet energy; equals the trace form."""
+    """Edge-wise Dirichlet energy on the graph's cached degrees; equals the trace form."""
     x = as_embedding(x, g.n)
-    y = x / np.sqrt(augmented_degrees(g))[:, None]
+    y = x / np.sqrt(g.augmented_degrees)[:, None]
     diffs = y[g.u] - y[g.v]
-    return float(np.sum(g.w * np.sum(diffs * diffs, axis=1)))
+    return float((g.w * (diffs * diffs).sum(axis=1)).sum())
 
 
 def rayleigh_quotient(x, lap: np.ndarray) -> float:

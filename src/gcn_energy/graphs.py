@@ -15,9 +15,9 @@ symmetric positive semidefinite with eigenvalues in ``[0, 2)``, and
 ``P`` fixes the vector ``Dtil^{1/2} 1``.
 
 A graph is also the context every statement, run, suite and sweep on it
-shares: its ``laplacian``, ``spectrum`` (eigenvalues only) and ``factors``
-are built on first use and then cached, read-only, on the graph, so each
-graph gets one Laplacian and one eigensolve.
+shares: its ``augmented_degrees``, ``laplacian``, ``spectrum`` (eigenvalues
+only) and ``factors`` are built on first use and then cached, read-only, on
+the graph, so each graph gets one Laplacian and one eigensolve.
 
 Everything here is dense ``numpy`` at desk scale: at most ``MAX_NODES`` nodes.
 """
@@ -134,6 +134,15 @@ class Graph:
         return a
 
     @cached_property
+    def augmented_degrees(self) -> np.ndarray:
+        """Read-only ``1 + weighted degree`` per node; raises :class:`NumericError` on overflow."""
+        dtil = 1.0 + self.weighted_degrees()
+        if not np.all(np.isfinite(dtil)):
+            raise NumericError("a weighted degree overflows to infinity; rescale the edge weights")
+        dtil.flags.writeable = False
+        return dtil
+
+    @cached_property
     def laplacian(self) -> np.ndarray:
         """Read-only :func:`augmented_normalized_laplacian`, built on first use."""
         lap = augmented_normalized_laplacian(self)
@@ -212,21 +221,13 @@ def from_edge_list(text: str, n_hint: int | None = None) -> Graph:
     return _merge_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
 
 
-def augmented_degrees(g: Graph) -> np.ndarray:
-    """Vector of ``1 + weighted degree``; every entry is at least 1."""
-    return 1.0 + g.weighted_degrees()
-
-
 def augmented_normalized_laplacian(g: Graph) -> np.ndarray:
     """Dense symmetric ``I - Dtil^{-1/2} (A + I) Dtil^{-1/2}``.
 
     Diagonal entries are ``1 - 1/dtil_i``; the off-diagonal entry for edge
-    (i, j) is ``-w_ij / sqrt(dtil_i * dtil_j)``.  Raises
-    :class:`NumericError` when a weighted degree overflows.
+    (i, j) is ``-w_ij / sqrt(dtil_i * dtil_j)``, with ``dtil = g.augmented_degrees``.
     """
-    dtil = augmented_degrees(g)
-    if not np.all(np.isfinite(dtil)):
-        raise NumericError("a weighted degree overflows to infinity; rescale the edge weights")
+    dtil = g.augmented_degrees
     inv_sqrt = 1.0 / np.sqrt(dtil)
     lap = np.zeros((g.n, g.n))
     np.fill_diagonal(lap, 1.0 - 1.0 / dtil)
@@ -234,11 +235,6 @@ def augmented_normalized_laplacian(g: Graph) -> np.ndarray:
     lap[g.u, g.v] = off
     lap[g.v, g.u] = off
     return lap
-
-
-def propagation_matrix(g: Graph) -> np.ndarray:
-    """Complement ``P = I - Ltil`` of the graph's cached Laplacian; fixes ``Dtil^{1/2} 1``."""
-    return np.eye(g.n) - g.laplacian
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -4,8 +4,8 @@ For a symmetric matrix ``M = V diag(lam) V^T`` a polynomial filter with
 coefficients ``[a_0, ..., a_k]`` acts as ``P(M) = V diag(P(lam_i)) V^T``.
 :func:`apply_filter` forms ``P(M) X`` by Horner's rule on ``M``, with no eigenvectors.
 :func:`eigendecompose` computes eigenvalues only, since every contraction factor
-depends on them alone; :func:`eval_filter_matrix` runs its own full ``eigh``
-to state ``P(M)`` in the eigenbasis.
+depends on them alone; :func:`eval_filter_matrix`, the tests' oracle of
+:func:`apply_filter`, runs its own full ``eigh``.  No command calls it.
 Eigenvalues with ``|lam| <= zero_tol`` are classified as zero; the smallest
 nonzero eigenvalue ``lam`` drives the contraction factor ``(1 - lam)^2``,
 while the "safe" variant takes the maximum of ``(1 - lam_i)^2`` (or

@@ -25,7 +25,7 @@ import numpy as np
 from .energy import dirichlet_energy_edge_sum
 from .errors import DegenerateSpectrumError, ValidationError
 from .graphs import Graph, PerturbationPlan, perturb
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 
 SWEEP_CSV_HEADER = ("trial,seed,op,param,edges_before,edges_after,"
                     "lambda_min_before,lambda_min_after,"
@@ -52,6 +52,7 @@ class ProbeSpec:
             raise ValidationError(f"probe kind must be one of {PROBE_KINDS}, got {self.kind!r}")
         if self.kind == "fixed-field" and self.channels < 1:
             raise ValidationError(f"probe channels must be >= 1, got {self.channels}")
+        check_seed("'probe.seed'", self.seed)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class SweepConfig:
             raise ValidationError(f"boost factor must be >= 1, got {self.boost_factor}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        check_seed("'base_seed'", self.base_seed)
 
     def operations(self) -> tuple[tuple[str, float], ...]:
         ops = [("drop", float(r)) for r in self.drop_ratios]

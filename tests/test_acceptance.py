@@ -130,7 +130,7 @@ def test_criterion_04_lemma_3_2_suite():
         g = mixed_graph(j, n_max=40, boost_every=0)
         x = rng.standard_normal((g.n, 1))
         c = float(rng.uniform(0.1, 3.0))
-        rep = verify_lemma_3_2(x, np.array([[c]]), augmented_normalized_laplacian(g))
+        rep = verify_lemma_3_2(g, x, np.array([[c]]))
         worst_eq = max(worst_eq, abs(rep.margin))
     ok = result.ok and result.n_fail == 0 and worst_eq <= 1e-12
     report(4, ok, f"weight-matrix bound: 500 rectangular instances, "

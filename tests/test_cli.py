@@ -345,6 +345,16 @@ def test_verify_trials_above_limit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    # derive_seed reads the base modulo 2**64, so these would alias 2**64 - 1 and 0
+    out = tmp_path / "v"
+    assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --seed is {seed}, outside the seed range [0, 2**64)")
+    assert not out.exists()
+
+
 def test_verify_failed_safe_bound_exits_3(monkeypatch, capsys):
     fake = SimpleNamespace(ok=False, reports=[],
                            summary_lines=lambda: ["statement: L3.2", "failures: 1"])
@@ -426,6 +436,26 @@ def test_sweep_stdout_rows_when_no_out_flag(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 0
     stdout = capsys.readouterr().out
     assert SWEEP_CSV_HEADER in stdout
+
+
+# ---------------------------------------------------------------------------
+# every command
+
+
+def test_no_command_needs_an_eigenbasis(tmp_path, monkeypatch, capsys):
+    # factors need eigenvalues only, filters run by Horner's rule on the Laplacian
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for argv in (["verify", "--suite", "all", "--trials", "5", "--seed", "3"],
+                 ["run", "--config", run_json(tmp_path)],
+                 ["run", "--config", run_json(tmp_path), "--mode", "prop71"],
+                 ["sweep", "--config", sweep_json(tmp_path)],
+                 ["energy", "--graph", "gen:er:20:0.3:1"],
+                 ["spectrum", "--graph", "gen:er:20:0.3:1"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,10 @@ def test_run_config_bare_leaky_relu_gets_a_hint(tmp_path):
         ({"probe": {"channels": 4}}, "unknown key 'probe'"),
         ({"weights": {"target_singluar": 1}}, "unknown key 'weights.target_singluar'"),
         ({"activation": {"kind": "leaky_relu", "slop": 0.2}}, "unknown key 'activation.slop'"),
+        # seeds outside [0, 2**64) would alias one inside it
+        ({"seed": -1}, r"'seed' is -1, outside the seed range \[0, 2\*\*64\)"),
+        ({"seed": 2**64}, r"'seed' is 18446744073709551616, outside the seed range"),
+        ({"seed": -2**64}, "'seed' is -18446744073709551616, outside"),
     ],
 )
 def test_run_config_field_validation(tmp_path, overrides, fragment):
@@ -425,6 +429,11 @@ def test_sweep_config_full_document(tmp_path):
         ({"trial": 3}, "unknown key 'trial'"),
         ({"boost_count": [2]}, "unknown key 'boost_count'"),
         ({"layers": 2}, "unknown key 'layers'"),
+        # seeds outside [0, 2**64) would alias one inside it
+        ({"base_seed": 2**64}, "'base_seed' is 18446744073709551616, outside the seed range"),
+        ({"base_seed": -1}, "'base_seed' is -1, outside"),
+        ({"probe": {"seed": 2**64}}, "'probe.seed' is 18446744073709551616, outside"),
+        ({"probe": {"seed": -1}}, "'probe.seed' is -1, outside"),
     ],
 )
 def test_sweep_config_validation(tmp_path, overrides, fragment):

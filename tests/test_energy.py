@@ -6,7 +6,6 @@ from gcn_energy import (
     PerturbationPlan,
     ValidationError,
     as_embedding,
-    augmented_degrees,
     augmented_normalized_laplacian,
     dirichlet_energy_edge_sum,
     dirichlet_energy_trace,
@@ -69,9 +68,25 @@ def test_energy_is_nonnegative(seed):
 def test_energy_vanishes_on_kernel_vector():
     g = generate("erdos_renyi", 30, seed=4, p=0.2)
     lap = augmented_normalized_laplacian(g)
-    kernel = np.sqrt(augmented_degrees(g))
+    kernel = np.sqrt(g.augmented_degrees)
     assert dirichlet_energy_trace(kernel, lap) <= 1e-12
     assert dirichlet_energy_edge_sum(kernel, g) <= 1e-12
+
+
+def test_edge_sum_energies_derive_the_degrees_once(monkeypatch):
+    g, x = random_instance(5)
+    calls = []
+    original = Graph.weighted_degrees
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "weighted_degrees", counting)
+    energies = {dirichlet_energy_edge_sum(x, g) for _ in range(5)}
+    assert len(energies) == 1
+    assert len(calls) == 1
+    assert not g.augmented_degrees.flags.writeable
 
 
 def test_energy_additive_over_channels():
@@ -125,4 +140,4 @@ def test_rayleigh_quotient_range_and_zero_rejection():
 def test_rayleigh_quotient_of_kernel_vector_is_zero():
     g = generate("path", 4)
     lap = augmented_normalized_laplacian(g)
-    assert rayleigh_quotient(np.sqrt(augmented_degrees(g)), lap) <= 1e-14
+    assert rayleigh_quotient(np.sqrt(g.augmented_degrees), lap) <= 1e-14

@@ -145,9 +145,12 @@ def counted(monkeypatch):
     return calls
 
 
-def test_lemma_3_3_suite_builds_one_laplacian_per_trial(counted):
+def test_weight_and_activation_suites_build_no_laplacian(counted):
+    # L3.2 and L3.3 need no factors and no filter, and their edge-sum
+    # energies read only the edge arrays
+    run_suite("L3.2", trials=5, seed=2)
     run_suite("L3.3", trials=5, seed=2)
-    assert counted["laplacian"] == 5
+    assert counted == {"laplacian": 0, "eigendecompose": 0}
 
 
 def test_prop_7_1_suite_runs_one_eigensolve_per_trial(counted):

@@ -8,15 +8,14 @@ from gcn_energy import (
     ParseError,
     PerturbationPlan,
     ValidationError,
-    augmented_degrees,
     augmented_normalized_laplacian,
     connected_components,
     from_edge_list,
     generate,
     perturb,
-    propagation_matrix,
 )
 from gcn_energy.graphs import MAX_NODES
+from gcn_energy.spectral import PolynomialFilter, apply_filter
 
 
 def test_graph_basic_fields():
@@ -132,7 +131,7 @@ def test_parse_errors_carry_line_numbers(text, exc, fragment):
 
 def test_augmented_degrees_path3():
     g = generate("path", 3)
-    assert augmented_degrees(g).tolist() == [2.0, 3.0, 2.0]
+    assert g.augmented_degrees.tolist() == [2.0, 3.0, 2.0]
 
 
 def test_laplacian_k2_exact():
@@ -161,8 +160,9 @@ def test_laplacian_weighted_triangle_entries():
 
 def test_propagation_matrix_fixes_sqrt_degree_vector():
     g = generate("erdos_renyi", 25, seed=3, p=0.2)
-    fixed = np.sqrt(augmented_degrees(g))
-    assert np.allclose(propagation_matrix(g) @ fixed, fixed, atol=1e-12)
+    fixed = np.sqrt(g.augmented_degrees)
+    step = apply_filter(PolynomialFilter.propagation(), g.laplacian, fixed)
+    assert np.allclose(step, fixed, atol=1e-12)
 
 
 def test_connected_components_orders_by_smallest_member():

@@ -11,7 +11,6 @@ from gcn_energy import (
     ValidationError,
     apply_activation,
     dirichlet_energy_trace,
-    eval_filter_matrix,
     generate,
     layer_forward,
     make_weights,
@@ -19,6 +18,7 @@ from gcn_energy import (
     top_singular_value,
 )
 from gcn_energy.network import LayerRecord
+from gcn_energy.spectral import eval_filter_matrix
 
 
 def identity_layer(n_channels=1, filt=(1.0, -1.0), act=None):

@@ -20,12 +20,12 @@ from gcn_energy import (
     connected_components,
     contraction_factors,
     eigendecompose,
-    eval_filter_matrix,
     eval_filter_scalar,
     filter_contraction,
     generate,
     perturb,
 )
+from gcn_energy.spectral import eval_filter_matrix
 
 
 def lap_spectrum(g):

@@ -32,7 +32,7 @@ def test_every_traced_function_resolves(tracing):
 
 
 @pytest.mark.parametrize("consumer,name,owner", [
-    ("gcn_energy.bounds", "eval_filter_matrix", "gcn_energy.spectral"),
+    ("gcn_energy.bounds", "dirichlet_energy_edge_sum", "gcn_energy.energy"),
     ("gcn_energy.sweeps", "perturb", "gcn_energy.graphs"),
     # the cached graph context builds through these globals of graphs
     ("gcn_energy.graphs", "eigendecompose", "gcn_energy.spectral"),
