@@ -26,6 +26,8 @@ Laplacian (:func:`apply_filter`), as a run does; eigenvalues supply the factors.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +43,6 @@ from .spectral import (
     PolynomialFilter,
     apply_filter,
     check_monotone_decreasing,
-    eval_filter_scalar,
     filter_contraction,
 )
 
@@ -265,6 +266,17 @@ class Prop71Verdict:
         return self.decay.gate_holds and all(r.gate_holds for r in self.per_layer)
 
 
+def _decay_ratio(energy: float, threshold: float, layer: int) -> float:
+    """``energy / threshold**layer``, in log space once the power underflows."""
+    power = threshold**layer
+    if power >= sys.float_info.min:
+        return energy / power
+    if energy == 0.0:
+        return 0.0
+    log_ratio = math.log(energy) - layer * math.log(threshold)
+    return math.exp(log_ratio) if log_ratio < math.log(sys.float_info.max) else math.inf
+
+
 def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "paper",
                     context: str = "") -> Prop71Verdict:
     """Check geometric decay at rate ``1 - eps`` for monotone decreasing filters."""
@@ -274,9 +286,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
     if not layers:
         raise ValidationError("need at least one layer")
     spectrum = g.spectrum
-    nonzero = spectrum.eigenvalues[~spectrum.zero_mask]
-    g.factors  # raises on a degenerate spectrum
-    lam_max = spectrum.lambda_max
+    lam_max = float(spectrum.nonzero[-1])  # raises on a degenerate spectrum
     for i, layer in enumerate(layers):
         mono = check_monotone_decreasing(layer.filter, 0.0, lam_max)
         if not mono.decreasing:
@@ -288,8 +298,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
             )
     threshold = 1.0 - epsilon
     for i, layer in enumerate(layers):
-        gain = layer.gain()
-        worst = float(np.max(gain * eval_filter_scalar(layer.filter, nonzero) ** 2))
+        worst = layer.gain() * filter_contraction(layer.filter, spectrum).safe
         if worst >= threshold:
             return Prop71Verdict(
                 ok=False,
@@ -310,9 +319,7 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
         energies.append(e_after)
         per_layer.append(_dual_report("P7.1", e_after, e_before, gain * fc.paper,
                                       gain * fc.safe, f"{context} layer={i}".strip()))
-    worst_ratio = 0.0
-    for l in range(1, len(energies)):
-        worst_ratio = max(worst_ratio, energies[l] / threshold**l)
+    worst_ratio = max(_decay_ratio(energies[l], threshold, l) for l in range(1, len(energies)))
     ctx = f"{context} eps={epsilon:.17g} depth={len(layers)}".strip()
     # a zero input passes iff every layer's energy, not the scaled worst ratio, is <= 1e-12
     holds = (all(e <= VACUOUS_LHS_TOL for e in energies[1:]) if e0 == 0.0
@@ -489,11 +496,8 @@ def _suite_p71(rng: np.random.Generator, trial: int) -> list[BoundReport]:
             weights=(make_weights(channels, channels, target, seed=int(rng.integers(2**63))),),
             activation=Activation.relu(),
         ))
-    nonzero = g.spectrum.eigenvalues[~g.spectrum.zero_mask]
-    worst = max(
-        float(np.max(layer.gain() * eval_filter_scalar(layer.filter, nonzero) ** 2))
-        for layer in layers
-    )
+    worst = max(layer.gain() * filter_contraction(layer.filter, g.spectrum).safe
+                for layer in layers)
     epsilon = min(0.99, max(1e-6, (1.0 - worst) / 2.0))
     x0 = rng.standard_normal((g.n, channels))
     ctx = f"trial={trial} graph={desc} C={channels} L={depth}"

@@ -11,7 +11,9 @@ and the seed; identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import DegenerateSpectrumError, NumericError, ValidationError
 from .graphs import MAX_CHANNELS, MAX_TRIALS, check_work_size
 from .network import run_network
 from .seeding import check_seed
-from .spectral import contraction_factors, eigendecompose
+from .spectral import contraction_factors
 from .sweeps import _fmt, duality_csv, duality_report, energy_increase_fraction, run_sweep, sweep_rows_csv
 
 RANGE_LO = -1e-10
@@ -79,8 +81,15 @@ def _reports_csv(reports) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    tol = args.zero_tol
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"--zero-tol must be finite and nonnegative, got {tol}")
     g = resolve_graph_source(args.graph)
-    spectrum = eigendecompose(g.laplacian, zero_tol=args.zero_tol)
+    spectrum = g.spectrum
+    components = spectrum.kernel_dim
+    if tol is not None:
+        count = int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= tol))
+        spectrum = replace(spectrum, kernel_dim=count)  # the smallest ``count`` eigenvalues
     doc = {"command": "spectrum", "graph": args.graph,
            "zero_tol": args.zero_tol, "n": g.n, "edges": g.edge_count}
     lines = [_header(doc, "-").rstrip("\n"), "index,eigenvalue"]
@@ -91,8 +100,8 @@ def _cmd_spectrum(args) -> int:
                    f"lambda_bar_paper={_fmt(cf.lambda_bar_paper)} "
                    f"lambda_bar_safe={_fmt(cf.lambda_bar_safe)} "
                    f"kernel_dim={cf.kernel_dim}")
-    except DegenerateSpectrumError:
-        summary = f"degenerate spectrum: all {g.n} eigenvalues are zero within tolerance"
+    except DegenerateSpectrumError as exc:
+        summary = f"degenerate spectrum: {exc}"
     lines.append(f"# {summary}")
     _emit(args.out, "\n".join(lines) + "\n")
     out = sys.stdout
@@ -101,6 +110,10 @@ def _cmd_spectrum(args) -> int:
     if lo < RANGE_LO or hi > RANGE_HI:
         print(f"warning: eigenvalues [{_fmt(lo)}, {_fmt(hi)}] leave the expected "
               f"range [{_fmt(RANGE_LO)}, {_fmt(RANGE_HI)}]", file=out)
+    if spectrum.kernel_dim != components:
+        print(f"warning: --zero-tol {_fmt(tol)} puts {spectrum.kernel_dim} eigenvalues in the "
+              f"kernel, but the graph has {components} connected "
+              f"component{'' if components == 1 else 's'}", file=out)
     print(f"graph: {args.graph} n={g.n} edges={g.edge_count}", file=out)
     print(summary, file=out)
     return 0
@@ -243,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("spectrum", help="eigenvalues and contraction factors of a graph")
     ps.add_argument("--graph", required=True, help="edge-list path or gen:<kind>:<args>")
     ps.add_argument("--zero-tol", type=float, default=None,
-                    help="zero-eigenvalue classification tolerance (default: relative)")
+                    help="override: take the eigenvalues with |lambda| <= TOL as the kernel, "
+                         "warning when their count is not the component count "
+                         "(default: one per connected component)")
     ps.add_argument("--out", help="output CSV path (default: stdout)")
     ps.set_defaults(func=_cmd_spectrum)
 

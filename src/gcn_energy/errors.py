@@ -14,4 +14,4 @@ class NumericError(RuntimeError):
 
 
 class DegenerateSpectrumError(ValidationError):
-    """Every eigenvalue is classified as zero: no minimal nonzero eigenvalue exists."""
+    """Every eigenvalue lies in the kernel: no nonzero eigenvalue exists."""

@@ -12,12 +12,15 @@ augmentation adds the implicit unit self-loop to every node instead.  With
 
 and the propagation matrix is its complement ``P = I - Ltil``.  ``Ltil`` is
 symmetric positive semidefinite with eigenvalues in ``[0, 2)``, and
-``P`` fixes the vector ``Dtil^{1/2} 1``.
+``P`` fixes the vector ``Dtil^{1/2} 1``.  Restricted to each connected
+component that vector spans the kernel of ``Ltil`` exactly, so the kernel
+dimension is the number of components and needs no zero tolerance.
 
 A graph is also the context every statement, run, suite and sweep on it
 shares: its ``augmented_degrees``, ``laplacian``, ``spectrum`` (eigenvalues
-only) and ``factors`` are built on first use and then cached, read-only, on
-the graph, so each graph gets one Laplacian and one eigensolve.
+only, with the component count as kernel dimension) and ``factors`` are
+built on first use and then cached, read-only, on the graph, so each graph
+gets one Laplacian and one eigensolve.
 
 Everything here is dense ``numpy`` at desk scale: at most ``MAX_NODES`` nodes.
 """
@@ -151,8 +154,9 @@ class Graph:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Eigenvalues of ``self.laplacian`` (``eigendecompose``), built on first use."""
-        return eigendecompose(self.laplacian)
+        """Eigenvalues of ``self.laplacian``, built on first use; the kernel is
+        one eigenvalue per connected component."""
+        return eigendecompose(self.laplacian, len(connected_components(self)))
 
     @cached_property
     def factors(self) -> ContractionFactors:

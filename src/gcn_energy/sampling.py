@@ -5,54 +5,34 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import Graph, PerturbationPlan, generate, perturb
+from .graphs import Graph, generate
 from .network import make_weights
 
-DEFAULT_KINDS = ("erdos_renyi", "ring", "k_regular", "path")
-BOOST_FACTORS = (10.0, 100.0, 10000.0)
+KINDS = ("erdos_renyi", "ring", "k_regular", "path")
 
 
-def random_graph(rng: np.random.Generator, *, n_lo: int = 5, n_hi: int = 60,
-                 kinds=DEFAULT_KINDS, require_edges: bool = True,
-                 boost_prob: float = 0.0) -> tuple[Graph, str]:
-    """Draw one graph plus a short description of how it was built."""
-    kind = kinds[int(rng.integers(len(kinds)))]
+def random_graph(rng: np.random.Generator, *, n_lo: int = 5,
+                 n_hi: int = 60) -> tuple[Graph, str]:
+    """Draw one graph with at least one edge plus a short description of how it was built."""
+    kind = KINDS[int(rng.integers(len(KINDS)))]
     n = int(rng.integers(n_lo, n_hi + 1))
     if kind in ("ring", "k_regular"):
         n = max(n, 3)
-    desc = ""
-    g: Graph | None = None
     if kind == "erdos_renyi":
         p = float(rng.uniform(0.05, 0.5))
         for _ in range(200):
             seed = int(rng.integers(2**63))
             g = generate("erdos_renyi", n, seed, p=p)
-            if g.edge_count > 0 or not require_edges:
-                break
-        else:
-            raise ValidationError(f"no edges after 200 draws for erdos_renyi({n}, {p})")
-        desc = f"er(n={n},p={p:.3f},seed={seed})"
-    elif kind == "ring":
-        g = generate("ring", n)
-        desc = f"ring(n={n})"
-    elif kind == "k_regular":
+            if g.edge_count > 0:
+                return g, f"er(n={n},p={p:.3f},seed={seed})"
+        raise ValidationError(f"no edges after 200 draws for erdos_renyi({n}, {p})")
+    if kind == "ring":
+        return generate("ring", n), f"ring(n={n})"
+    if kind == "k_regular":
         k_max = max(1, min(4, (n - 1) // 2))
         k = 2 * int(rng.integers(1, k_max + 1))
-        g = generate("k_regular", n, k=k)
-        desc = f"kregular(n={n},k={k})"
-    elif kind == "complete":
-        g = generate("complete", n)
-        desc = f"complete(n={n})"
-    else:
-        g = generate("path", n)
-        desc = f"path(n={n})"
-    if g.edge_count and boost_prob > 0.0 and rng.random() < boost_prob:
-        count = int(rng.integers(1, min(3, g.edge_count) + 1))
-        factor = BOOST_FACTORS[int(rng.integers(len(BOOST_FACTORS)))]
-        seed = int(rng.integers(2**63))
-        g = perturb(g, PerturbationPlan.boost(count, factor, seed))
-        desc += f"+boost(count={count},factor={factor:g},seed={seed})"
-    return g, desc
+        return generate("k_regular", n, k=k), f"kregular(n={n},k={k})"
+    return generate("path", n), f"path(n={n})"
 
 
 def random_embedding(rng: np.random.Generator, n: int, *, c_lo: int = 1,

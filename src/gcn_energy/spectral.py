@@ -6,17 +6,18 @@ coefficients ``[a_0, ..., a_k]`` acts as ``P(M) = V diag(P(lam_i)) V^T``.
 :func:`eigendecompose` computes eigenvalues only, since every contraction factor
 depends on them alone; :func:`eval_filter_matrix`, the tests' oracle of
 :func:`apply_filter`, runs its own full ``eigh``.  No command calls it.
-Eigenvalues with ``|lam| <= zero_tol`` are classified as zero; the smallest
-nonzero eigenvalue ``lam`` drives the contraction factor ``(1 - lam)^2``,
-while the "safe" variant takes the maximum of ``(1 - lam_i)^2`` (or
-``P(lam_i)^2``) over all nonzero eigenvalues and is an upper bound for the
-energy contraction of one propagation step regardless of where the spectrum
-sits inside ``[0, 2)``.
+A :class:`Spectrum` takes its kernel dimension from the caller, so no float
+tolerance decides what is zero: for a Laplacian it is the component count.
+Every factor reads the eigenvalues above the kernel through
+:attr:`Spectrum.nonzero`; the smallest of them, ``lam``, drives the paper's
+factor ``P(lam)^2`` (``(1 - lam)^2`` for one propagation step), while the
+"safe" variant takes the maximum of ``P(lam_i)^2`` over all of them and is an
+upper bound for the energy contraction of one step regardless of where the
+spectrum sits inside ``[0, 2)``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,15 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues and the tolerance below which one counts as zero."""
+    """Ascending eigenvalues, of which the smallest ``kernel_dim`` span the kernel."""
 
     eigenvalues: np.ndarray
-    zero_tol: float
+    kernel_dim: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.kernel_dim, int) and 0 <= self.kernel_dim <= self.n):
+            raise ValidationError(
+                f"kernel_dim must be an integer in [0, {self.n}], got {self.kernel_dim!r}")
         self.eigenvalues.flags.writeable = False
 
     @property
@@ -53,36 +57,27 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
     @property
-    def zero_mask(self) -> np.ndarray:
-        return np.abs(self.eigenvalues) <= self.zero_tol
-
-    @property
-    def kernel_dim(self) -> int:
-        return int(np.count_nonzero(self.zero_mask))
+    def nonzero(self) -> np.ndarray:
+        """The eigenvalues above the kernel, ascending; raises when there are none."""
+        if self.kernel_dim == self.n:
+            raise DegenerateSpectrumError(
+                f"all {self.n} eigenvalues lie in the kernel; no nonzero eigenvalue")
+        return self.eigenvalues[self.kernel_dim:]
 
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
 
-def eigendecompose(m: np.ndarray, zero_tol: float | None = None) -> Spectrum:
-    """Symmetric eigenvalues (``eigvalsh``, no eigenvectors) with zero classification.
-
-    ``zero_tol`` defaults to ``1e-8 * max(1, |lam_max|)``, large enough to
-    absorb round-off on kernel eigenvalues and far below any genuine spectral
-    gap at desk scale.
-    """
-    if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0):
-        raise ValidationError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
+def eigendecompose(m: np.ndarray, kernel_dim: int) -> Spectrum:
+    """Symmetric eigenvalues (``eigvalsh``, no eigenvectors); the smallest
+    ``kernel_dim`` of them are the kernel."""
     m = require_symmetric(m)
     try:
         eigenvalues = np.linalg.eigvalsh((m + m.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    if zero_tol is None:
-        scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-        zero_tol = 1e-8 * max(1.0, scale)
-    return Spectrum(eigenvalues=eigenvalues, zero_tol=float(zero_tol))
+    return Spectrum(eigenvalues, kernel_dim)
 
 
 @dataclass(frozen=True)
@@ -96,24 +91,18 @@ class ContractionFactors:
 
 
 def contraction_factors(s: Spectrum) -> ContractionFactors:
-    """Derive contraction factors from a spectrum.
+    """The factors of one propagation step: :func:`filter_contraction` of ``1 - x``.
 
     ``lambda_bar_paper = (1 - lam)^2`` for the smallest nonzero eigenvalue
-    ``lam``; ``lambda_bar_safe = max (1 - lam_i)^2`` over nonzero
-    eigenvalues.  Raises :class:`DegenerateSpectrumError` if every eigenvalue
-    is classified as zero (for a Laplacian: an edgeless graph).
+    ``lam``; ``lambda_bar_safe = max (1 - lam_i)^2`` over nonzero eigenvalues.
+    Raises :class:`DegenerateSpectrumError` if every eigenvalue lies in the
+    kernel (for a Laplacian: an edgeless graph).
     """
-    nonzero = s.eigenvalues[~s.zero_mask]
-    if nonzero.size == 0:
-        raise DegenerateSpectrumError(
-            "all eigenvalues are zero within tolerance; no nonzero eigenvalue"
-        )
-    lam = float(nonzero.min())
-    factors = (1.0 - nonzero) ** 2
+    fc = filter_contraction(PolynomialFilter.propagation(), s)
     return ContractionFactors(
-        lambda_min_nonzero=lam,
-        lambda_bar_paper=(1.0 - lam) ** 2,
-        lambda_bar_safe=float(factors.max()),
+        lambda_min_nonzero=float(s.nonzero[0]),
+        lambda_bar_paper=fc.paper,
+        lambda_bar_safe=fc.safe,
         kernel_dim=s.kernel_dim,
     )
 
@@ -225,14 +214,8 @@ class FilterContraction:
 def filter_contraction(f: PolynomialFilter, s: Spectrum) -> FilterContraction:
     """``paper = P(lam)^2`` at the smallest nonzero eigenvalue; ``safe`` is the
     maximum of ``P(lam_i)^2`` over all nonzero eigenvalues."""
-    nonzero = s.eigenvalues[~s.zero_mask]
-    if nonzero.size == 0:
-        raise DegenerateSpectrumError(
-            "all eigenvalues are zero within tolerance; no nonzero eigenvalue"
-        )
-    vals = eval_filter_scalar(f, nonzero) ** 2
-    lam = float(nonzero.min())
+    nonzero = s.nonzero
     return FilterContraction(
-        paper=float(eval_filter_scalar(f, lam)) ** 2,
-        safe=float(vals.max()),
+        paper=float(eval_filter_scalar(f, float(nonzero[0]))) ** 2,
+        safe=float((eval_filter_scalar(f, nonzero) ** 2).max()),
     )

@@ -110,8 +110,6 @@ class SweepRow:
 
 def _spectral_summary(g: Graph) -> tuple[float, float]:
     """(lambda_min_nonzero, lambda_bar_safe) of the graph, NaN when degenerate."""
-    if g.edge_count == 0:
-        return float("nan"), float("nan")
     try:
         cf = g.factors
     except DegenerateSpectrumError:

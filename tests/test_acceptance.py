@@ -32,7 +32,7 @@ from gcn_energy.graphs import (
 )
 from gcn_energy.network import Activation, LayerSpec, make_weights, run_network
 from gcn_energy.seeding import derive_seed
-from gcn_energy.spectral import PolynomialFilter, eigendecompose
+from gcn_energy.spectral import PolynomialFilter
 from gcn_energy.sweeps import SWEEP_CSV_HEADER
 
 T0 = time.perf_counter()
@@ -75,7 +75,7 @@ def test_criterion_01_spectral_range():
     lo, hi = math.inf, -math.inf
     for i in range(300):
         g = mixed_graph(i)
-        vals = eigendecompose(augmented_normalized_laplacian(g)).eigenvalues
+        vals = g.spectrum.eigenvalues
         if len(vals):
             lo = min(lo, float(vals[0]))
             hi = max(hi, float(vals[-1]))
@@ -97,12 +97,15 @@ def test_criterion_02_kernel_dimension():
                          p=float(rng.uniform(0.005, 0.08)))
         else:
             g = mixed_graph(i, n_max=80, boost_every=0)
-        spectrum = eigendecompose(augmented_normalized_laplacian(g))
-        if spectrum.kernel_dim != len(connected_components(g)):
+        # the kernel is taken from the component count; the spectrum must
+        # agree: exactly that many eigenvalues within 1e-8 * max(1, |lam_max|)
+        vals = g.spectrum.eigenvalues
+        near_zero = np.count_nonzero(np.abs(vals) <= 1e-8 * max(1.0, abs(float(vals[-1]))))
+        if near_zero != len(connected_components(g)) or g.spectrum.kernel_dim != near_zero:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 10.0
-    report(2, ok, f"kernel dimension equals component count on 200 graphs, "
+    report(2, ok, f"near-zero eigenvalue count equals component count on 200 graphs, "
                   f"{mismatches} mismatches, {elapsed:.1f}s < 10s")
 
 

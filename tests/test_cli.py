@@ -129,6 +129,36 @@ def test_spectrum_negative_zero_tol_exits_2(capsys, bad_tol):
     assert "error: " in capsys.readouterr().err
 
 
+def boosted_path40_edges(tmp_path):
+    """Edge list of one component whose three boosted edges push two eigenvalues below 1e-8."""
+    g = gcn_energy.perturb(gcn_energy.generate("path", 40),
+                           gcn_energy.PerturbationPlan.boost(3, 1e8, seed=0))
+    path = tmp_path / "boosted.txt"
+    path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
+    return str(path)
+
+
+def test_spectrum_kernel_is_the_component_count(tmp_path, capsys):
+    assert main(["spectrum", "--graph", boosted_path40_edges(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    assert "kernel_dim=1" in stdout
+    assert "lambda_min_nonzero=9.809" in stdout and "e-10 " in stdout
+    assert "warning" not in stdout
+
+
+def test_spectrum_zero_tol_override_warns_off_the_component_count(tmp_path, capsys):
+    edges = boosted_path40_edges(tmp_path)
+    assert main(["spectrum", "--graph", edges, "--zero-tol", "1e-8"]) == 0
+    stdout = capsys.readouterr().out
+    assert "kernel_dim=3" in stdout and "lambda_min_nonzero=0.00223757" in stdout
+    assert ("warning: --zero-tol 1e-08 puts 3 eigenvalues in the kernel, "
+            "but the graph has 1 connected component\n") in stdout
+    # an override that agrees with the component count changes nothing
+    assert main(["spectrum", "--graph", "gen:ring:4", "--zero-tol", "1e-8"]) == 0
+    stdout = capsys.readouterr().out
+    assert "kernel_dim=1" in stdout and "warning" not in stdout
+
+
 @pytest.mark.parametrize("graph", ["gen:er:1000000:0.5", "edges.txt"])
 def test_spectrum_oversized_graph_exits_2(tmp_path, capsys, graph):
     # rejected before any n x n array or random draw: the unguarded case needs 8 TB
@@ -250,6 +280,26 @@ def test_run_prop71_rejects_increasing_filter_with_witness(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "prop71 verdict: preconditions FAILED" in stdout
     assert "monotone" in stdout and "witness x=" in stdout
+
+
+@pytest.mark.parametrize("doc,verdict", [
+    ({"graph": "gen:ring:8", "layers": 1100, "channels": 2, "epsilon": 0.5,
+      "weights": {"target_singular": 0.5}, "seed": 0}, "holds"),
+    ({"graph": "gen:ring:8", "layers": 2000, "channels": 2, "epsilon": 0.9,
+      "weights": {"target_singular": 0.05}, "seed": 0}, "holds"),
+    # sigmoid keeps the energy of an irregular graph away from zero, so the
+    # decay ratio passes the largest float
+    ({"graph": "gen:path:5", "layers": 1100, "channels": 2, "epsilon": 0.5,
+      "activation": "sigmoid", "weights": {"target_singular": 0.5}, "seed": 0}, "FAILS"),
+])
+def test_run_prop71_decay_past_the_float_range(tmp_path, capsys, doc, verdict):
+    # (1 - eps)^l underflows to 0 long before the last layer
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--mode", "prop71",
+                 "--out", str(tmp_path / "deep.csv")]) == 0
+    stdout = capsys.readouterr().out
+    assert "preconditions ok" in stdout and f"decay bound {verdict}\n" in stdout
 
 
 def outputs_at_thread_counts(tmp_path, command, doc):

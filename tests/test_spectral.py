@@ -19,6 +19,7 @@ from gcn_energy import (
     check_monotone_decreasing,
     connected_components,
     contraction_factors,
+    dirichlet_energy_edge_sum,
     eigendecompose,
     eval_filter_scalar,
     filter_contraction,
@@ -28,30 +29,26 @@ from gcn_energy import (
 from gcn_energy.spectral import eval_filter_matrix
 
 
-def lap_spectrum(g):
-    return eigendecompose(augmented_normalized_laplacian(g))
-
-
 def test_k2_spectrum_is_zero_one():
-    s = lap_spectrum(generate("complete", 2))
+    s = generate("complete", 2).spectrum
     assert np.allclose(s.eigenvalues, [0.0, 1.0], atol=1e-14)
     assert s.kernel_dim == 1
 
 
 def test_path3_spectrum_exact():
     # eigenvalues 0, 1/2, 7/6 for the three-node path
-    s = lap_spectrum(generate("path", 3))
+    s = generate("path", 3).spectrum
     assert np.allclose(s.eigenvalues, [0.0, 0.5, 7.0 / 6.0], atol=1e-12)
 
 
 def test_ring4_spectrum_exact():
-    s = lap_spectrum(generate("ring", 4))
+    s = generate("ring", 4).spectrum
     assert np.allclose(s.eigenvalues, [0.0, 2.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0], atol=1e-12)
 
 
 def test_complete3_contraction_factors():
     # K3: every nonzero eigenvalue is exactly 1, so both factors vanish
-    cf = contraction_factors(lap_spectrum(generate("complete", 3)))
+    cf = contraction_factors(generate("complete", 3).spectrum)
     assert cf.lambda_min_nonzero == pytest.approx(1.0, abs=1e-12)
     assert cf.lambda_bar_paper == pytest.approx(0.0, abs=1e-24)
     assert cf.lambda_bar_safe == pytest.approx(0.0, abs=1e-24)
@@ -59,7 +56,7 @@ def test_complete3_contraction_factors():
 
 
 def test_path3_contraction_factors():
-    cf = contraction_factors(lap_spectrum(generate("path", 3)))
+    cf = contraction_factors(generate("path", 3).spectrum)
     assert cf == ContractionFactors(
         lambda_min_nonzero=pytest.approx(0.5, abs=1e-12),
         lambda_bar_paper=pytest.approx(0.25, abs=1e-12),
@@ -81,19 +78,90 @@ def test_spectrum_stays_inside_zero_two(seed):
         g = generate(kind, n)
     if seed % 2 and g.edge_count:
         g = perturb(g, PerturbationPlan.boost(1, 10000.0, seed=seed))
-    s = lap_spectrum(g)
+    s = g.spectrum
     assert s.eigenvalues[0] >= -1e-10
     assert s.lambda_max <= 2.0 - 1e-12
 
 
 def test_kernel_dim_matches_component_count():
     g = Graph.from_edges(7, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 5.0)))
-    s = lap_spectrum(g)
+    s = g.spectrum
     assert s.kernel_dim == len(connected_components(g)) == 4
+    assert np.max(np.abs(s.eigenvalues[:4])) <= 1e-12
+    assert s.nonzero[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def boosted_path40():
+    """One component whose three boosted edges push two eigenvalues below 1e-8."""
+    return perturb(generate("path", 40), PerturbationPlan.boost(3, 1e8, seed=0))
+
+
+def test_boosted_path_kernel_is_the_component_count():
+    # a tolerance of 1e-8 * max(1, |lam_max|) would take 3 eigenvalues as kernel
+    # and report lam_min = 2.24e-3
+    g = boosted_path40()
+    reference = np.linalg.eigh(g.laplacian)[0]
+    assert g.spectrum.kernel_dim == len(connected_components(g)) == 1
+    assert g.factors.lambda_min_nonzero == pytest.approx(reference[1], rel=1e-5)
+    assert g.factors.lambda_min_nonzero == pytest.approx(9.81e-10, rel=1e-3)
+
+
+# backward error of a dense symmetric eigensolver, n * eps * ||Ltil|| with room
+EIGENVALUE_SLACK = 1e-12
+
+
+def kernel_distance_sq(g, x):
+    """``||X - Pi_M X||_F^2``, Pi_M projecting onto ``Dtil^{1/2} 1`` per component."""
+    root = np.sqrt(g.augmented_degrees)
+    rest = x.copy()
+    for nodes in connected_components(g):
+        idx = list(nodes)
+        unit = root[idx] / np.linalg.norm(root[idx])
+        rest[idx] -= np.outer(unit, unit @ x[idx])
+    return float(np.sum(rest**2))
+
+
+def assert_energy_sandwich(g, x):
+    """``lam_min * d_M^2 <= E(X) <= lam_max * d_M^2``, within the eigenvalue slack."""
+    energy = dirichlet_energy_edge_sum(x, g)
+    d2 = kernel_distance_sq(g, x)
+    assert (g.factors.lambda_min_nonzero - EIGENVALUE_SLACK) * d2 <= energy
+    assert energy <= (g.spectrum.lambda_max + EIGENVALUE_SLACK) * d2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_energy_sandwich_on_seeded_graphs(seed):
+    rng = np.random.default_rng(seed)
+    kind = ["erdos_renyi", "ring", "k_regular", "path", "complete", "erdos_renyi"][seed % 6]
+    n = int(rng.integers(5, 60))
+    if kind == "erdos_renyi":
+        # sparse draws leave several components
+        g = generate(kind, n, seed=seed, p=float(rng.uniform(0.02, 0.3)))
+    elif kind == "k_regular":
+        g = generate(kind, n, k=2 * int(rng.integers(1, (n - 1) // 2 + 1)))
+    else:
+        g = generate(kind, n)
+    if seed % 2:
+        factor = (10.0, 1e4, 1e8)[seed % 3]
+        g = perturb(g, PerturbationPlan.boost(min(3, g.edge_count), factor, seed=seed))
+    x = rng.standard_normal((g.n, 3))
+    assert_energy_sandwich(g, x)
+    # a large kernel component moves neither side
+    kernel = np.sqrt(g.augmented_degrees)[:, None] * rng.uniform(-100.0, 100.0, 3)
+    assert_energy_sandwich(g, x + kernel)
+
+
+def test_energy_sandwich_is_tight_at_the_smallest_nonzero_eigenvector():
+    g = boosted_path40()
+    vector = np.linalg.eigh(g.laplacian)[1][:, 1:2]
+    assert_energy_sandwich(g, vector)
+    energy = dirichlet_energy_edge_sum(vector, g)
+    assert energy == pytest.approx(g.factors.lambda_min_nonzero * kernel_distance_sq(g, vector),
+                                   rel=1e-3)
 
 
 def test_spectrum_arrays_are_read_only():
-    s = lap_spectrum(generate("ring", 5))
+    s = generate("ring", 5).spectrum
     with pytest.raises(ValueError):
         s.eigenvalues[0] = 9.0
 
@@ -107,27 +175,31 @@ def test_identity_filter_matrix_rebuilds_the_laplacian(n, seed, p):
 
 def test_eigendecompose_rejects_asymmetric_input():
     with pytest.raises(ValidationError):
-        eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]), kernel_dim=0)
 
 
 def test_eigendecompose_rejects_non_finite():
     with pytest.raises(ValidationError):
-        eigendecompose(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        eigendecompose(np.array([[np.nan, 0.0], [0.0, 0.0]]), kernel_dim=0)
 
 
 def test_contraction_factors_need_a_nonzero_eigenvalue():
     # edgeless graph: the Laplacian is the zero matrix
-    s = lap_spectrum(Graph.from_edges(4, ()))
+    s = Graph.from_edges(4, ()).spectrum
     with pytest.raises(DegenerateSpectrumError):
         contraction_factors(s)
 
 
-@pytest.mark.parametrize("bad_tol", [-1.0, math.nan, math.inf])
-def test_zero_tol_override(bad_tol):
-    s = eigendecompose(np.diag([0.0, 1e-6, 1.0]), zero_tol=1e-3)
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_zero_tol_override(bad):
+    # an override (spectrum --zero-tol) hands its count to Spectrum as kernel_dim,
+    # which must be an integer in [0, n]
+    s = eigendecompose(np.diag([0.0, 1e-6, 1.0]), kernel_dim=2)
     assert s.kernel_dim == 2
-    with pytest.raises(ValidationError):
-        eigendecompose(np.eye(2), zero_tol=bad_tol)
+    assert s.nonzero.tolist() == [1.0]
+    for kernel_dim in (bad, -1, 4):
+        with pytest.raises(ValidationError):
+            Spectrum(np.array([0.0, 1e-6, 1.0]), kernel_dim)
 
 
 @given(
@@ -207,13 +279,14 @@ def test_apply_filter_matches_eigenbasis_oracle(kind, seed):
 @pytest.mark.parametrize("kind", ["er", "ring", "path", "weighted"])
 def test_eigendecompose_values_match_full_eigh(kind, seed):
     # eigvalsh behind every factor against the eigenvalues of a full eigh
-    lap = oracle_graph(kind, seed).laplacian
-    s = eigendecompose(lap)
-    full = np.linalg.eigh(lap)[0]
+    g = oracle_graph(kind, seed)
+    s = g.spectrum
+    full = np.linalg.eigh(g.laplacian)[0]
     scale = max(1.0, abs(full[-1]))
     assert np.max(np.abs(s.eigenvalues - full)) <= 1e-12 * scale
-    ref = Spectrum(full, zero_tol=1e-8 * scale)
-    assert s.kernel_dim == ref.kernel_dim
+    ref = Spectrum(full, len(connected_components(g)))
+    # the zero tolerance of old, 1e-8 * max(1, |lam_max|), agrees with the component count here
+    assert np.count_nonzero(np.abs(full) <= 1e-8 * scale) == s.kernel_dim
     got, want = contraction_factors(s), contraction_factors(ref)
     for name in ("lambda_min_nonzero", "lambda_bar_paper", "lambda_bar_safe"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
@@ -269,17 +342,17 @@ def test_monotone_gate_interval_validation():
 def test_filter_contraction_path3():
     # nonzero eigenvalues 1/2 and 7/6 under P(x) = 1 - x:
     # paper (1 - 1/2)^2 = 1/4, safe max((1/2)^2, (1/6)^2) = 1/4
-    fc = filter_contraction(PolynomialFilter.propagation(), lap_spectrum(generate("path", 3)))
+    fc = filter_contraction(PolynomialFilter.propagation(), generate("path", 3).spectrum)
     assert fc.paper == pytest.approx(0.25, abs=1e-12)
     assert fc.safe == pytest.approx(0.25, abs=1e-12)
 
 
 def test_filter_contraction_constant_filter():
-    fc = filter_contraction(PolynomialFilter((0.9,)), lap_spectrum(generate("path", 3)))
+    fc = filter_contraction(PolynomialFilter((0.9,)), generate("path", 3).spectrum)
     assert fc.paper == pytest.approx(0.81, abs=1e-12)
     assert fc.safe == pytest.approx(0.81, abs=1e-12)
 
 
 def test_filter_contraction_needs_nonzero_spectrum():
     with pytest.raises(DegenerateSpectrumError):
-        filter_contraction(PolynomialFilter.propagation(), lap_spectrum(Graph.from_edges(3, ())))
+        filter_contraction(PolynomialFilter.propagation(), Graph.from_edges(3, ()).spectrum)
