@@ -22,6 +22,9 @@ rather than asserted away.
 
 Every check takes edge-sum energies and filters by Horner's rule on the cached
 Laplacian (:func:`apply_filter`), as a run does; eigenvalues supply the factors.
+L3.1 is L7.2's filter step with ``1 - x``.  T3.4 is a one-layer
+:func:`run_network`, and C3.5 and P7.1 read the records of a run, so no check
+runs layers of its own.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from .energy import as_embedding, dirichlet_energy_edge_sum
 from .errors import ValidationError
 from .graphs import Graph
-from .network import (Activation, LayerSpec, Trajectory, apply_activation, layer_forward,
-                      make_weights, run_network, top_singular_value)
+from .network import (Activation, LayerSpec, Trajectory, apply_activation, make_weights,
+                      run_network, top_singular_value)
 from .sampling import random_embedding, random_graph, random_weight_chain
 from .seeding import derive_seed
 from .spectral import (
@@ -121,13 +124,18 @@ def _dual_report(statement: str, lhs: float, ex: float, factor_paper: float,
                        vacuous=ex == 0.0, asserted=asserted, context=context)
 
 
-def verify_lemma_3_1(g: Graph, x, *, context: str = "") -> BoundReport:
-    """One propagation step contracts energy by the squared spectral gap."""
-    cf = g.factors
+def _filter_step(statement: str, g: Graph, x, f: PolynomialFilter, context: str) -> BoundReport:
+    """``E(P(Ltil) X) <= P(lam)^2 E(X)`` for one filtered propagation step."""
+    fc = filter_contraction(f, g.spectrum)
     x = as_embedding(x, g.n)
     ex = dirichlet_energy_edge_sum(x, g)
-    lhs = dirichlet_energy_edge_sum(apply_filter(PolynomialFilter.propagation(), g.laplacian, x), g)
-    return _dual_report("L3.1", lhs, ex, cf.lambda_bar_paper, cf.lambda_bar_safe, context)
+    lhs = dirichlet_energy_edge_sum(apply_filter(f, g.laplacian, x), g)
+    return _dual_report(statement, lhs, ex, fc.paper, fc.safe, context)
+
+
+def verify_lemma_3_1(g: Graph, x, *, context: str = "") -> BoundReport:
+    """One propagation step contracts energy by the squared spectral gap."""
+    return _filter_step("L3.1", g, x, PolynomialFilter.propagation(), context)
 
 
 def verify_lemma_3_2(g: Graph, x, w, context: str = "") -> BoundReport:
@@ -161,11 +169,12 @@ def verify_lemma_3_3(g: Graph, x, act: Activation, context: str = "") -> BoundRe
 
 def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
                        *, context: str = "") -> BoundReport:
-    """Full layer with the propagation filter ``1 - x``.
+    """Full layer with the propagation filter ``1 - x``: a one-layer run.
 
-    The bound multiplies the squared spectral gap by the product ``s`` of the
-    top singular values of the realized weight matrices.  The activation must
-    be energy-nonincreasing on any graph (ReLU, LeakyReLU or identity).
+    The bound is the run's record, the squared spectral gap times the product
+    ``s`` of the top singular values of the realized weight matrices.  The
+    activation must be energy-nonincreasing on any graph (ReLU, LeakyReLU or
+    identity).
     """
     if tuple(layer.filter.coefficients) != (1.0, -1.0):
         raise ValidationError(
@@ -175,22 +184,14 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
         raise ValidationError(
             f"statement T3.4 requires ReLU/LeakyReLU (or identity), got {layer.activation.kind}"
         )
-    cf = g.factors
-    x = as_embedding(x, g.n)
-    ex = dirichlet_energy_edge_sum(x, g)
-    lhs = dirichlet_energy_edge_sum(layer_forward(x, layer, g, placement), g)
-    gain = layer.gain()
-    return _dual_report("T3.4", lhs, ex, gain * cf.lambda_bar_paper,
-                        gain * cf.lambda_bar_safe, context)
+    before, after = run_network(x, (layer,), g, placement).records
+    return _dual_report("T3.4", after.energy, before.energy, after.bound_paper,
+                        after.bound_safe, context)
 
 
 def verify_lemma_7_2(g: Graph, x, f: PolynomialFilter, *, context: str = "") -> BoundReport:
     """One polynomially filtered propagation step: E(P(Ltil) X) <= P(lam)^2 E(X)."""
-    fc = filter_contraction(f, g.spectrum)
-    x = as_embedding(x, g.n)
-    ex = dirichlet_energy_edge_sum(x, g)
-    lhs = dirichlet_energy_edge_sum(apply_filter(f, g.laplacian, x), g)
-    return _dual_report("L7.2", lhs, ex, fc.paper, fc.safe, context)
+    return _filter_step("L7.2", g, x, f, context)
 
 
 def fit_log_energy_slope(energies) -> float:
@@ -277,16 +278,20 @@ def _decay_ratio(energy: float, threshold: float, layer: int) -> float:
     return math.exp(log_ratio) if log_ratio < math.log(sys.float_info.max) else math.inf
 
 
-def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "paper",
+def verify_prop_7_1(g: Graph, layers, traj: Trajectory, epsilon: float,
                     context: str = "") -> Prop71Verdict:
-    """Check geometric decay at rate ``1 - eps`` for monotone decreasing filters."""
+    """Check geometric decay at rate ``1 - eps`` of the run ``traj`` of ``layers`` on ``g``.
+
+    The filters of ``layers`` must be monotone decreasing; the margin and the
+    per-layer rows read the bounds and energies that ``traj`` recorded.
+    """
     if not (0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
     layers = tuple(layers)
-    if not layers:
-        raise ValidationError("need at least one layer")
-    spectrum = g.spectrum
-    lam_max = float(spectrum.nonzero[-1])  # raises on a degenerate spectrum
+    if not layers or len(layers) != traj.depth:
+        raise ValidationError(
+            f"need one layer per trajectory step, got {len(layers)} for depth {traj.depth}")
+    lam_max = float(g.spectrum.nonzero[-1])  # raises on a degenerate spectrum
     for i, layer in enumerate(layers):
         mono = check_monotone_decreasing(layer.filter, 0.0, lam_max)
         if not mono.decreasing:
@@ -297,37 +302,29 @@ def verify_prop_7_1(g: Graph, x0, layers, epsilon: float, placement: str = "pape
                 witness=mono.witness, per_layer=(), decay=None,
             )
     threshold = 1.0 - epsilon
-    for i, layer in enumerate(layers):
-        worst = layer.gain() * filter_contraction(layer.filter, spectrum).safe
-        if worst >= threshold:
+    for i, rec in enumerate(traj.records[1:]):
+        if rec.bound_safe >= threshold:
             return Prop71Verdict(
                 ok=False,
-                reason=(f"layer {i}: s * P(lambda_i)^2 reaches {worst:.6g}, "
+                reason=(f"layer {i}: s * P(lambda_i)^2 reaches {rec.bound_safe:.6g}, "
                         f"not below 1 - eps = {threshold:.6g}"),
                 witness=None, per_layer=(), decay=None,
             )
-    x = as_embedding(x0, g.n)
-    e0 = dirichlet_energy_edge_sum(x, g)
-    per_layer = []
-    energies = [e0]
-    for i, layer in enumerate(layers, start=1):
-        e_before = energies[-1]
-        fc = filter_contraction(layer.filter, spectrum)
-        gain = layer.gain()
-        x = layer_forward(x, layer, g, placement=placement)
-        e_after = dirichlet_energy_edge_sum(x, g)
-        energies.append(e_after)
-        per_layer.append(_dual_report("P7.1", e_after, e_before, gain * fc.paper,
-                                      gain * fc.safe, f"{context} layer={i}".strip()))
+    per_layer = tuple(
+        _dual_report("P7.1", after.energy, before.energy, after.bound_paper, after.bound_safe,
+                     f"{context} layer={after.layer}".strip())
+        for before, after in zip(traj.records, traj.records[1:]))
+    energies = [rec.energy for rec in traj.records]
+    e0 = energies[0]
     worst_ratio = max(_decay_ratio(energies[l], threshold, l) for l in range(1, len(energies)))
-    ctx = f"{context} eps={epsilon:.17g} depth={len(layers)}".strip()
+    ctx = f"{context} eps={epsilon:.17g} depth={traj.depth}".strip()
     # a zero input passes iff every layer's energy, not the scaled worst ratio, is <= 1e-12
     holds = (all(e <= VACUOUS_LHS_TOL for e in energies[1:]) if e0 == 0.0
              else _holds(worst_ratio, e0, DECAY_REL))
     decay = BoundReport("P7.1", worst_ratio, e0, None, e0 - worst_ratio, holds_paper=holds,
                         holds_safe=None, vacuous=e0 == 0.0, context=ctx)
     return Prop71Verdict(ok=True, reason="preconditions satisfied", witness=None,
-                         per_layer=tuple(per_layer), decay=decay)
+                         per_layer=per_layer, decay=decay)
 
 
 # --------------------------------------------------------------------------
@@ -496,12 +493,12 @@ def _suite_p71(rng: np.random.Generator, trial: int) -> list[BoundReport]:
             weights=(make_weights(channels, channels, target, seed=int(rng.integers(2**63))),),
             activation=Activation.relu(),
         ))
-    worst = max(layer.gain() * filter_contraction(layer.filter, g.spectrum).safe
-                for layer in layers)
-    epsilon = min(0.99, max(1e-6, (1.0 - worst) / 2.0))
     x0 = rng.standard_normal((g.n, channels))
+    traj = run_network(x0, layers, g)
+    worst = max(rec.bound_safe for rec in traj.records[1:])
+    epsilon = min(0.99, max(1e-6, (1.0 - worst) / 2.0))
     ctx = f"trial={trial} graph={desc} C={channels} L={depth}"
-    verdict = verify_prop_7_1(g, x0, layers, epsilon, context=ctx)
+    verdict = verify_prop_7_1(g, layers, traj, epsilon, context=ctx)
     if not verdict.ok:
         # constructed instances must satisfy the preconditions
         raise ValidationError(f"suite generated an invalid P7.1 instance: {verdict.reason}")

@@ -164,8 +164,7 @@ def _cmd_run(args) -> int:
     print(f"energy: E(X_0)={_fmt(e0)} E(X_{traj.depth})={_fmt(el)} "
           f"ratio={_fmt(el / e0) if e0 > 0 else 'nan'}")
     if args.mode == "prop71":
-        verdict = verify_prop_7_1(setup.graph, setup.x0, setup.layers,
-                                  setup.epsilon, setup.placement)
+        verdict = verify_prop_7_1(setup.graph, setup.layers, traj, setup.epsilon)
         if not verdict.ok:
             witness = "" if verdict.witness is None else f" witness x={_fmt(verdict.witness)}"
             print(f"prop71 verdict: preconditions FAILED: {verdict.reason}{witness}")

@@ -17,10 +17,10 @@ component that vector spans the kernel of ``Ltil`` exactly, so the kernel
 dimension is the number of components and needs no zero tolerance.
 
 A graph is also the context every statement, run, suite and sweep on it
-shares: its ``augmented_degrees``, ``laplacian``, ``spectrum`` (eigenvalues
-only, with the component count as kernel dimension) and ``factors`` are
-built on first use and then cached, read-only, on the graph, so each graph
-gets one Laplacian and one eigensolve.
+shares: its ``augmented_degrees``, ``laplacian`` and ``spectrum``
+(eigenvalues only, with the component count as kernel dimension) are built
+on first use and then cached, read-only, on the graph, so each graph gets one
+Laplacian and one eigensolve.
 
 Everything here is dense ``numpy`` at desk scale: at most ``MAX_NODES`` nodes.
 """
@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParseError, ValidationError
-from .spectral import ContractionFactors, Spectrum, contraction_factors, eigendecompose
+from .spectral import Spectrum, eigendecompose
 
 Edge = tuple[int, int, float]
 
@@ -157,11 +157,6 @@ class Graph:
         """Eigenvalues of ``self.laplacian``, built on first use; the kernel is
         one eigenvalue per connected component."""
         return eigendecompose(self.laplacian, len(connected_components(self)))
-
-    @cached_property
-    def factors(self) -> ContractionFactors:
-        """``contraction_factors(self.spectrum)``; raises on a degenerate spectrum."""
-        return contraction_factors(self.spectrum)
 
 
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:

@@ -10,7 +10,7 @@ dual, and :func:`duality_report` quantifies the gap without asserting a
 verdict.
 
 Every graph, the base and each perturbed one, is its own context: its
-Laplacian and eigenvalues are built once, through ``g.factors``.  Probe
+Laplacian and eigenvalues are built once, through ``g.spectrum``.  Probe
 energies take the elementwise edge-sum form, so they do not depend on the
 BLAS thread count.
 """
@@ -26,6 +26,7 @@ from .energy import dirichlet_energy_edge_sum
 from .errors import DegenerateSpectrumError, ValidationError
 from .graphs import Graph, PerturbationPlan, perturb
 from .seeding import check_seed, derive_seed
+from .spectral import contraction_factors
 
 SWEEP_CSV_HEADER = ("trial,seed,op,param,edges_before,edges_after,"
                     "lambda_min_before,lambda_min_after,"
@@ -111,7 +112,7 @@ class SweepRow:
 def _spectral_summary(g: Graph) -> tuple[float, float]:
     """(lambda_min_nonzero, lambda_bar_safe) of the graph, NaN when degenerate."""
     try:
-        cf = g.factors
+        cf = contraction_factors(g.spectrum)
     except DegenerateSpectrumError:
         return float("nan"), float("nan")
     return cf.lambda_min_nonzero, cf.lambda_bar_safe

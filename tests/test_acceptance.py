@@ -228,15 +228,17 @@ def test_criterion_08_proposition_7_1():
                   activation=Activation.relu())
         for l in range(20)
     )
-    verdict = verify_prop_7_1(g, x0, layers, epsilon=0.5, placement="paper")
-    energies = run_network(x0, layers, g, placement="paper").energies()
+    traj = run_network(x0, layers, g, placement="paper")
+    verdict = verify_prop_7_1(g, layers, traj, epsilon=0.5)
+    energies = traj.energies()
     decay_ok = all(energies[l] <= 0.5**l * energies[0] * (1 + 1e-6) for l in range(21))
     bad_layers = tuple(
         LayerSpec(filter=PolynomialFilter((0.0, 1.0)), weights=s.weights,
                   activation=s.activation)
         for s in layers
     )
-    rejected = verify_prop_7_1(g, x0, bad_layers, epsilon=0.5, placement="paper")
+    rejected = verify_prop_7_1(g, bad_layers,
+                               run_network(x0, bad_layers, g, placement="paper"), epsilon=0.5)
     gate_ok = (not rejected.ok) and rejected.witness is not None \
         and "monotone" in rejected.reason
     ok = verdict.ok and verdict.holds and decay_ok and gate_ok

@@ -285,7 +285,7 @@ def test_prop_7_1_path3_half_margin():
     g = generate("path", 3)
     layers = [propagation_layer(3, 1.0, seed=i) for i in range(6)]
     x0 = np.random.default_rng(1).standard_normal((3, 3))
-    verdict = verify_prop_7_1(g, x0, layers, epsilon=0.5)
+    verdict = verify_prop_7_1(g, layers, run_network(x0, layers, g), epsilon=0.5)
     assert verdict.ok
     assert verdict.holds
     assert len(verdict.per_layer) == 6
@@ -296,7 +296,7 @@ def test_prop_7_1_path3_half_margin():
 def test_prop_7_1_rejects_increasing_filter_with_witness():
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter((0.0, 1.0)), (np.eye(2),), Activation.relu())
-    verdict = verify_prop_7_1(g, np.ones((3, 2)), [layer], epsilon=0.5)
+    verdict = verify_prop_7_1(g, [layer], run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
     assert not verdict.ok
     assert "monotone" in verdict.reason
     assert verdict.witness is not None
@@ -307,7 +307,7 @@ def test_prop_7_1_margin_precondition_is_a_verdict():
     # constant filter 0.9 has s P^2 = 0.81, which misses 1 - eps for eps = 0.5
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation.relu())
-    verdict = verify_prop_7_1(g, np.ones((3, 2)), [layer], epsilon=0.5)
+    verdict = verify_prop_7_1(g, [layer], run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
     assert not verdict.ok
     assert "1 - eps" in verdict.reason
     assert verdict.witness is None
@@ -316,8 +316,8 @@ def test_prop_7_1_margin_precondition_is_a_verdict():
 def test_prop_7_1_constant_filter_with_wide_margin():
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation.relu())
-    verdict = verify_prop_7_1(
-        g, np.random.default_rng(3).standard_normal((3, 2)), [layer] * 5, epsilon=0.1)
+    x0 = np.random.default_rng(3).standard_normal((3, 2))
+    verdict = verify_prop_7_1(g, [layer] * 5, run_network(x0, [layer] * 5, g), epsilon=0.1)
     assert verdict.ok and verdict.holds
 
 
@@ -326,7 +326,16 @@ def test_prop_7_1_epsilon_validation(eps):
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation.relu())
     with pytest.raises(ValidationError):
-        verify_prop_7_1(g, np.ones(3), [layer], epsilon=eps)
+        verify_prop_7_1(g, [layer], run_network(np.ones(3), [layer], g), epsilon=eps)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_prop_7_1_needs_one_layer_per_trajectory_step(count):
+    g = generate("path", 3)
+    layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation.relu())
+    traj = run_network(np.ones(3), [layer] * 2, g)
+    with pytest.raises(ValidationError, match="one layer per trajectory step"):
+        verify_prop_7_1(g, [layer] * count, traj, epsilon=0.5)
 
 
 @pytest.mark.parametrize("statement", STATEMENTS)

@@ -302,6 +302,25 @@ def test_run_prop71_decay_past_the_float_range(tmp_path, capsys, doc, verdict):
     assert "preconditions ok" in stdout and f"decay bound {verdict}\n" in stdout
 
 
+def test_run_prop71_runs_each_layer_once(tmp_path, monkeypatch, capsys):
+    # the verdict reads the trajectory the run has written; every module
+    # global bound to layer_forward is wrapped, as the benchmark's tracer does
+    original = gcn_energy.network.layer_forward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gcn_energy") and getattr(module, "layer_forward", None) is original:
+            monkeypatch.setattr(module, "layer_forward", counted)
+    cfg = run_json(tmp_path, layers=5, weights={"target_singular": 1.0})
+    assert main(["run", "--config", cfg, "--mode", "prop71"]) == 0
+    assert "decay bound holds" in capsys.readouterr().out
+    assert len(calls) == 5
+
+
 def outputs_at_thread_counts(tmp_path, command, doc):
     """Output bytes of ``command`` on ``doc``, run twice at 1 and twice at 2 BLAS threads."""
     cfg = tmp_path / f"{command}.json"

@@ -1,5 +1,5 @@
 """Array-backed graphs against per-edge loop references, and the cached
-per-graph context (Laplacian, spectrum, contraction factors)."""
+per-graph context (degrees, Laplacian, spectrum)."""
 
 import json
 import math
@@ -22,7 +22,7 @@ from gcn_energy import (
     verify_prop_7_1,
 )
 from gcn_energy.cli import main
-from gcn_energy.network import Activation, LayerSpec, make_weights
+from gcn_energy.network import Activation, LayerSpec, make_weights, run_network
 from gcn_energy.spectral import PolynomialFilter
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,6 @@ def test_context_properties_are_cached_and_read_only():
     g = generate("erdos_renyi", 15, seed=3, p=0.3)
     assert g.laplacian is g.laplacian
     assert g.spectrum is g.spectrum
-    assert g.factors is g.factors
     assert np.array_equal(g.laplacian, augmented_normalized_laplacian(g))
     with pytest.raises(ValueError):
         g.laplacian[0, 0] = 1.0
@@ -186,6 +185,7 @@ def test_layer_gain_is_computed_once_at_construction(monkeypatch):
 
     monkeypatch.setattr(network, "top_singular_value", refuse)
     x0 = np.random.default_rng(0).standard_normal((8, 2))
-    verdict = verify_prop_7_1(generate("ring", 8), x0, layers, epsilon=0.2)
+    g = generate("ring", 8)
+    verdict = verify_prop_7_1(g, layers, run_network(x0, layers, g), epsilon=0.2)
     assert verdict.ok and verdict.holds
     assert layers[0].gain() == pytest.approx(0.9, rel=1e-12)

@@ -102,8 +102,8 @@ def test_boosted_path_kernel_is_the_component_count():
     g = boosted_path40()
     reference = np.linalg.eigh(g.laplacian)[0]
     assert g.spectrum.kernel_dim == len(connected_components(g)) == 1
-    assert g.factors.lambda_min_nonzero == pytest.approx(reference[1], rel=1e-5)
-    assert g.factors.lambda_min_nonzero == pytest.approx(9.81e-10, rel=1e-3)
+    assert g.spectrum.nonzero[0] == pytest.approx(reference[1], rel=1e-5)
+    assert g.spectrum.nonzero[0] == pytest.approx(9.81e-10, rel=1e-3)
 
 
 # backward error of a dense symmetric eigensolver, n * eps * ||Ltil|| with room
@@ -125,7 +125,7 @@ def assert_energy_sandwich(g, x):
     """``lam_min * d_M^2 <= E(X) <= lam_max * d_M^2``, within the eigenvalue slack."""
     energy = dirichlet_energy_edge_sum(x, g)
     d2 = kernel_distance_sq(g, x)
-    assert (g.factors.lambda_min_nonzero - EIGENVALUE_SLACK) * d2 <= energy
+    assert (g.spectrum.nonzero[0] - EIGENVALUE_SLACK) * d2 <= energy
     assert energy <= (g.spectrum.lambda_max + EIGENVALUE_SLACK) * d2
 
 
@@ -156,7 +156,7 @@ def test_energy_sandwich_is_tight_at_the_smallest_nonzero_eigenvector():
     vector = np.linalg.eigh(g.laplacian)[1][:, 1:2]
     assert_energy_sandwich(g, vector)
     energy = dirichlet_energy_edge_sum(vector, g)
-    assert energy == pytest.approx(g.factors.lambda_min_nonzero * kernel_distance_sq(g, vector),
+    assert energy == pytest.approx(g.spectrum.nonzero[0] * kernel_distance_sq(g, vector),
                                    rel=1e-3)
 
 

@@ -34,6 +34,8 @@ def test_every_traced_function_resolves(tracing):
 @pytest.mark.parametrize("consumer,name,owner", [
     ("gcn_energy.bounds", "dirichlet_energy_edge_sum", "gcn_energy.energy"),
     ("gcn_energy.sweeps", "perturb", "gcn_energy.graphs"),
+    # T3.4 and P7.1 run their layers inside run_network's span
+    ("gcn_energy.bounds", "run_network", "gcn_energy.network"),
     # the cached graph context builds through these globals of graphs
     ("gcn_energy.graphs", "eigendecompose", "gcn_energy.spectral"),
     ("gcn_energy.graphs", "augmented_normalized_laplacian", "gcn_energy.graphs"),
