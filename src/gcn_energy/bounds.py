@@ -23,8 +23,9 @@ rather than asserted away.
 Every check takes edge-sum energies and filters by Horner's rule on the cached
 Laplacian (:func:`apply_filter`), as a run does; eigenvalues supply the factors.
 L3.1 is L7.2's filter step with ``1 - x``.  T3.4 is a one-layer
-:func:`run_network`, and C3.5 and P7.1 read the records of a run, so no check
-runs layers of its own.
+:func:`run_network`, and C3.5 and P7.1 read a run, which carries its graph,
+layers and records, so no check runs layers of its own or pairs a run with
+layers it did not run.
 """
 
 from __future__ import annotations
@@ -152,19 +153,23 @@ def verify_lemma_3_2(g: Graph, x, w, context: str = "") -> BoundReport:
     return _dual_report("L3.2", lhs, ex, top * top, context=context)
 
 
+def _contracts_energy(act: Activation, g: Graph) -> bool:
+    """ReLU, LeakyReLU, identity; Tanh and Sigmoid on regular graphs (degrees within 1e-12)."""
+    return (act.kind in ("relu", "leaky_relu", "identity")
+            or bool(np.ptp(g.weighted_degrees()) <= 1e-12))
+
+
 def verify_lemma_3_3(g: Graph, x, act: Activation, context: str = "") -> BoundReport:
     """Entrywise activations never increase energy.
 
-    Guaranteed for ReLU / LeakyReLU (and trivially identity) on any graph;
-    for Tanh and Sigmoid only on regular graphs (equal weighted degrees
-    within 1e-12), so on irregular graphs those reports are informational.
+    Asserted where :func:`_contracts_energy` holds; Tanh and Sigmoid on
+    irregular graphs are informational.
     """
     x = as_embedding(x, g.n)
     ex = dirichlet_energy_edge_sum(x, g)
     lhs = dirichlet_energy_edge_sum(apply_activation(x, act), g)
-    regular = bool(np.ptp(g.weighted_degrees()) <= 1e-12)
-    asserted = act.kind in ("relu", "leaky_relu", "identity") or regular
-    return _dual_report("L3.3", lhs, ex, 1.0, context=context, asserted=asserted)
+    return _dual_report("L3.3", lhs, ex, 1.0, context=context,
+                        asserted=_contracts_energy(act, g))
 
 
 def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
@@ -173,16 +178,17 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
 
     The bound is the run's record, the squared spectral gap times the product
     ``s`` of the top singular values of the realized weight matrices.  The
-    activation must be energy-nonincreasing on any graph (ReLU, LeakyReLU or
-    identity).
+    activation must never raise energy on ``g``: ReLU, LeakyReLU or identity,
+    or Tanh or Sigmoid on a regular graph.
     """
     if tuple(layer.filter.coefficients) != (1.0, -1.0):
         raise ValidationError(
             f"statement T3.4 requires the filter (1, -1), got {layer.filter.coefficients}"
         )
-    if layer.activation.kind not in ("relu", "leaky_relu", "identity"):
+    if not _contracts_energy(layer.activation, g):
         raise ValidationError(
-            f"statement T3.4 requires ReLU/LeakyReLU (or identity), got {layer.activation.kind}"
+            f"statement T3.4 requires ReLU/LeakyReLU (or identity; Tanh/Sigmoid on a "
+            f"regular graph), got {layer.activation.kind}"
         )
     before, after = run_network(x, (layer,), g, placement).records
     return _dual_report("T3.4", after.energy, before.energy, after.bound_paper,
@@ -217,8 +223,6 @@ def verify_corollary_3_5(traj: Trajectory, context: str = "") -> BoundReport:
     the floating-point noise floor long before ``log rho``.
     Raises a precondition error when the safe ``rho`` is not below one.
     """
-    if traj.depth < 1:
-        raise ValidationError("trajectory has no layers")
     bounds_safe = [rec.bound_safe for rec in traj.records[1:]]
     bounds_paper = [rec.bound_paper for rec in traj.records[1:]]
     if not all(np.isfinite(bounds_safe)):
@@ -247,9 +251,9 @@ def verify_corollary_3_5(traj: Trajectory, context: str = "") -> BoundReport:
 class Prop71Verdict:
     """Outcome of the monotone-filter decay check.
 
-    ``ok`` reports the preconditions (monotone decreasing filters and
-    ``s * P(lam_i)^2 < 1 - eps`` on every nonzero eigenvalue); a failed
-    precondition is a verdict, not an error.  When preconditions hold,
+    ``ok`` reports the preconditions (monotone decreasing filters, activations
+    that never raise energy, and ``s * P(lam_i)^2 < 1 - eps`` on every nonzero
+    eigenvalue); a failed precondition is a verdict, not an error.  When preconditions hold,
     ``per_layer`` carries one report per layer and ``decay`` the global
     ``E(X_l) <= (1 - eps)^l E(X_0)`` check.
     """
@@ -278,42 +282,37 @@ def _decay_ratio(energy: float, threshold: float, layer: int) -> float:
     return math.exp(log_ratio) if log_ratio < math.log(sys.float_info.max) else math.inf
 
 
-def verify_prop_7_1(g: Graph, layers, traj: Trajectory, epsilon: float,
-                    context: str = "") -> Prop71Verdict:
-    """Check geometric decay at rate ``1 - eps`` of the run ``traj`` of ``layers`` on ``g``.
+def _unmet(reason: str, witness: float | None = None) -> Prop71Verdict:
+    return Prop71Verdict(ok=False, reason=reason, witness=witness, per_layer=(), decay=None)
 
-    The filters of ``layers`` must be monotone decreasing; the margin and the
-    per-layer rows read the bounds and energies that ``traj`` recorded.
+
+def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop71Verdict:
+    """Check geometric decay at rate ``1 - eps`` of the run ``traj``.
+
+    Filters and activations come from ``traj.layers``, the spectral range
+    from ``traj.graph``, and the margin and per-layer rows from its records.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
-    layers = tuple(layers)
-    if not layers or len(layers) != traj.depth:
-        raise ValidationError(
-            f"need one layer per trajectory step, got {len(layers)} for depth {traj.depth}")
+    g = traj.graph
     lam_max = float(g.spectrum.nonzero[-1])  # raises on a degenerate spectrum
-    for i, layer in enumerate(layers):
+    for i, layer in enumerate(traj.layers):
         mono = check_monotone_decreasing(layer.filter, 0.0, lam_max)
         if not mono.decreasing:
-            return Prop71Verdict(
-                ok=False,
-                reason=(f"layer {i}: filter {layer.filter.coefficients} is not monotone "
-                        f"decreasing on [0, {lam_max:.6g}]"),
-                witness=mono.witness, per_layer=(), decay=None,
-            )
+            return _unmet(f"layer {i}: filter {layer.filter.coefficients} is not monotone "
+                          f"decreasing on [0, {lam_max:.6g}]", mono.witness)
+        if not _contracts_energy(layer.activation, g):
+            return _unmet(f"layer {i}: activation {layer.activation.kind} can raise the "
+                          f"energy on an irregular graph")
     threshold = 1.0 - epsilon
     for i, rec in enumerate(traj.records[1:]):
         if rec.bound_safe >= threshold:
-            return Prop71Verdict(
-                ok=False,
-                reason=(f"layer {i}: s * P(lambda_i)^2 reaches {rec.bound_safe:.6g}, "
-                        f"not below 1 - eps = {threshold:.6g}"),
-                witness=None, per_layer=(), decay=None,
-            )
+            return _unmet(f"layer {i}: s * P(lambda_i)^2 reaches {rec.bound_safe:.6g}, "
+                          f"not below 1 - eps = {threshold:.6g}")
     per_layer = tuple(
         _dual_report("P7.1", after.energy, before.energy, after.bound_paper, after.bound_safe,
-                     f"{context} layer={after.layer}".strip())
-        for before, after in zip(traj.records, traj.records[1:]))
+                     f"{context} layer={l}".strip())
+        for l, (before, after) in enumerate(zip(traj.records, traj.records[1:]), start=1))
     energies = [rec.energy for rec in traj.records]
     e0 = energies[0]
     worst_ratio = max(_decay_ratio(energies[l], threshold, l) for l in range(1, len(energies)))
@@ -498,7 +497,7 @@ def _suite_p71(rng: np.random.Generator, trial: int) -> list[BoundReport]:
     worst = max(rec.bound_safe for rec in traj.records[1:])
     epsilon = min(0.99, max(1e-6, (1.0 - worst) / 2.0))
     ctx = f"trial={trial} graph={desc} C={channels} L={depth}"
-    verdict = verify_prop_7_1(g, layers, traj, epsilon, context=ctx)
+    verdict = verify_prop_7_1(traj, epsilon, context=ctx)
     if not verdict.ok:
         # constructed instances must satisfy the preconditions
         raise ValidationError(f"suite generated an invalid P7.1 instance: {verdict.reason}")

@@ -145,9 +145,9 @@ def _cmd_run(args) -> int:
     setup = load_run_config(args.config)
     traj = run_network(setup.x0, setup.layers, setup.graph, placement=setup.placement)
     lines = ["layer,energy,rayleigh,bound_paper,bound_safe,channels"]
-    for rec in traj.records:
+    for l, rec in enumerate(traj.records):
         lines.append(",".join([
-            str(rec.layer), _fmt(rec.energy), _fmt(rec.rayleigh),
+            str(l), _fmt(rec.energy), _fmt(rec.rayleigh),
             _fmt(rec.bound_paper), _fmt(rec.bound_safe), str(rec.channels),
         ]))
     body = "\n".join(lines) + "\n"
@@ -164,7 +164,7 @@ def _cmd_run(args) -> int:
     print(f"energy: E(X_0)={_fmt(e0)} E(X_{traj.depth})={_fmt(el)} "
           f"ratio={_fmt(el / e0) if e0 > 0 else 'nan'}")
     if args.mode == "prop71":
-        verdict = verify_prop_7_1(setup.graph, setup.layers, traj, setup.epsilon)
+        verdict = verify_prop_7_1(traj, setup.epsilon)
         if not verdict.ok:
             witness = "" if verdict.witness is None else f" witness x={_fmt(verdict.witness)}"
             print(f"prop71 verdict: preconditions FAILED: {verdict.reason}{witness}")

@@ -10,10 +10,11 @@ products with an N x C matrix), never as an N x N filter matrix.  With the
 default ``paper`` placement the activation wraps the filtered input first
 and then follows every weight multiplication, matching the parenthesization
 above; ``conventional`` placement skips the innermost activation, i.e.
-``sigma(P(Ltil) X W_1)`` for a single weight.  A run records the Dirichlet
-energy (edge-sum form), Rayleigh quotient and the per-layer energy bound
-``s_l * c`` where ``s_l`` is the product of the realized top singular values
-of the layer weights and ``c`` is the filter contraction factor.
+``sigma(P(Ltil) X W_1)`` for a single weight.  A run (``Trajectory``) holds
+its graph, its layers and per stage the Dirichlet energy (edge-sum form),
+Rayleigh quotient and the per-layer energy bound ``s_l * c`` where ``s_l``
+is the layer's ``gain()``, the product of the realized top singular values
+of its weights, and ``c`` is the filter contraction factor.
 """
 
 from __future__ import annotations
@@ -177,9 +178,8 @@ def layer_forward(x, spec: LayerSpec, g: Graph, placement: str = "paper") -> np.
 
 @dataclass(frozen=True)
 class LayerRecord:
-    """Energy snapshot after a layer (layer 0 is the input embedding)."""
+    """Energy snapshot after a layer; a run's record 0 is the input embedding."""
 
-    layer: int
     energy: float
     rayleigh: float
     bound_paper: float
@@ -187,52 +187,52 @@ class LayerRecord:
     channels: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-layer records of a simulated run plus realized weight gains."""
+    """One run: its graph, its ``L >= 1`` layers and ``L + 1`` records.
 
+    ``records[l]`` follows ``layers[l - 1]``; equality is identity (layers hold arrays).
+    """
+
+    graph: Graph
+    layers: tuple[LayerSpec, ...]
     records: tuple[LayerRecord, ...]
-    layer_gains: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not self.layers:
+            raise ValidationError("run needs at least one layer")
+        if len(self.records) != len(self.layers) + 1:
+            raise ValidationError(f"a run of {len(self.layers)} layers needs "
+                                  f"{len(self.layers) + 1} records, got {len(self.records)}")
         for i, rec in enumerate(self.records):
-            if rec.layer != i:
-                raise ValidationError(f"record {i} has layer index {rec.layer}")
             if rec.energy < 0.0:
                 raise ValidationError(f"record {i} has negative energy {rec.energy}")
 
     @property
     def depth(self) -> int:
-        return len(self.records) - 1
-
-    @property
-    def gain_sup(self) -> float:
-        return max(self.layer_gains) if self.layer_gains else float("nan")
+        return len(self.layers)
 
     def energies(self) -> np.ndarray:
         return np.array([rec.energy for rec in self.records])
 
 
-def _record(layer: int, x: np.ndarray, g: Graph, bound_paper: float,
-            bound_safe: float) -> LayerRecord:
+def _record(x: np.ndarray, g: Graph, bound_paper: float, bound_safe: float) -> LayerRecord:
     energy = dirichlet_energy_edge_sum(x, g)
     norm_sq = float(np.sum(x * x))
-    return LayerRecord(layer=layer, energy=energy,
+    return LayerRecord(energy=energy,
                        rayleigh=energy / norm_sq if norm_sq > 0.0 else float("nan"),
                        bound_paper=bound_paper, bound_safe=bound_safe, channels=x.shape[1])
 
 
 def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
-    """Simulate ``L`` layers on graph ``g`` and record the energy trajectory.
+    """Simulate ``L >= 1`` layers on graph ``g`` and return the run.
 
     Layers filter on ``g.laplacian``; ``g.spectrum`` only gives the bounds.
     Energies take the elementwise edge-sum form, so record 0 does not depend
     on the BLAS thread count; it describes the input and carries NaN bounds
-    since no layer produced it.  The trajectory holds ``L + 1`` records.
+    since no layer produced it.
     """
     layers = tuple(layers)
-    if not layers:
-        raise ValidationError("run needs at least one layer")
     x = as_embedding(x0, g.n)
     channels = x.shape[1]
     for i, spec in enumerate(layers):
@@ -242,12 +242,10 @@ def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
                 f"previous stage emits {channels}"
             )
         channels = spec.output_channels
-    records = [_record(0, x, g, float("nan"), float("nan"))]
-    gains = []
-    for i, spec in enumerate(layers, start=1):
+    records = [_record(x, g, float("nan"), float("nan"))]
+    for spec in layers:
         contraction = filter_contraction(spec.filter, g.spectrum)
         gain = spec.gain()
-        gains.append(gain)
         x = layer_forward(x, spec, g, placement=placement)
-        records.append(_record(i, x, g, gain * contraction.paper, gain * contraction.safe))
-    return Trajectory(records=tuple(records), layer_gains=tuple(gains))
+        records.append(_record(x, g, gain * contraction.paper, gain * contraction.safe))
+    return Trajectory(g, layers, tuple(records))

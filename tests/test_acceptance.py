@@ -229,7 +229,7 @@ def test_criterion_08_proposition_7_1():
         for l in range(20)
     )
     traj = run_network(x0, layers, g, placement="paper")
-    verdict = verify_prop_7_1(g, layers, traj, epsilon=0.5)
+    verdict = verify_prop_7_1(traj, epsilon=0.5)
     energies = traj.energies()
     decay_ok = all(energies[l] <= 0.5**l * energies[0] * (1 + 1e-6) for l in range(21))
     bad_layers = tuple(
@@ -237,8 +237,7 @@ def test_criterion_08_proposition_7_1():
                   activation=s.activation)
         for s in layers
     )
-    rejected = verify_prop_7_1(g, bad_layers,
-                               run_network(x0, bad_layers, g, placement="paper"), epsilon=0.5)
+    rejected = verify_prop_7_1(run_network(x0, bad_layers, g, placement="paper"), epsilon=0.5)
     gate_ok = (not rejected.ok) and rejected.witness is not None \
         and "monotone" in rejected.reason
     ok = verdict.ok and verdict.holds and decay_ok and gate_ok

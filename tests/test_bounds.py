@@ -26,7 +26,7 @@ from gcn_energy import (
     verify_prop_7_1,
     verify_theorem_3_4,
 )
-from gcn_energy.bounds import STATEMENTS, SUITE_TOKENS, _holds
+from gcn_energy.bounds import STATEMENTS, SUITE_TOKENS, _decay_ratio, _holds
 
 
 def propagation_layer(channels, target, seed=0, act=None):
@@ -285,7 +285,7 @@ def test_prop_7_1_path3_half_margin():
     g = generate("path", 3)
     layers = [propagation_layer(3, 1.0, seed=i) for i in range(6)]
     x0 = np.random.default_rng(1).standard_normal((3, 3))
-    verdict = verify_prop_7_1(g, layers, run_network(x0, layers, g), epsilon=0.5)
+    verdict = verify_prop_7_1(run_network(x0, layers, g), epsilon=0.5)
     assert verdict.ok
     assert verdict.holds
     assert len(verdict.per_layer) == 6
@@ -296,7 +296,7 @@ def test_prop_7_1_path3_half_margin():
 def test_prop_7_1_rejects_increasing_filter_with_witness():
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter((0.0, 1.0)), (np.eye(2),), Activation.relu())
-    verdict = verify_prop_7_1(g, [layer], run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
+    verdict = verify_prop_7_1(run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
     assert not verdict.ok
     assert "monotone" in verdict.reason
     assert verdict.witness is not None
@@ -307,7 +307,7 @@ def test_prop_7_1_margin_precondition_is_a_verdict():
     # constant filter 0.9 has s P^2 = 0.81, which misses 1 - eps for eps = 0.5
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation.relu())
-    verdict = verify_prop_7_1(g, [layer], run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
+    verdict = verify_prop_7_1(run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
     assert not verdict.ok
     assert "1 - eps" in verdict.reason
     assert verdict.witness is None
@@ -317,7 +317,7 @@ def test_prop_7_1_constant_filter_with_wide_margin():
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation.relu())
     x0 = np.random.default_rng(3).standard_normal((3, 2))
-    verdict = verify_prop_7_1(g, [layer] * 5, run_network(x0, [layer] * 5, g), epsilon=0.1)
+    verdict = verify_prop_7_1(run_network(x0, [layer] * 5, g), epsilon=0.1)
     assert verdict.ok and verdict.holds
 
 
@@ -326,16 +326,44 @@ def test_prop_7_1_epsilon_validation(eps):
     g = generate("path", 3)
     layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation.relu())
     with pytest.raises(ValidationError):
-        verify_prop_7_1(g, [layer], run_network(np.ones(3), [layer], g), epsilon=eps)
+        verify_prop_7_1(run_network(np.ones(3), [layer], g), epsilon=eps)
 
 
-@pytest.mark.parametrize("count", [0, 1, 3])
-def test_prop_7_1_needs_one_layer_per_trajectory_step(count):
-    g = generate("path", 3)
-    layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation.relu())
-    traj = run_network(np.ones(3), [layer] * 2, g)
-    with pytest.raises(ValidationError, match="one layer per trajectory step"):
-        verify_prop_7_1(g, [layer] * count, traj, epsilon=0.5)
+def test_prop_7_1_tanh_on_a_regular_graph_is_ok():
+    g = generate("ring", 8)
+    layers = [propagation_layer(2, 0.5, seed=i, act=Activation.tanh()) for i in range(4)]
+    x0 = np.random.default_rng(0).standard_normal((8, 2))
+    verdict = verify_prop_7_1(run_network(x0, layers, g), epsilon=0.3)
+    assert verdict.ok and verdict.holds
+    assert len(verdict.per_layer) == 4
+
+
+@pytest.mark.parametrize("act", [Activation.tanh(), Activation.sigmoid()])
+def test_prop_7_1_saturating_activation_on_an_irregular_graph_is_a_failed_precondition(act):
+    g = generate("path", 5)
+    layers = [propagation_layer(2, 0.5, seed=i, act=act) for i in range(3)]
+    verdict = verify_prop_7_1(run_network(np.ones((5, 2)), layers, g), epsilon=0.3)
+    assert not verdict.ok and not verdict.holds
+    assert verdict.reason.startswith(f"layer 0: activation {act.kind}")
+    assert verdict.witness is None
+    assert verdict.per_layer == () and verdict.decay is None
+
+
+def test_theorem_3_4_tanh_holds_on_a_ring_and_is_refused_on_a_path():
+    layer = propagation_layer(2, 0.5, act=Activation.tanh())
+    g = generate("ring", 8)
+    x = np.random.default_rng(0).standard_normal((8, 2))
+    r = verify_theorem_3_4(g, x, layer)
+    assert r.asserted and r.gate_holds and not r.vacuous
+    with pytest.raises(ValidationError, match="ReLU/LeakyReLU"):
+        verify_theorem_3_4(generate("path", 5), np.ones((5, 2)), layer)
+
+
+def test_decay_ratio_past_the_float_range():
+    # 0.5**1100 underflows to 0, so the ratio is taken in log space
+    assert _decay_ratio(0.0188, 0.5, 1100) == math.inf
+    assert _decay_ratio(0.0, 0.5, 1100) == 0.0
+    assert _decay_ratio(2.0**-100, 0.5, 1100) == pytest.approx(2.0**1000, rel=1e-12)
 
 
 @pytest.mark.parametrize("statement", STATEMENTS)

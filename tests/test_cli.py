@@ -287,10 +287,6 @@ def test_run_prop71_rejects_increasing_filter_with_witness(tmp_path, capsys):
       "weights": {"target_singular": 0.5}, "seed": 0}, "holds"),
     ({"graph": "gen:ring:8", "layers": 2000, "channels": 2, "epsilon": 0.9,
       "weights": {"target_singular": 0.05}, "seed": 0}, "holds"),
-    # sigmoid keeps the energy of an irregular graph away from zero, so the
-    # decay ratio passes the largest float
-    ({"graph": "gen:path:5", "layers": 1100, "channels": 2, "epsilon": 0.5,
-      "activation": "sigmoid", "weights": {"target_singular": 0.5}, "seed": 0}, "FAILS"),
 ])
 def test_run_prop71_decay_past_the_float_range(tmp_path, capsys, doc, verdict):
     # (1 - eps)^l underflows to 0 long before the last layer
@@ -300,6 +296,21 @@ def test_run_prop71_decay_past_the_float_range(tmp_path, capsys, doc, verdict):
                  "--out", str(tmp_path / "deep.csv")]) == 0
     stdout = capsys.readouterr().out
     assert "preconditions ok" in stdout and f"decay bound {verdict}\n" in stdout
+
+
+def test_run_prop71_sigmoid_on_an_irregular_graph_fails_the_activation_precondition(
+        tmp_path, capsys):
+    # sigmoid keeps the energy of the path away from zero, so its run does not
+    # decay; the proposition does not apply, and the verdict says so
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"graph": "gen:path:5", "layers": 1100, "channels": 2,
+                               "epsilon": 0.5, "activation": "sigmoid",
+                               "weights": {"target_singular": 0.5}, "seed": 0}))
+    out = tmp_path / "deep.csv"
+    assert main(["run", "--config", str(cfg), "--mode", "prop71", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "prop71 verdict: preconditions FAILED: layer 0: activation sigmoid" in stdout
+    assert len(out.read_text().splitlines()) == 3 + 1 + 1101
 
 
 def test_run_prop71_runs_each_layer_once(tmp_path, monkeypatch, capsys):

@@ -186,6 +186,6 @@ def test_layer_gain_is_computed_once_at_construction(monkeypatch):
     monkeypatch.setattr(network, "top_singular_value", refuse)
     x0 = np.random.default_rng(0).standard_normal((8, 2))
     g = generate("ring", 8)
-    verdict = verify_prop_7_1(g, layers, run_network(x0, layers, g), epsilon=0.2)
+    verdict = verify_prop_7_1(run_network(x0, layers, g), epsilon=0.2)
     assert verdict.ok and verdict.holds
     assert layers[0].gain() == pytest.approx(0.9, rel=1e-12)

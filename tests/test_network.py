@@ -185,12 +185,19 @@ def test_run_network_record_shape_and_layer_zero():
     traj = run_network(rng.standard_normal((12, 3)), layers, g)
     assert traj.depth == 4
     assert len(traj.records) == 5
-    assert traj.records[0].layer == 0
     assert math.isnan(traj.records[0].bound_paper)
     assert math.isnan(traj.records[0].bound_safe)
     assert all(rec.energy >= 0.0 for rec in traj.records)
-    assert traj.layer_gains == pytest.approx((0.9,) * 4, rel=1e-12)
-    assert traj.gain_sup == pytest.approx(0.9, rel=1e-12)
+    assert [layer.gain() for layer in traj.layers] == pytest.approx((0.9,) * 4, rel=1e-12)
+
+
+def test_run_network_returns_the_run_with_its_graph_and_layers():
+    g = generate("ring", 6)
+    layers = [identity_layer(2), identity_layer(2, filt=(0.5, -0.25))]
+    traj = run_network(np.ones((6, 2)), layers, g)
+    assert traj.graph is g
+    assert len(traj.layers) == traj.depth == 2
+    assert all(a is b for a, b in zip(traj.layers, layers))
 
 
 @pytest.mark.parametrize("placement", ["paper", "conventional"])
@@ -243,7 +250,7 @@ def test_run_network_names_offending_layer_on_channel_mismatch():
 
 def test_run_network_requires_a_layer():
     g = generate("ring", 6)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="at least one layer"):
         run_network(np.ones(6), [], g)
 
 
@@ -267,13 +274,19 @@ def test_per_layer_energy_respects_safe_bound_when_gain_at_most_one(seed):
 
 
 def test_trajectory_validates_record_indices_and_energies():
-    rec0 = LayerRecord(0, 1.0, 0.5, float("nan"), float("nan"), 2)
-    bad_index = LayerRecord(2, 1.0, 0.5, 1.0, 1.0, 2)
-    with pytest.raises(ValidationError):
-        Trajectory(records=(rec0, bad_index), layer_gains=(1.0,))
-    negative = LayerRecord(1, -0.5, 0.5, 1.0, 1.0, 2)
-    with pytest.raises(ValidationError):
-        Trajectory(records=(rec0, negative), layer_gains=(1.0,))
+    # one record per stage: the input and one per layer
+    g = generate("ring", 6)
+    layer = identity_layer(2)
+    rec0 = LayerRecord(1.0, 0.5, float("nan"), float("nan"), 2)
+    rec1 = LayerRecord(1.0, 0.5, 1.0, 1.0, 2)
+    assert Trajectory(g, (layer,), (rec0, rec1)).depth == 1
+    with pytest.raises(ValidationError, match="needs 2 records, got 1"):
+        Trajectory(g, (layer,), (rec0,))
+    with pytest.raises(ValidationError, match="needs 2 records, got 3"):
+        Trajectory(g, (layer,), (rec0, rec1, rec1))
+    negative = LayerRecord(-0.5, 0.5, 1.0, 1.0, 2)
+    with pytest.raises(ValidationError, match="negative energy"):
+        Trajectory(g, (layer,), (rec0, negative))
 
 
 def test_deep_contractive_run_decays_exponentially():
