@@ -65,7 +65,6 @@ from .spectral import (
     filter_contraction,
 )
 from .sweeps import (
-    SWEEP_CSV_HEADER,
     DualityEntry,
     ProbeSpec,
     SweepConfig,
@@ -74,7 +73,6 @@ from .sweeps import (
     energy_increase_fraction,
     probe_field,
     run_sweep,
-    sweep_rows_csv,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "STATEMENTS",
     "SUITE_TOKENS",
-    "SWEEP_CSV_HEADER",
     "Activation",
     "BoundReport",
     "ContractionFactors",
@@ -131,7 +128,6 @@ __all__ = [
     "run_network",
     "run_suite",
     "run_sweep",
-    "sweep_rows_csv",
     "top_singular_value",
     "verify_corollary_3_5",
     "verify_lemma_3_1",

@@ -6,6 +6,9 @@ Exit codes: 0 on success (verdicts are data, not failures, except that
 validation errors, 3 on numeric errors.  Every output file starts with a
 comment header carrying the tool version, the hash of the resolved config
 and the seed; identical invocations produce byte-identical files.
+
+Every CSV table is written by :func:`_table`, each cell by the rule of
+:func:`_fmt`.
 """
 
 from __future__ import annotations
@@ -37,16 +40,33 @@ from .graphs import MAX_CHANNELS, MAX_TRIALS, check_work_size
 from .network import run_network
 from .seeding import check_seed
 from .spectral import contraction_factors
-from .sweeps import _fmt, duality_csv, duality_report, energy_increase_fraction, run_sweep, sweep_rows_csv
+from .sweeps import duality_report, energy_increase_fraction, run_sweep
 
 RANGE_LO = -1e-10
 RANGE_HI = 2.0 - 1e-12
+SWEEP_CSV_HEADER = ("trial,seed,op,param,edges_before,edges_after,"
+                    "lambda_min_before,lambda_min_after,"
+                    "lambda_bar_safe_before,lambda_bar_safe_after,"
+                    "energy_before,energy_after")
 
 
-def _bool(b) -> str:
-    if b is None:
+def _fmt(x) -> str:
+    """The one cell rule: None is empty, a bool is true or false, a float has
+    17 significant digits (``nan`` and ``inf`` included), and anything else,
+    integers and text, is ``str``."""
+    if x is None:
         return ""
-    return "true" if b else "false"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def _table(header: str, rows) -> str:
+    """The one CSV writer: the header line, then one line of cells per row tuple."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _header(document: dict, seed) -> str:
@@ -62,24 +82,6 @@ def _emit(out: str | None, text: str) -> None:
         Path(out).write_text(text, newline="\n")
 
 
-def _reports_csv(reports) -> str:
-    lines = ["statement,context,lhs,rhs_paper,rhs_safe,margin,holds_paper,holds_safe,vacuous,asserted"]
-    for r in reports:
-        lines.append(",".join([
-            r.statement,
-            '"' + r.context.replace('"', "'") + '"',
-            _fmt(r.lhs),
-            _fmt(r.rhs_paper),
-            "" if r.rhs_safe is None else _fmt(r.rhs_safe),
-            _fmt(r.margin),
-            _bool(r.holds_paper),
-            _bool(r.holds_safe),
-            _bool(r.vacuous),
-            _bool(r.asserted),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_spectrum(args) -> int:
     tol = args.zero_tol
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
@@ -92,8 +94,7 @@ def _cmd_spectrum(args) -> int:
         spectrum = replace(spectrum, kernel_dim=count)  # the smallest ``count`` eigenvalues
     doc = {"command": "spectrum", "graph": args.graph,
            "zero_tol": args.zero_tol, "n": g.n, "edges": g.edge_count}
-    lines = [_header(doc, "-").rstrip("\n"), "index,eigenvalue"]
-    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
+    table = _table("index,eigenvalue", enumerate(spectrum.eigenvalues))
     try:
         cf = contraction_factors(spectrum)
         summary = (f"lambda_min_nonzero={_fmt(cf.lambda_min_nonzero)} "
@@ -102,8 +103,7 @@ def _cmd_spectrum(args) -> int:
                    f"kernel_dim={cf.kernel_dim}")
     except DegenerateSpectrumError as exc:
         summary = f"degenerate spectrum: {exc}"
-    lines.append(f"# {summary}")
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, _header(doc, "-") + table + f"# {summary}\n")
     out = sys.stdout
     lo = float(spectrum.eigenvalues[0]) if spectrum.n else 0.0
     hi = float(spectrum.eigenvalues[-1]) if spectrum.n else 0.0
@@ -132,9 +132,8 @@ def _cmd_energy(args) -> int:
     rq = rayleigh_quotient(x, g.laplacian)
     doc = {"command": "energy", "graph": args.graph,
            "channels": args.channels, "seed": args.seed}
-    body = ("n,edges,channels,seed,energy_trace,energy_edge_sum,rayleigh\n"
-            f"{g.n},{g.edge_count},{args.channels},{args.seed},"
-            f"{_fmt(e_trace)},{_fmt(e_edge)},{_fmt(rq)}\n")
+    body = _table("n,edges,channels,seed,energy_trace,energy_edge_sum,rayleigh",
+                  [(g.n, g.edge_count, args.channels, args.seed, e_trace, e_edge, rq)])
     _emit(args.out, _header(doc, args.seed) + body)
     print(f"dirichlet energy of a seeded Gaussian probe on {args.graph}: "
           f"trace={_fmt(e_trace)} edge_sum={_fmt(e_edge)} rayleigh={_fmt(rq)}")
@@ -144,13 +143,9 @@ def _cmd_energy(args) -> int:
 def _cmd_run(args) -> int:
     setup = load_run_config(args.config)
     traj = run_network(setup.x0, setup.layers, setup.graph, placement=setup.placement)
-    lines = ["layer,energy,rayleigh,bound_paper,bound_safe,channels"]
-    for l, rec in enumerate(traj.records):
-        lines.append(",".join([
-            str(l), _fmt(rec.energy), _fmt(rec.rayleigh),
-            _fmt(rec.bound_paper), _fmt(rec.bound_safe), str(rec.channels),
-        ]))
-    body = "\n".join(lines) + "\n"
+    body = _table("layer,energy,rayleigh,bound_paper,bound_safe,channels",
+                  ((l, rec.energy, rec.rayleigh, rec.bound_paper, rec.bound_safe, rec.channels)
+                   for l, rec in enumerate(traj.records)))
     _emit(args.out, _header(setup.document, setup.seed) + body)
     rho_safe = max(rec.bound_safe for rec in traj.records[1:])
     rho_paper = max(rec.bound_paper for rec in traj.records[1:])
@@ -191,8 +186,13 @@ def _cmd_verify(args) -> int:
         result = run_suite(SUITE_TOKENS[token], args.trials, args.seed)
         all_ok = all_ok and result.ok
         if out_dir is not None:
-            (out_dir / f"{token}.csv").write_text(
-                header + _reports_csv(result.reports), newline="\n")
+            table = _table(
+                "statement,context,lhs,rhs_paper,rhs_safe,margin,"
+                "holds_paper,holds_safe,vacuous,asserted",
+                ((r.statement, '"' + r.context.replace('"', "'") + '"', r.lhs, r.rhs_paper,
+                  r.rhs_safe, r.margin, r.holds_paper, r.holds_safe, r.vacuous, r.asserted)
+                 for r in result.reports))
+            (out_dir / f"{token}.csv").write_text(header + table, newline="\n")
         summary_blocks.append("\n".join([f"suite: {token}"] + result.summary_lines()))
     summary = header + "\n\n".join(summary_blocks) + "\n"
     if out_dir is not None:
@@ -220,17 +220,22 @@ def _cmd_sweep(args) -> int:
     }
     meta = (f"# probe: {cfg.probe.kind} channels={cfg.probe.channels} seed={cfg.probe.seed}\n"
             f"# edge-selection: uniform without replacement (seeded)\n")
-    _emit(args.out, _header(doc, cfg.base_seed) + meta + sweep_rows_csv(rows))
+    table = _table(SWEEP_CSV_HEADER, (
+        (r.trial, r.seed, r.op, r.param, r.edges_before, r.edges_after,
+         r.lambda_min_before, r.lambda_min_after, r.lambda_bar_safe_before,
+         r.lambda_bar_safe_after, r.energy_before, r.energy_after) for r in rows))
+    _emit(args.out, _header(doc, cfg.base_seed) + meta + table)
     if cfg.drop_ratios and cfg.boost_counts:
-        entries = duality_report(rows)
+        dual = _table("drop_ratio,boost_count,mean_lambda_gap,mean_energy_gap,trials_used",
+                      ((e.drop_ratio, e.boost_count, e.mean_lambda_gap, e.mean_energy_gap,
+                        e.trials_used) for e in duality_report(rows)))
         if args.out is not None:
             p = Path(args.out)
             dual_path = p.with_name(p.stem + ".duality" + (p.suffix or ".csv"))
-            dual_path.write_text(_header(doc, cfg.base_seed) + duality_csv(entries),
-                                 newline="\n")
+            dual_path.write_text(_header(doc, cfg.base_seed) + dual, newline="\n")
             print(f"duality table written to {dual_path}")
         else:
-            sys.stdout.write(duality_csv(entries))
+            sys.stdout.write(dual)
     for op, present in (("drop", bool(cfg.drop_ratios)), ("boost", bool(cfg.boost_counts))):
         if not present:
             continue

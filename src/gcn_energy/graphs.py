@@ -175,13 +175,14 @@ def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     return Graph(n, lo[first], hi[first], merged)
 
 
-def from_edge_list(text: str, n_hint: int | None = None) -> Graph:
+def from_edge_list(text: str) -> Graph:
     """Parse a plain-text edge list into a :class:`Graph`.
 
     Each non-empty line holds ``u v`` or ``u v w`` (weight defaults to 1.0);
     ``#`` starts a comment that runs to the end of the line.  Duplicate pairs,
     including reversed ones, are merged by summing their weights.  The node
-    count is ``max id + 1`` or ``n_hint``, whichever is larger.
+    count is ``max id + 1``; it is checked against ``MAX_NODES`` before any
+    id becomes an int64.
     """
     raw: list[tuple[int, int, float]] = []
     max_id = -1
@@ -213,10 +214,11 @@ def from_edge_list(text: str, n_hint: int | None = None) -> Graph:
                 raise ValidationError(f"line {lineno}: weight must be finite and positive")
         raw.append((u, v, w))
         max_id = max(max_id, u, v)
-    n = max(max_id + 1, n_hint or 0)
-    if n < 1:
-        raise ValidationError("empty edge list and no node-count hint")
-    u, v, w = zip(*raw) if raw else ((), (), ())
+    if not raw:
+        raise ValidationError("empty edge list")
+    n = max_id + 1
+    _check_node_count(n)
+    u, v, w = zip(*raw)
     return _merge_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
 
 

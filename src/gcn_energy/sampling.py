@@ -35,26 +35,25 @@ def random_graph(rng: np.random.Generator, *, n_lo: int = 5,
     return generate("path", n), f"path(n={n})"
 
 
-def random_embedding(rng: np.random.Generator, n: int, *, c_lo: int = 1,
-                     c_hi: int = 8) -> np.ndarray:
-    channels = int(rng.integers(c_lo, c_hi + 1))
+def random_embedding(rng: np.random.Generator, n: int) -> np.ndarray:
+    channels = int(rng.integers(1, 9))  # 1 to 8
     return rng.standard_normal((n, channels))
 
 
-def random_weight_chain(rng: np.random.Generator, c_in: int, *, depth_hi: int = 3,
-                        target_lo: float = 0.2, target_hi: float = 1.0,
-                        c_lo: int = 1, c_hi: int = 8) -> tuple[tuple[np.ndarray, ...], str]:
-    """Rectangular weight chain with per-matrix top singular values in a range.
+def random_weight_chain(rng: np.random.Generator,
+                        c_in: int) -> tuple[tuple[np.ndarray, ...], str]:
+    """Rectangular chain of 1 to 3 weight matrices, widths 1 to 8, with
+    per-matrix top singular values drawn from [0.2, 1.0].
 
-    Targets at most 1.0 by default so the chained energy bound with the
-    unsquared gain product stays valid.
+    Targets stay at most 1.0 so the chained energy bound with the unsquared
+    gain product stays valid.
     """
-    depth = int(rng.integers(1, depth_hi + 1))
-    dims = [c_in] + [int(rng.integers(c_lo, c_hi + 1)) for _ in range(depth)]
+    depth = int(rng.integers(1, 4))
+    dims = [c_in] + [int(rng.integers(1, 9)) for _ in range(depth)]
     weights = []
     targets = []
     for h in range(depth):
-        target = float(rng.uniform(target_lo, target_hi))
+        target = float(rng.uniform(0.2, 1.0))
         targets.append(target)
         weights.append(make_weights(dims[h], dims[h + 1], target, seed=int(rng.integers(2**63))))
     desc = "x".join(str(d) for d in dims) + " targets=" + ",".join(f"{t:.3f}" for t in targets)

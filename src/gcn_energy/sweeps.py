@@ -13,6 +13,10 @@ Every graph, the base and each perturbed one, is its own context: its
 Laplacian and eigenvalues are built once, through ``g.spectrum``.  Probe
 energies take the elementwise edge-sum form, so they do not depend on the
 BLAS thread count.
+
+The module returns rows and duality entries; the command line writes them as
+CSV.  A boost count stays a Python integer from the config to its row, so a
+count past the float range is reported as written.
 """
 
 from __future__ import annotations
@@ -27,11 +31,6 @@ from .errors import DegenerateSpectrumError, ValidationError
 from .graphs import Graph, PerturbationPlan, perturb
 from .seeding import check_seed, derive_seed
 from .spectral import contraction_factors
-
-SWEEP_CSV_HEADER = ("trial,seed,op,param,edges_before,edges_after,"
-                    "lambda_min_before,lambda_min_after,"
-                    "lambda_bar_safe_before,lambda_bar_safe_after,"
-                    "energy_before,energy_after")
 
 PROBE_KINDS = ("fixed-field", "spectrum-only")
 
@@ -76,7 +75,7 @@ class SweepConfig:
             if not (0.0 < r < 1.0):
                 raise ValidationError(f"drop ratios must lie in (0, 1), got {r}")
         for c in self.boost_counts:
-            if not (isinstance(c, int) and c >= 1):
+            if not (type(c) is int and c >= 1):  # a bool is not a count
                 raise ValidationError(f"boost counts must be positive integers, got {c!r}")
         if not (math.isfinite(self.boost_factor) and self.boost_factor >= 1.0):
             raise ValidationError(f"boost factor must be >= 1, got {self.boost_factor}")
@@ -84,10 +83,11 @@ class SweepConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         check_seed("'base_seed'", self.base_seed)
 
-    def operations(self) -> tuple[tuple[str, float], ...]:
-        ops = [("drop", float(r)) for r in self.drop_ratios]
-        ops += [("boost", float(c)) for c in self.boost_counts]
-        return tuple(ops)
+    def operations(self) -> tuple[tuple[str, float | int], ...]:
+        """(op, param) pairs: drops with their float ratio, then boosts with
+        their integer count, which may exceed the float range."""
+        return (tuple(("drop", float(r)) for r in self.drop_ratios)
+                + tuple(("boost", c) for c in self.boost_counts))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class SweepRow:
     trial: int
     seed: int
     op: str
-    param: float
+    param: float | int  # a drop ratio or a boost count
     edges_before: int
     edges_after: int
     lambda_min_before: float
@@ -149,7 +149,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRow, ...]:
             if op == "drop":
                 plan = PerturbationPlan.drop(param, seed=op_seed)
             else:
-                plan = PerturbationPlan.boost(int(param), cfg.boost_factor, seed=op_seed)
+                plan = PerturbationPlan.boost(param, cfg.boost_factor, seed=op_seed)
             g2 = perturb(cfg.graph, plan)
             lam_after, safe_after = _spectral_summary(g2)
             degenerate = g2.edge_count == 0
@@ -171,25 +171,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRow, ...]:
                 degenerate=degenerate,
             ))
     return tuple(rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def sweep_rows_csv(rows) -> str:
-    """Serialize rows with the fixed column schema; floats carry 17 significant digits."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        param = str(int(r.param)) if r.op == "boost" else _fmt(r.param)
-        lines.append(",".join([
-            str(r.trial), str(r.seed), r.op, param,
-            str(r.edges_before), str(r.edges_after),
-            _fmt(r.lambda_min_before), _fmt(r.lambda_min_after),
-            _fmt(r.lambda_bar_safe_before), _fmt(r.lambda_bar_safe_after),
-            _fmt(r.energy_before), _fmt(r.energy_after),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -214,8 +195,8 @@ def duality_report(rows) -> tuple[DualityEntry, ...]:
     if not drops or not boosts:
         raise ValidationError("duality report needs both drop and boost rows")
     ratios = sorted({r.param for r in drops})
-    counts = sorted({int(r.param) for r in boosts})
-    by_key: dict[tuple[int, str, float], SweepRow] = {
+    counts = sorted({r.param for r in boosts})
+    by_key: dict[tuple[int, str, float | int], SweepRow] = {
         (r.trial, r.op, r.param): r for r in rows
     }
     trials = sorted({r.trial for r in rows})
@@ -227,7 +208,7 @@ def duality_report(rows) -> tuple[DualityEntry, ...]:
             used = 0
             for t in trials:
                 d = by_key.get((t, "drop", ratio))
-                b = by_key.get((t, "boost", float(count)))
+                b = by_key.get((t, "boost", count))
                 if d is None or b is None or d.degenerate or b.degenerate:
                     continue
                 used += 1
@@ -244,16 +225,6 @@ def duality_report(rows) -> tuple[DualityEntry, ...]:
                 trials_used=used,
             ))
     return tuple(entries)
-
-
-def duality_csv(entries) -> str:
-    lines = ["drop_ratio,boost_count,mean_lambda_gap,mean_energy_gap,trials_used"]
-    for e in entries:
-        lines.append(",".join([
-            _fmt(e.drop_ratio), str(e.boost_count),
-            _fmt(e.mean_lambda_gap), _fmt(e.mean_energy_gap), str(e.trials_used),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def energy_increase_fraction(rows, op: str = "drop") -> float:

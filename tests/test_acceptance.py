@@ -20,7 +20,7 @@ from gcn_energy.bounds import (
     verify_lemma_3_3,
     verify_prop_7_1,
 )
-from gcn_energy.cli import main
+from gcn_energy.cli import SWEEP_CSV_HEADER, main
 from gcn_energy.config import load_run_config
 from gcn_energy.energy import dirichlet_energy_edge_sum, dirichlet_energy_trace
 from gcn_energy.graphs import (
@@ -33,7 +33,6 @@ from gcn_energy.graphs import (
 from gcn_energy.network import Activation, LayerSpec, make_weights, run_network
 from gcn_energy.seeding import derive_seed
 from gcn_energy.spectral import PolynomialFilter
-from gcn_energy.sweeps import SWEEP_CSV_HEADER
 
 T0 = time.perf_counter()
 

@@ -1,13 +1,16 @@
 """End-to-end tests for the command line: flags, files, exit codes."""
 
 import copy
+import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,8 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcn_energy
-from gcn_energy.cli import build_parser, entry, main
-from gcn_energy.sweeps import SWEEP_CSV_HEADER
+from gcn_energy.cli import SWEEP_CSV_HEADER, build_parser, entry, main
 
 
 def run_json(tmp_path, name="run.json", **overrides):
@@ -159,15 +161,17 @@ def test_spectrum_zero_tol_override_warns_off_the_component_count(tmp_path, caps
     assert "kernel_dim=1" in stdout and "warning" not in stdout
 
 
-@pytest.mark.parametrize("graph", ["gen:er:1000000:0.5", "edges.txt"])
+@pytest.mark.parametrize("graph", ["gen:er:1000000:0.5", "0 999999\n", "0 99999999999999999999\n"],
+                         ids=["gen:er:1000000:0.5", "edges.txt", "edges-past-int64.txt"])
 def test_spectrum_oversized_graph_exits_2(tmp_path, capsys, graph):
-    # rejected before any n x n array or random draw: the unguarded case needs 8 TB
-    (tmp_path / "edges.txt").write_text("0 999999\n")
-    if graph == "edges.txt":
-        graph = str(tmp_path / graph)
+    # rejected before any n x n array or random draw: the unguarded case needs 8 TB;
+    # an edge list's node count is checked before its ids become int64 arrays
+    if not graph.startswith("gen:"):
+        (tmp_path / "edges.txt").write_text(graph)
+        graph = str(tmp_path / "edges.txt")
     assert main(["spectrum", "--graph", graph]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "limit of 10000" in err
+    assert err.startswith("error: ") and "nodes, above the limit of 10000" in err
 
 
 def test_spectrum_degree_overflow_exits_3(tmp_path, capsys):
@@ -506,6 +510,15 @@ def test_sweep_repeat_runs_are_byte_identical(tmp_path, capsys):
         (tmp_path / "s2.duality.csv").read_text().splitlines()[3:]
 
 
+@pytest.mark.parametrize("count", [10**400, 10**30], ids=["1e400", "1e30"])
+def test_sweep_boost_count_past_the_float_range_exits_2(tmp_path, capsys, count):
+    # a boost count stays an integer: no float overflow, no rounded count in the message
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"graph": "gen:ring:6", "boost_counts": [count]}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: cannot boost {count} edges, graph has only 6\n"
+
+
 def test_sweep_missing_config_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "none.json")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -516,6 +529,95 @@ def test_sweep_stdout_rows_when_no_out_flag(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 0
     stdout = capsys.readouterr().out
     assert SWEEP_CSV_HEADER in stdout
+
+
+# ---------------------------------------------------------------------------
+# every table
+
+# header -> one kind per column: i integer, f float, F float or empty,
+# b verdict, B verdict or empty, q quoted text, w word, p sweep param
+TABLE_COLUMNS = {
+    "index,eigenvalue": "if",
+    "n,edges,channels,seed,energy_trace,energy_edge_sum,rayleigh": "iiiifff",
+    "layer,energy,rayleigh,bound_paper,bound_safe,channels": "iffffi",
+    "statement,context,lhs,rhs_paper,rhs_safe,margin,holds_paper,holds_safe,vacuous,asserted":
+        "wqffFfbBbb",
+    SWEEP_CSV_HEADER: "iiwpiiffffff",
+    "drop_ratio,boost_count,mean_lambda_gap,mean_energy_gap,trials_used": "fiffi",
+}
+
+
+def check_cell(kind, cell, row):
+    if kind in "FB" and cell == "":
+        return True
+    if kind == "p":  # a drop ratio is a float, a boost count an integer
+        kind = "i" if row[2] == "boost" else "f"
+    if kind == "i":
+        return re.fullmatch(r"-?[0-9]+", cell) is not None
+    if kind in "fF":
+        return cell == f"{float(cell):.17g}"
+    if kind in "bB":
+        return cell in ("true", "false")
+    if kind == "w":
+        return re.fullmatch(r"[A-Za-z0-9.]+", cell) is not None
+    return False
+
+
+def check_table(text):
+    """Check one CSV file against its header's column kinds; return its header."""
+    lines = data_lines(text)
+    header, kinds = lines[0], TABLE_COLUMNS[lines[0]]
+    assert len(lines) > 1, header
+    for line in lines[1:]:
+        row = next(csv.reader([line]))
+        assert len(row) == len(kinds), line
+        for i, (kind, cell) in enumerate(zip(kinds, row)):
+            if kind == "q":  # the context column keeps its quotes in the file
+                assert line.startswith(",".join(row[:i]) + ',"'), line
+            else:
+                assert check_cell(kind, cell, row), (header.split(",")[i], cell)
+    return header
+
+
+def test_every_table_cell_follows_its_column_kind(tmp_path, capsys):
+    cfg = sweep_json(tmp_path, drop_ratios=[0.25, 0.5], boost_counts=[1, 3])
+    for argv in (["spectrum", "--graph", "gen:er:20:0.3:1", "--out", "spectrum.csv"],
+                 ["energy", "--graph", "gen:ring:8", "--out", "energy.csv"],
+                 ["run", "--config", run_json(tmp_path), "--out", "run.csv"],
+                 ["verify", "--suite", "all", "--trials", "2", "--out", "verify"],
+                 ["sweep", "--config", cfg, "--out", "sweep.csv"]):
+        argv[-1] = str(tmp_path / argv[-1])
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    files = [tmp_path / name for name in ("spectrum.csv", "energy.csv", "run.csv",
+                                          "sweep.csv", "sweep.duality.csv")]
+    files += sorted((tmp_path / "verify").glob("*.csv"))
+    headers = [check_table(f.read_text()) for f in files]
+    assert set(headers) == set(TABLE_COLUMNS) and len(files) == 5 + 7
+    boosts = [line for line in data_lines((tmp_path / "sweep.csv").read_text())
+              if ",boost," in line]
+    assert [line.split(",")[3] for line in boosts] == ["1", "3"] * 2
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the only hard dependency; scipy may only ever back an optional route
+    script = textwrap.dedent(f"""
+        import sys
+        from gcn_energy.cli import main
+        run = {run_json(tmp_path, graph="gen:ring:6")!r}
+        sweep = {sweep_json(tmp_path, graph="gen:ring:6")!r}
+        for argv in (["spectrum", "--graph", "gen:ring:6"], ["energy", "--graph", "gen:ring:6"],
+                     ["run", "--config", run, "--mode", "prop71"],
+                     ["verify", "--trials", "2"], ["sweep", "--config", sweep]):
+            assert main(argv) == 0, argv
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+    """)
+    src = str(Path(gcn_energy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,6 @@ def test_parse_comments_blank_lines_and_default_weight():
     assert g.edges == ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.5))
 
 
-def test_parse_n_hint_adds_isolated_nodes():
-    g = from_edge_list("0 1\n", n_hint=5)
-    assert g.n == 5
-    assert connected_components(g) == ((0, 1), (2,), (3,), (4,))
-
-
 @pytest.mark.parametrize(
     "text, exc, fragment",
     [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gcn_energy import (
-    SWEEP_CSV_HEADER,
     Graph,
     ProbeSpec,
     SweepConfig,
@@ -15,9 +14,7 @@ from gcn_energy import (
     generate,
     probe_field,
     run_sweep,
-    sweep_rows_csv,
 )
-from gcn_energy.sweeps import duality_csv
 
 
 def small_config(**overrides):
@@ -47,7 +44,6 @@ def test_sweep_row_count_and_order():
 def test_sweep_is_deterministic():
     cfg = small_config()
     assert run_sweep(cfg) == run_sweep(cfg)
-    assert sweep_rows_csv(run_sweep(cfg)) == sweep_rows_csv(run_sweep(cfg))
 
 
 def test_sweep_before_fields_constant_within_trial():
@@ -108,21 +104,6 @@ def test_sweep_spectrum_only_probe_skips_energy():
     assert math.isnan(energy_increase_fraction(rows, op="drop"))
 
 
-def test_sweep_csv_schema_and_shape():
-    rows = run_sweep(small_config())
-    text = sweep_rows_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == SWEEP_CSV_HEADER
-    assert lines[0] == ("trial,seed,op,param,edges_before,edges_after,"
-                        "lambda_min_before,lambda_min_after,"
-                        "lambda_bar_safe_before,lambda_bar_safe_after,"
-                        "energy_before,energy_after")
-    assert len(lines) == len(rows) + 1
-    # boost params serialize as integers
-    boost_line = next(l for l in lines if ",boost," in l)
-    assert boost_line.split(",")[3] == "2"
-
-
 def test_duality_report_pairs_every_ratio_with_every_count():
     cfg = small_config(boost_counts=(1, 2))
     rows = run_sweep(cfg)
@@ -163,14 +144,6 @@ def test_duality_requires_both_operation_classes():
         duality_report(rows)
 
 
-def test_duality_csv_round_trip():
-    entries = duality_report(run_sweep(small_config()))
-    text = duality_csv(entries)
-    lines = text.splitlines()
-    assert lines[0] == "drop_ratio,boost_count,mean_lambda_gap,mean_energy_gap,trials_used"
-    assert len(lines) == len(entries) + 1
-
-
 def test_energy_increase_fraction_counts_strict_increases():
     cfg = small_config()
     rows = run_sweep(cfg)
@@ -190,6 +163,7 @@ def test_energy_increase_fraction_counts_strict_increases():
         dict(boost_counts=(0,)),
         dict(boost_factor=0.5),
         dict(trials=0),
+        dict(boost_counts=(True,)),
     ],
 )
 def test_sweep_config_validation(overrides):
