@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from gcn_energy import (
     probe_field,
     run_sweep,
 )
+from gcn_energy.cli import SWEEP_CSV_HEADER, main
 
 
 def small_config(**overrides):
@@ -29,6 +31,20 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def sweep_tables(tmp_path, capsys):
+    """Write small_config's sweep through the sweep command; return the data
+    lines of the rows table and of the duality table."""
+    doc = {"graph": "gen:er:24:0.25:2", "drop_ratios": [0.2, 0.5], "boost_counts": [2],
+           "boost_factor": 100.0, "trials": 6, "base_seed": 9,
+           "probe": {"kind": "fixed-field", "channels": 3, "seed": 1}}
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    return [[l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")]
+            for name in ("sweep.csv", "sweep.duality.csv")]
 
 
 def test_sweep_row_count_and_order():
@@ -104,6 +120,20 @@ def test_sweep_spectrum_only_probe_skips_energy():
     assert math.isnan(energy_increase_fraction(rows, op="drop"))
 
 
+def test_sweep_csv_schema_and_shape(tmp_path, capsys):
+    rows = run_sweep(small_config())
+    lines, _ = sweep_tables(tmp_path, capsys)
+    assert lines[0] == SWEEP_CSV_HEADER
+    assert lines[0] == ("trial,seed,op,param,edges_before,edges_after,"
+                        "lambda_min_before,lambda_min_after,"
+                        "lambda_bar_safe_before,lambda_bar_safe_after,"
+                        "energy_before,energy_after")
+    assert len(lines) == len(rows) + 1
+    # boost params serialize as integers
+    boost_line = next(l for l in lines if ",boost," in l)
+    assert boost_line.split(",")[3] == "2"
+
+
 def test_duality_report_pairs_every_ratio_with_every_count():
     cfg = small_config(boost_counts=(1, 2))
     rows = run_sweep(cfg)
@@ -142,6 +172,15 @@ def test_duality_requires_both_operation_classes():
     rows = run_sweep(small_config(drop_ratios=(0.3,), boost_counts=()))
     with pytest.raises(ValidationError):
         duality_report(rows)
+
+
+def test_duality_csv_round_trip(tmp_path, capsys):
+    entries = duality_report(run_sweep(small_config()))
+    _, lines = sweep_tables(tmp_path, capsys)
+    assert lines[0] == "drop_ratio,boost_count,mean_lambda_gap,mean_energy_gap,trials_used"
+    assert len(lines) == len(entries) + 1
+    assert [tuple(l.split(",")[:2]) for l in lines[1:]] == [
+        (f"{e.drop_ratio:.17g}", str(e.boost_count)) for e in entries]
 
 
 def test_energy_increase_fraction_counts_strict_increases():
