@@ -60,7 +60,6 @@ from .spectral import (
     apply_filter,
     check_monotone_decreasing,
     contraction_factors,
-    eigendecompose,
     eval_filter_scalar,
     filter_contraction,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "dirichlet_energy_edge_sum",
     "dirichlet_energy_trace",
     "duality_report",
-    "eigendecompose",
     "energy_increase_fraction",
     "eval_filter_scalar",
     "filter_contraction",

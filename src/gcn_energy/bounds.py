@@ -166,7 +166,12 @@ def verify_lemma_3_3(g: Graph, x, act: Activation, context: str = "") -> BoundRe
     irregular graphs are informational.
     """
     x = as_embedding(x, g.n)
-    ex = dirichlet_energy_edge_sum(x, g)
+    return _activation_report(g, x, dirichlet_energy_edge_sum(x, g), act, context)
+
+
+def _activation_report(g: Graph, x: np.ndarray, ex: float, act: Activation,
+                       context: str) -> BoundReport:
+    """L3.3 on an embedding ``x`` whose energy ``ex`` the caller has computed."""
     lhs = dirichlet_energy_edge_sum(apply_activation(x, act), g)
     return _dual_report("L3.3", lhs, ex, 1.0, context=context,
                         asserted=_contracts_energy(act, g))
@@ -418,8 +423,9 @@ def _suite_l33(rng: np.random.Generator, trial: int) -> list[BoundReport]:
     ctx = f"trial={trial} graph={desc} C={x.shape[1]}"
     acts = [Activation.relu()] + [Activation.leaky_relu(a) for a in _L33_SLOPES]
     acts += [Activation.tanh(), Activation.sigmoid()]
-    return [verify_lemma_3_3(g, x, act, context=f"{ctx} act={act.kind}"
-                             + (f"({act.slope})" if act.slope is not None else ""))
+    ex = dirichlet_energy_edge_sum(x, g)  # one input energy for all six activations
+    return [_activation_report(g, x, ex, act, f"{ctx} act={act.kind}"
+                               + (f"({act.slope})" if act.slope is not None else ""))
             for act in acts]
 
 

@@ -64,6 +64,7 @@ def parse_generator_spec(spec: str) -> Graph:
             params = {"p": float(args[0]), "seed": int(args[1]) if len(args) == 2 else 0}
         except ValueError:
             raise ValidationError(f"generator spec {spec!r}: bad numeric argument") from None
+        check_seed(f"the seed of generator spec {spec!r}", params["seed"])
     elif kind == "k_regular":
         if len(args) != 1:
             raise ValidationError(f"gen:kregular needs gen:kregular:<n>:<k>, got {spec!r}")
@@ -79,14 +80,22 @@ def parse_generator_spec(spec: str) -> Graph:
         raise ValidationError(f"generator spec {spec!r}: {exc}") from None
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; exit 2 if it is missing or not UTF-8."""
+    p = Path(path)
+    if not p.exists():
+        raise ValidationError(f"{what} file not found: {path}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path}: byte {exc.start} is not UTF-8") from None
+
+
 def resolve_graph_source(source: str) -> Graph:
     """A graph path or a ``gen:`` spec, wherever a graph is accepted."""
     if source.startswith("gen:"):
         return parse_generator_spec(source)
-    path = Path(source)
-    if not path.exists():
-        raise ValidationError(f"graph file not found: {source}")
-    return from_edge_list(path.read_text())
+    return from_edge_list(_read_text(source, "graph"))
 
 
 def config_hash(document: dict) -> str:
@@ -96,11 +105,9 @@ def config_hash(document: dict) -> str:
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"config file not found: {path}")
+    text = _read_text(path, "config")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):

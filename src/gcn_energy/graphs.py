@@ -20,7 +20,12 @@ A graph is also the context every statement, run, suite and sweep on it
 shares: its ``augmented_degrees``, ``laplacian`` and ``spectrum``
 (eigenvalues only, with the component count as kernel dimension) are built
 on first use and then cached, read-only, on the graph, so each graph gets one
-Laplacian and one eigensolve.
+Laplacian and one eigensolve.  The eigensolve takes the Laplacian as built,
+unchecked: the edge checks of :class:`Graph` (finite positive weights, one
+entry per pair) and the finite-degree check of ``augmented_degrees`` make it
+finite, and both triangles are written from one array, so it is exactly
+symmetric.  The component count comes from vectorized label propagation over
+the edge arrays.
 
 Everything here is dense ``numpy`` at desk scale: at most ``MAX_NODES`` nodes.
 """
@@ -238,29 +243,35 @@ def augmented_normalized_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
+def _component_labels(g: Graph) -> np.ndarray:
+    """Per node, the smallest node of its connected component.
+
+    Every round hooks the larger root of each edge whose ends disagree onto
+    the smaller one (``np.minimum.at``), then jumps pointers until each node
+    points at a root.  A label never exceeds its node, so the pointers form a
+    forest, and each round removes at least one root, so the loop ends.
+    """
+    labels = np.arange(g.n)
+    while True:
+        lu, lv = labels[g.u], labels[g.v]
+        split = lu != lv
+        if not split.any():
+            return labels
+        np.minimum.at(labels, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted node tuples, ordered by smallest member."""
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in zip(g.u.tolist(), g.v.tolist()):
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = [False] * g.n
-    components: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        nodes = []
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            for nxt in neighbors[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        components.append(tuple(sorted(nodes)))
-    return tuple(components)
+    labels = _component_labels(g)
+    order = np.argsort(labels, kind="stable")
+    nodes = order.tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), g.n]
+    return tuple(tuple(nodes[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,

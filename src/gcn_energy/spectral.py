@@ -4,8 +4,11 @@ For a symmetric matrix ``M = V diag(lam) V^T`` a polynomial filter with
 coefficients ``[a_0, ..., a_k]`` acts as ``P(M) = V diag(P(lam_i)) V^T``.
 :func:`apply_filter` forms ``P(M) X`` by Horner's rule on ``M``, with no eigenvectors.
 :func:`eigendecompose` computes eigenvalues only, since every contraction factor
-depends on them alone; :func:`eval_filter_matrix`, the tests' oracle of
-:func:`apply_filter`, runs its own full ``eigh``.  No command calls it.
+depends on them alone.  It serves ``Graph.spectrum`` and takes the Laplacian
+the graph built, which is exactly symmetric and finite by construction, so it
+runs ``eigvalsh`` on it with no check and no symmetrised copy.
+:func:`eval_filter_matrix`, the tests' oracle of :func:`apply_filter`, runs its
+own full ``eigh``.  No command calls it.
 A :class:`Spectrum` takes its kernel dimension from the caller, so no float
 tolerance decides what is zero: for a Laplacian it is the component count.
 Every factor reads the eigenvalues above the kernel through
@@ -23,20 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericError, ValidationError
-
-SYMMETRY_ATOL = 1e-12
-
-
-def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a dense symmetric matrix (within 1e-12) with finite entries."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} has non-finite entries")
-    if m.size and np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
-        raise ValidationError(f"{name} is not symmetric within {SYMMETRY_ATOL}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -70,11 +59,15 @@ class Spectrum:
 
 
 def eigendecompose(m: np.ndarray, kernel_dim: int) -> Spectrum:
-    """Symmetric eigenvalues (``eigvalsh``, no eigenvectors); the smallest
-    ``kernel_dim`` of them are the kernel."""
-    m = require_symmetric(m)
+    """Eigenvalues (``eigvalsh``, no eigenvectors) of ``Graph.laplacian``; the
+    smallest ``kernel_dim`` of them are the kernel.
+
+    ``m`` is taken as built by :class:`~gcn_energy.graphs.Graph`: exactly
+    symmetric with finite entries, so it is neither checked nor symmetrised.
+    ``g.spectrum`` is the public route.
+    """
     try:
-        eigenvalues = np.linalg.eigvalsh((m + m.T) / 2.0)
+        eigenvalues = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     return Spectrum(eigenvalues, kernel_dim)

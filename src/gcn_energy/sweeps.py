@@ -77,6 +77,13 @@ class SweepConfig:
         for c in self.boost_counts:
             if not (type(c) is int and c >= 1):  # a bool is not a count
                 raise ValidationError(f"boost counts must be positive integers, got {c!r}")
+        # duality rows are keyed by (trial, op, param), so a repeat would lose rows
+        for name, values in (("drop ratio", self.drop_ratios), ("boost count", self.boost_counts)):
+            seen = set()
+            for x in values:
+                if x in seen:
+                    raise ValidationError(f"{name} {x!r} is listed more than once")
+                seen.add(x)
         if not (math.isfinite(self.boost_factor) and self.boost_factor >= 1.0):
             raise ValidationError(f"boost factor must be >= 1, got {self.boost_factor}")
         if self.trials < 1:

@@ -185,6 +185,33 @@ def test_spectrum_degree_overflow_exits_3(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_spectrum_gen_er_seed_past_2_64_exits_2(capsys):
+    # numpy would seed from the whole integer, but every other seed stops at 2**64
+    assert main(["spectrum", "--graph", f"gen:er:10:0.5:{2**64}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the seed of generator spec 'gen:er:10:0.5:{2**64}' is {2**64}, "
+        "outside the seed range [0, 2**64)\n")
+    assert main(["spectrum", "--graph", f"gen:er:10:0.5:{2**64 - 1}"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "run", "run-graph", "sweep", "sweep-graph"])
+def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"0 1\n1 2 \xff\n")
+    if command == "spectrum":
+        argv, what = ["spectrum", "--graph", str(bad)], "graph"
+    elif command.endswith("-graph"):  # a config that names a non-UTF-8 edge list
+        cfg = (run_json if command == "run-graph" else sweep_json)(tmp_path, graph=str(bad))
+        argv, what = [command.split("-")[0], "--config", cfg], "graph"
+    else:
+        argv, what = [command, "--config", str(bad)], "config"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {what} file {bad}: byte 8 is not UTF-8\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # energy
 
@@ -517,6 +544,17 @@ def test_sweep_boost_count_past_the_float_range_exits_2(tmp_path, capsys, count)
     cfg.write_text(json.dumps({"graph": "gen:ring:6", "boost_counts": [count]}))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: cannot boost {count} edges, graph has only 6\n"
+
+
+@pytest.mark.parametrize("key, values, shown", [("drop_ratios", [0.5, 0.5], "drop ratio 0.5"),
+                                                ("boost_counts", [2, 1, 2], "boost count 2")])
+def test_sweep_repeated_operation_exits_2(tmp_path, capsys, key, values, shown):
+    # the duality table keys rows by (trial, op, param), so a repeat used to lose rows
+    cfg = sweep_json(tmp_path, trials=1, **{key: values})
+    assert main(["sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {shown} is listed more than once\n"
+    assert captured.out == ""
 
 
 def test_sweep_missing_config_exits_2(tmp_path, capsys):

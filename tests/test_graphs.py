@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcn_energy import (
     Graph,
@@ -159,9 +161,93 @@ def test_propagation_matrix_fixes_sqrt_degree_vector():
     assert np.allclose(step, fixed, atol=1e-12)
 
 
+def _laplacian_cases():
+    er = generate("erdos_renyi", 60, seed=4, p=0.1)
+    yield "erdos_renyi", er
+    yield "ring", generate("ring", 9)
+    yield "k_regular", generate("k_regular", 12, k=4)
+    yield "complete", generate("complete", 7)
+    yield "path", generate("path", 11)
+    yield "merged", from_edge_list("0 1 0.1\n1 0 0.2\n1 2 0.3\n2 1 1e-3\n0 1 7\n3 2\n")
+    yield "drop", perturb(er, PerturbationPlan.drop(0.4, seed=1))
+    yield "boost", perturb(er, PerturbationPlan.boost(20, 1e4, seed=2))
+    yield "tiny", Graph(er.n, er.u, er.v, np.full(er.edge_count, 1e-300))
+    yield "huge", Graph(er.n, er.u, er.v, np.full(er.edge_count, 1e300))
+    rng = np.random.default_rng(5)
+    yield "mixed", Graph(er.n, er.u, er.v, 10.0 ** rng.uniform(-300, 300, er.edge_count))
+
+
+def test_laplacian_is_exactly_symmetric_and_finite():
+    # the eigensolve runs eigvalsh on g.laplacian unchecked, so the graph must build it so
+    for name, g in _laplacian_cases():
+        lap = g.laplacian
+        assert (lap == lap.T).all(), name
+        assert np.isfinite(lap).all(), name
+
+
+def search_components(g):
+    """Components by depth-first search over Python adjacency lists: the oracle."""
+    neighbors = [[] for _ in range(g.n)]
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = [False] * g.n
+    components = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        stack, nodes = [start], []
+        seen[start] = True
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            for nxt in neighbors[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(nxt)
+        components.append(tuple(sorted(nodes)))
+    return tuple(components)
+
+
 def test_connected_components_orders_by_smallest_member():
     g = Graph.from_edges(6, ((0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0)))
     assert connected_components(g) == ((0, 3), (1, 4), (2, 5))
+    # a long path needs many pointer jumps; every node ends in one component
+    assert connected_components(generate("path", 10_000)) == (tuple(range(10_000)),)
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["random", "path", "star", "forest"]))
+    perm = draw(st.permutations(range(n)))  # relabel, so shapes do not follow node order
+    if shape == "random":
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+    elif shape == "path":
+        k = draw(st.integers(1, n))
+        pairs = [(perm[i], perm[i + 1]) for i in range(k - 1)]
+    elif shape == "star":
+        k = draw(st.integers(1, n))
+        pairs = [(perm[0], perm[i]) for i in range(1, k)]
+    else:  # each node joins an earlier one or starts a new tree: a forest
+        pairs = [(perm[draw(st.integers(0, i - 1))], perm[i]) for i in range(1, n)
+                 if draw(st.booleans())]
+    pairs = [(a, b) for a, b in pairs if a != b]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []  # duplicates
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]  # reversed input
+    return n, pairs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edge_sets())
+def test_connected_components_match_the_search_oracle(case):
+    n, pairs = case
+    g = Graph.from_edges(n, ())
+    if pairs:  # the parser merges duplicate and reversed pairs
+        parsed = from_edge_list("".join(f"{a} {b}\n" for a, b in pairs))
+        g = Graph(n, parsed.u, parsed.v, parsed.w)  # keeps isolated nodes past the largest id
+    assert connected_components(g) == search_components(g)
 
 
 def test_generate_ring_and_path_shapes():
