@@ -14,11 +14,12 @@ and CLI flags:
 ``lam`` is the smallest nonzero Laplacian eigenvalue and ``s`` the product
 of the top singular values of the layer weights.  Every check is evaluated
 twice: against the nominal right-hand side above (``rhs_paper``) and against
-the "safe" variant that replaces the spectral factor at ``lam`` with its
-maximum over all nonzero eigenvalues (``rhs_safe``).  The safe bound is what
-suites assert; nominal-bound violations are possible when the spectrum
-extends past ``2 - lam``, and are counted and persisted as counterexamples
-rather than asserted away.
+the "safe" variant (``rhs_safe``), which replaces the spectral factor at
+``lam`` with its maximum over all nonzero eigenvalues and the gain ``s`` with
+``s^2``, as L3.2 requires of every weight.  The safe bound is what suites
+assert; nominal-bound violations are possible when the spectrum extends past
+``2 - lam`` or a gain exceeds one, and are counted and persisted as
+counterexamples rather than asserted away.
 
 Every check takes edge-sum energies and filters by Horner's rule on the cached
 Laplacian (:func:`apply_filter`), as a run does; eigenvalues supply the factors.
@@ -181,8 +182,9 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
                        *, context: str = "") -> BoundReport:
     """Full layer with the propagation filter ``1 - x``: a one-layer run.
 
-    The bound is the run's record, the squared spectral gap times the product
-    ``s`` of the top singular values of the realized weight matrices.  The
+    The bound is the run's record: the spectral factor times the product
+    ``s`` of the top singular values of the realized weight matrices in the
+    nominal column, and times ``s^2`` in the safe one.  The
     activation must never raise energy on ``g``: ReLU, LeakyReLU or identity,
     or Tanh or Sigmoid on a regular graph.
     """
@@ -257,7 +259,7 @@ class Prop71Verdict:
     """Outcome of the monotone-filter decay check.
 
     ``ok`` reports the preconditions (monotone decreasing filters, activations
-    that never raise energy, and ``s * P(lam_i)^2 < 1 - eps`` on every nonzero
+    that never raise energy, and ``s^2 * P(lam_i)^2 < 1 - eps`` on every nonzero
     eigenvalue); a failed precondition is a verdict, not an error.  When preconditions hold,
     ``per_layer`` carries one report per layer and ``decay`` the global
     ``E(X_l) <= (1 - eps)^l E(X_0)`` check.
@@ -312,7 +314,7 @@ def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop
     threshold = 1.0 - epsilon
     for i, rec in enumerate(traj.records[1:]):
         if rec.bound_safe >= threshold:
-            return _unmet(f"layer {i}: s * P(lambda_i)^2 reaches {rec.bound_safe:.6g}, "
+            return _unmet(f"layer {i}: s^2 * P(lambda_i)^2 reaches {rec.bound_safe:.6g}, "
                           f"not below 1 - eps = {threshold:.6g}")
     per_layer = tuple(
         _dual_report("P7.1", after.energy, before.energy, after.bound_paper, after.bound_safe,

@@ -4,8 +4,8 @@ Subcommands: ``spectrum``, ``energy``, ``run``, ``verify``, ``sweep``.
 Exit codes: 0 on success (verdicts are data, not failures, except that
 ``verify`` exits 3 when an asserted safe bound fails), 2 on input or
 validation errors, 3 on numeric errors.  Every output file starts with a
-comment header carrying the tool version, the hash of the resolved config
-and the seed; identical invocations produce byte-identical files.
+comment header carrying the tool version, the hash of the command's config
+document and the seed; identical invocations produce byte-identical files.
 
 Every CSV table is written by :func:`_table`, each cell by the rule of
 :func:`_fmt`.
@@ -14,9 +14,7 @@ Every CSV table is written by :func:`_table`, each cell by the rule of
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,17 +81,9 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    tol = args.zero_tol
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"--zero-tol must be finite and nonnegative, got {tol}")
     g = resolve_graph_source(args.graph)
     spectrum = g.spectrum
-    components = spectrum.kernel_dim
-    if tol is not None:
-        count = int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= tol))
-        spectrum = replace(spectrum, kernel_dim=count)  # the smallest ``count`` eigenvalues
-    doc = {"command": "spectrum", "graph": args.graph,
-           "zero_tol": args.zero_tol, "n": g.n, "edges": g.edge_count}
+    doc = {"command": "spectrum", "graph": args.graph, "n": g.n, "edges": g.edge_count}
     table = _table("index,eigenvalue", enumerate(spectrum.eigenvalues))
     try:
         cf = contraction_factors(spectrum)
@@ -104,18 +94,12 @@ def _cmd_spectrum(args) -> int:
     except DegenerateSpectrumError as exc:
         summary = f"degenerate spectrum: {exc}"
     _emit(args.out, _header(doc, "-") + table + f"# {summary}\n")
-    out = sys.stdout
-    lo = float(spectrum.eigenvalues[0]) if spectrum.n else 0.0
-    hi = float(spectrum.eigenvalues[-1]) if spectrum.n else 0.0
+    lo, hi = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
     if lo < RANGE_LO or hi > RANGE_HI:
         print(f"warning: eigenvalues [{_fmt(lo)}, {_fmt(hi)}] leave the expected "
-              f"range [{_fmt(RANGE_LO)}, {_fmt(RANGE_HI)}]", file=out)
-    if spectrum.kernel_dim != components:
-        print(f"warning: --zero-tol {_fmt(tol)} puts {spectrum.kernel_dim} eigenvalues in the "
-              f"kernel, but the graph has {components} connected "
-              f"component{'' if components == 1 else 's'}", file=out)
-    print(f"graph: {args.graph} n={g.n} edges={g.edge_count}", file=out)
-    print(summary, file=out)
+              f"range [{_fmt(RANGE_LO)}, {_fmt(RANGE_HI)}]")
+    print(f"graph: {args.graph} n={g.n} edges={g.edge_count}")
+    print(summary)
     return 0
 
 
@@ -153,7 +137,7 @@ def _cmd_run(args) -> int:
     e0 = traj.records[0].energy
     el = traj.records[-1].energy
     print(f"run: {args.config} layers={traj.depth} placement={setup.placement}")
-    print(f"contractive: s*lambda_bar_safe = {_fmt(rho_safe)} < 1: "
+    print(f"contractive: s^2*lambda_bar_safe = {_fmt(rho_safe)} < 1: "
           f"{'yes' if rho_safe < 1.0 else 'no'} (paper factor {_fmt(rho_paper)}); "
           f"fitted log-energy slope = {_fmt(slope)}")
     print(f"energy: E(X_0)={_fmt(e0)} E(X_{traj.depth})={_fmt(el)} "
@@ -259,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("spectrum", help="eigenvalues and contraction factors of a graph")
     ps.add_argument("--graph", required=True, help="edge-list path or gen:<kind>:<args>")
-    ps.add_argument("--zero-tol", type=float, default=None,
-                    help="override: take the eigenvalues with |lambda| <= TOL as the kernel, "
-                         "warning when their count is not the component count "
-                         "(default: one per connected component)")
     ps.add_argument("--out", help="output CSV path (default: stdout)")
     ps.set_defaults(func=_cmd_spectrum)
 

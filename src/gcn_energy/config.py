@@ -99,7 +99,7 @@ def resolve_graph_source(source: str) -> Graph:
 
 
 def config_hash(document: dict) -> str:
-    """Stable sha256 over the resolved config document."""
+    """Stable sha256 over a config document: compact JSON with sorted keys."""
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -135,12 +135,6 @@ class Graph:
         ends = np.column_stack((self.u, self.v)).ravel()
         return np.bincount(ends, weights=np.repeat(self.w, 2), minlength=self.n)
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        a[self.u, self.v] = self.w
-        a[self.v, self.u] = self.w
-        return a
-
     @cached_property
     def augmented_degrees(self) -> np.ndarray:
         """Read-only ``1 + weighted degree`` per node; raises :class:`NumericError` on overflow."""

@@ -12,9 +12,11 @@ and then follows every weight multiplication, matching the parenthesization
 above; ``conventional`` placement skips the innermost activation, i.e.
 ``sigma(P(Ltil) X W_1)`` for a single weight.  A run (``Trajectory``) holds
 its graph, its layers and per stage the Dirichlet energy (edge-sum form),
-Rayleigh quotient and the per-layer energy bound ``s_l * c`` where ``s_l``
-is the layer's ``gain()``, the product of the realized top singular values
-of its weights, and ``c`` is the filter contraction factor.
+Rayleigh quotient and two per-layer energy bounds.  With ``s_l`` the layer's
+``gain()``, the product of the realized top singular values of its weights,
+the safe bound is ``s_l^2`` times the safe filter factor, since each weight
+scales the energy by at most its squared top singular value (L3.2); the
+nominal bound is ``s_l`` times the paper's filter factor.
 """
 
 from __future__ import annotations
@@ -216,9 +218,14 @@ class Trajectory:
         return np.array([rec.energy for rec in self.records])
 
 
-def _record(x: np.ndarray, g: Graph, bound_paper: float, bound_safe: float) -> LayerRecord:
-    energy = dirichlet_energy_edge_sum(x, g)
-    norm_sq = float(np.sum(x * x))
+def _record(x: np.ndarray, g: Graph, layer: int, bound_paper: float,
+            bound_safe: float) -> LayerRecord:
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the layer
+        energy = dirichlet_energy_edge_sum(x, g)
+        norm_sq = float(np.sum(x * x))
+    if not (math.isfinite(energy) and math.isfinite(norm_sq)):
+        raise NumericError(f"the run overflows at layer {layer}: energy {energy!r}, "
+                           f"squared norm {norm_sq!r}")
     return LayerRecord(energy=energy,
                        rayleigh=energy / norm_sq if norm_sq > 0.0 else float("nan"),
                        bound_paper=bound_paper, bound_safe=bound_safe, channels=x.shape[1])
@@ -230,7 +237,8 @@ def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
     Layers filter on ``g.laplacian``; ``g.spectrum`` only gives the bounds.
     Energies take the elementwise edge-sum form, so record 0 does not depend
     on the BLAS thread count; it describes the input and carries NaN bounds
-    since no layer produced it.
+    since no layer produced it.  Raises :class:`NumericError` at the first
+    record whose energy or squared norm is not finite.
     """
     layers = tuple(layers)
     x = as_embedding(x0, g.n)
@@ -242,10 +250,11 @@ def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
                 f"previous stage emits {channels}"
             )
         channels = spec.output_channels
-    records = [_record(x, g, float("nan"), float("nan"))]
-    for spec in layers:
+    records = [_record(x, g, 0, float("nan"), float("nan"))]
+    for l, spec in enumerate(layers, start=1):
         contraction = filter_contraction(spec.filter, g.spectrum)
         gain = spec.gain()
         x = layer_forward(x, spec, g, placement=placement)
-        records.append(_record(x, g, gain * contraction.paper, gain * contraction.safe))
+        records.append(_record(x, g, l, gain * contraction.paper,
+                               gain * gain * contraction.safe))
     return Trajectory(g, layers, tuple(records))

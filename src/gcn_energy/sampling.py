@@ -43,17 +43,14 @@ def random_embedding(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_weight_chain(rng: np.random.Generator,
                         c_in: int) -> tuple[tuple[np.ndarray, ...], str]:
     """Rectangular chain of 1 to 3 weight matrices, widths 1 to 8, with
-    per-matrix top singular values drawn from [0.2, 1.0].
-
-    Targets stay at most 1.0 so the chained energy bound with the unsquared
-    gain product stays valid.
+    per-matrix top singular values drawn from [0.2, 2.0], as in the L3.2 suite.
     """
     depth = int(rng.integers(1, 4))
     dims = [c_in] + [int(rng.integers(1, 9)) for _ in range(depth)]
     weights = []
     targets = []
     for h in range(depth):
-        target = float(rng.uniform(0.2, 1.0))
+        target = float(rng.uniform(0.2, 2.0))
         targets.append(target)
         weights.append(make_weights(dims[h], dims[h + 1], target, seed=int(rng.integers(2**63))))
     desc = "x".join(str(d) for d in dims) + " targets=" + ",".join(f"{t:.3f}" for t in targets)

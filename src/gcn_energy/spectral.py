@@ -53,10 +53,6 @@ class Spectrum:
                 f"all {self.n} eigenvalues lie in the kernel; no nonzero eigenvalue")
         return self.eigenvalues[self.kernel_dim:]
 
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
-
 
 def eigendecompose(m: np.ndarray, kernel_dim: int) -> Spectrum:
     """Eigenvalues (``eigvalsh``, no eigenvectors) of ``Graph.laplacian``; the
@@ -120,10 +116,6 @@ class PolynomialFilter:
     def propagation(cls) -> "PolynomialFilter":
         """The filter ``1 - x`` that turns a Laplacian into its propagation matrix."""
         return cls((1.0, -1.0))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def eval_filter_scalar(f: PolynomialFilter, x):

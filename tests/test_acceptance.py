@@ -204,17 +204,21 @@ def test_criterion_07_corollary_3_5_decay(tmp_path):
     cfg.write_text(json.dumps(doc))
     setup = load_run_config(str(cfg))
     traj = run_network(setup.x0, setup.layers, setup.graph, placement=setup.placement)
-    rho = max(rec.bound_safe for rec in traj.records[1:])
+    # path:3 has both filter factors 1/4: the nominal bound is s/4 = 0.8 and
+    # the safe one s^2/4 = 2.56, so only the nominal rate predicts the decay
+    rho = max(rec.bound_paper for rec in traj.records[1:])
+    rho_safe = max(rec.bound_safe for rec in traj.records[1:])
     energies = traj.energies()
     ratio = energies[-1] / energies[0]
     slope = fit_log_energy_slope(energies)
     elapsed = time.perf_counter() - t0
     ok = (abs(rho - 0.8) <= 1e-9
+          and abs(rho_safe - 2.56) <= 1e-9
           and ratio <= 0.8**30 * (1 + 1e-6)
           and slope <= math.log(0.8) + 1e-6
           and elapsed < 5.0)
-    report(7, ok, f"30-layer decay at rho={rho:.12g}: ratio {ratio:.3g} <= "
-                  f"{0.8**30 * (1 + 1e-6):.5g}, slope {slope:.4g} <= "
+    report(7, ok, f"30-layer decay at rho_paper={rho:.12g} (rho_safe={rho_safe:.12g}): "
+                  f"ratio {ratio:.3g} <= {0.8**30 * (1 + 1e-6):.5g}, slope {slope:.4g} <= "
                   f"{math.log(0.8) + 1e-6:.4g}, {elapsed:.1f}s < 5s")
 
 

@@ -189,6 +189,23 @@ def test_theorem_3_4_two_weight_chain_on_path3():
     assert r.gate_holds
 
 
+@pytest.mark.parametrize("target", [0.5, 1.0, 3.2])
+def test_theorem_3_4_safe_bound_is_attained_at_every_gain(target):
+    # X = v a^T, with v the eigenvector at the largest (1 - lam_i)^2 and a the
+    # top left singular vector of W, makes the filter step and the weight step
+    # equalities: E(f(X)) = s^2 * max (1 - lam_i)^2 * E(X), so the safe bound
+    # needs the squared gain
+    g = generate("ring", 12)
+    eigenvalues, eigenvectors = np.linalg.eigh(g.laplacian)
+    v = eigenvectors[:, 1 + int(np.argmax((1.0 - eigenvalues[1:]) ** 2))]
+    w = make_weights(4, 4, target, seed=3)
+    a = np.linalg.svd(w)[0][:, 0]
+    layer = LayerSpec(PolynomialFilter.propagation(), (w,), Activation.identity())
+    r = verify_theorem_3_4(g, np.outer(v, a), layer)
+    assert r.lhs / r.rhs_safe == pytest.approx(1.0, rel=1e-12)
+    assert r.holds_safe and r.gate_holds
+
+
 def test_theorem_3_4_rejects_other_filters_and_activations():
     g = generate("path", 3)
     x = np.ones((3, 1))

@@ -125,10 +125,12 @@ def test_spectrum_missing_graph_file_exits_2(tmp_path, capsys):
     assert "gone.txt" in err
 
 
-@pytest.mark.parametrize("bad_tol", ["-1", "nan", "inf"])
-def test_spectrum_negative_zero_tol_exits_2(capsys, bad_tol):
-    assert main(["spectrum", "--graph", "gen:ring:4", "--zero-tol", bad_tol]) == 2
-    assert "error: " in capsys.readouterr().err
+def test_spectrum_has_no_kernel_tolerance_flag(capsys):
+    # the component count is the one kernel rule; argparse rejects the old override
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--graph", "gen:ring:4", "--zero-tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --zero-tol" in capsys.readouterr().err
 
 
 def boosted_path40_edges(tmp_path):
@@ -146,19 +148,6 @@ def test_spectrum_kernel_is_the_component_count(tmp_path, capsys):
     assert "kernel_dim=1" in stdout
     assert "lambda_min_nonzero=9.809" in stdout and "e-10 " in stdout
     assert "warning" not in stdout
-
-
-def test_spectrum_zero_tol_override_warns_off_the_component_count(tmp_path, capsys):
-    edges = boosted_path40_edges(tmp_path)
-    assert main(["spectrum", "--graph", edges, "--zero-tol", "1e-8"]) == 0
-    stdout = capsys.readouterr().out
-    assert "kernel_dim=3" in stdout and "lambda_min_nonzero=0.00223757" in stdout
-    assert ("warning: --zero-tol 1e-08 puts 3 eigenvalues in the kernel, "
-            "but the graph has 1 connected component\n") in stdout
-    # an override that agrees with the component count changes nothing
-    assert main(["spectrum", "--graph", "gen:ring:4", "--zero-tol", "1e-8"]) == 0
-    stdout = capsys.readouterr().out
-    assert "kernel_dim=1" in stdout and "warning" not in stdout
 
 
 @pytest.mark.parametrize("graph", ["gen:er:1000000:0.5", "0 999999\n", "0 99999999999999999999\n"],
@@ -272,7 +261,7 @@ def test_run_trajectory_file_and_stdout(tmp_path, capsys):
     assert "nan" in lines[1]  # no bound applies before the first layer
     stdout = capsys.readouterr().out
     assert f"run: {cfg} layers=5 placement=paper" in stdout
-    assert "contractive: s*lambda_bar_safe" in stdout
+    assert "contractive: s^2*lambda_bar_safe" in stdout
     assert "energy: E(X_0)=" in stdout
 
 
@@ -283,6 +272,36 @@ def test_run_energies_in_file_decrease_for_contractive_setup(tmp_path, capsys):
     capsys.readouterr()
     energies = [float(l.split(",")[1]) for l in data_lines(out.read_text())[1:]]
     assert energies[-1] <= energies[0]
+
+
+def test_run_records_stay_within_their_safe_bound_at_gain_10(tmp_path, capsys):
+    # identity layers of gain 10 on the 8-cycle: E_l / E_{l-1} reaches about 0.7
+    # of s^2 * lambda_bar_safe, and up to 7 times s * lambda_bar_safe
+    cfg = run_json(tmp_path, graph="gen:ring:8", layers=20, activation="identity",
+                   weights={"target_singular": 10.0})
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = [[float(c) for c in l.split(",")] for l in data_lines(out.read_text())[1:]]
+    for before, after in zip(rows, rows[1:]):
+        assert after[1] <= after[4] * before[1] * (1.0 + 1e-9), after
+    assert "contractive: s^2*lambda_bar_safe = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overrides,layer", [
+    (dict(graph="gen:ring:8", layers=400, activation="identity",
+          weights={"target_singular": 10.0}), 207),
+    (dict(graph="gen:ring:6", layers=40, weights={"target_singular": 1e100}), 2),
+], ids=["ring8-identity-gain10", "ring6-relu-gain1e100"])
+def test_run_that_overflows_exits_3_naming_the_layer(tmp_path, capsys, overrides, layer):
+    # the energy or squared norm of a layer's embedding leaves the float range:
+    # numerical trouble, not inf rows and not an input error
+    cfg = run_json(tmp_path, **overrides)
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("numeric error: ") == 1 and "Traceback" not in err
+    assert f"numeric error: the run overflows at layer {layer}: " in err
+    assert not out.exists()
 
 
 def test_run_zero_layers_exits_2(tmp_path, capsys):

@@ -79,14 +79,6 @@ def test_graphs_compare_and_hash_by_value():
     assert len({a, b, generate("path", 4)}) == 2
 
 
-def test_adjacency_is_symmetric_with_zero_diagonal():
-    g = Graph.from_edges(3, ((0, 1, 2.0), (1, 2, 0.5)))
-    a = g.adjacency()
-    assert np.array_equal(a, a.T)
-    assert np.all(np.diag(a) == 0.0)
-    assert a[0, 1] == 2.0 and a[1, 2] == 0.5 and a[0, 2] == 0.0
-
-
 def test_parse_merges_duplicate_and_reversed_pairs():
     g = from_edge_list("0 1 1.0\n1 0 2.0\n")
     assert g.edges == ((0, 1, 3.0),)

@@ -257,7 +257,7 @@ def test_run_network_requires_a_layer():
 @pytest.mark.parametrize("seed", range(5))
 def test_per_layer_energy_respects_safe_bound_when_gain_at_most_one(seed):
     # with ReLU and gains <= 1 every step contracts by at most
-    # gain * max P(lam_i)^2, checked layer by layer
+    # gain^2 * max P(lam_i)^2, checked layer by layer
     rng = np.random.default_rng(seed)
     g = generate("erdos_renyi", 20, seed=seed, p=0.3)
     layers = [
@@ -290,8 +290,8 @@ def test_trajectory_validates_record_indices_and_energies():
 
 
 def test_deep_contractive_run_decays_exponentially():
-    # rho = 0.8 on the three-node path: after 30 layers the energy ratio
-    # sits far below 0.8^30
+    # the nominal rho = 3.2 / 4 = 0.8 on the three-node path: after 30 layers
+    # the energy ratio sits far below 0.8^30
     g = generate("path", 3)
     layers = [
         LayerSpec(PolynomialFilter.propagation(),

@@ -79,7 +79,7 @@ def test_spectrum_stays_inside_zero_two(seed):
         g = perturb(g, PerturbationPlan.boost(1, 10000.0, seed=seed))
     s = g.spectrum
     assert s.eigenvalues[0] >= -1e-10
-    assert s.lambda_max <= 2.0 - 1e-12
+    assert s.eigenvalues[-1] <= 2.0 - 1e-12
 
 
 def test_kernel_dim_matches_component_count():
@@ -125,7 +125,7 @@ def assert_energy_sandwich(g, x):
     energy = dirichlet_energy_edge_sum(x, g)
     d2 = kernel_distance_sq(g, x)
     assert (g.spectrum.nonzero[0] - EIGENVALUE_SLACK) * d2 <= energy
-    assert energy <= (g.spectrum.lambda_max + EIGENVALUE_SLACK) * d2
+    assert energy <= (g.spectrum.eigenvalues[-1] + EIGENVALUE_SLACK) * d2
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -180,9 +180,8 @@ def test_contraction_factors_need_a_nonzero_eigenvalue():
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-def test_zero_tol_override(bad):
-    # an override (spectrum --zero-tol) hands its count to Spectrum as kernel_dim,
-    # which must be an integer in [0, n]
+def test_spectrum_kernel_dim_must_be_an_integer_in_range(bad):
+    # a library caller may pass any kernel_dim; only an integer in [0, n] is taken
     s = eigendecompose(np.diag([0.0, 1e-6, 1.0]), kernel_dim=2)
     assert s.kernel_dim == 2
     assert s.nonzero.tolist() == [1.0]
@@ -264,7 +263,7 @@ def test_apply_filter_matches_eigenbasis_oracle(kind, seed):
     cases = [(d, True) for d in range(5)] + [(d, False) for d in range(1, 5)]
     for degree, monotone in cases:
         f = seeded_filter(rng, degree, monotone)
-        assert f.degree == degree
+        assert len(f.coefficients) - 1 == degree
         assert check_monotone_decreasing(f, 0.0, 2.0).decreasing == monotone
         x = rng.standard_normal((g.n, 3))
         got = apply_filter(f, g.laplacian, x)
