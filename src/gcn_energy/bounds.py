@@ -128,7 +128,7 @@ def _dual_report(statement: str, lhs: float, ex: float, factor_paper: float,
 
 def _filter_step(statement: str, g: Graph, x, f: PolynomialFilter, context: str) -> BoundReport:
     """``E(P(Ltil) X) <= P(lam)^2 E(X)`` for one filtered propagation step."""
-    fc = filter_contraction(f, g.spectrum)
+    fc = filter_contraction(f, g)
     x = as_embedding(x, g.n)
     ex = dirichlet_energy_edge_sum(x, g)
     lhs = dirichlet_energy_edge_sum(apply_filter(f, g.laplacian, x), g)
@@ -302,19 +302,19 @@ def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop
     if not (0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
     g = traj.graph
-    lam_max = float(g.spectrum.nonzero[-1])  # raises on a degenerate spectrum
-    for i, layer in enumerate(traj.layers):
+    lam_max = float(g.extremes[-1])  # raises on a degenerate spectrum
+    for l, layer in enumerate(traj.layers, start=1):
         mono = check_monotone_decreasing(layer.filter, 0.0, lam_max)
         if not mono.decreasing:
-            return _unmet(f"layer {i}: filter {layer.filter.coefficients} is not monotone "
+            return _unmet(f"layer {l}: filter {layer.filter.coefficients} is not monotone "
                           f"decreasing on [0, {lam_max:.6g}]", mono.witness)
         if not _contracts_energy(layer.activation, g):
-            return _unmet(f"layer {i}: activation {layer.activation.kind} can raise the "
+            return _unmet(f"layer {l}: activation {layer.activation.kind} can raise the "
                           f"energy on an irregular graph")
     threshold = 1.0 - epsilon
-    for i, rec in enumerate(traj.records[1:]):
+    for l, rec in enumerate(traj.records[1:], start=1):
         if rec.bound_safe >= threshold:
-            return _unmet(f"layer {i}: s^2 * P(lambda_i)^2 reaches {rec.bound_safe:.6g}, "
+            return _unmet(f"layer {l}: s^2 * P(lambda_i)^2 reaches {rec.bound_safe:.6g}, "
                           f"not below 1 - eps = {threshold:.6g}")
     per_layer = tuple(
         _dual_report("P7.1", after.energy, before.energy, after.bound_paper, after.bound_safe,

@@ -17,17 +17,24 @@ component that vector spans the kernel of ``Ltil`` exactly, so the kernel
 dimension is the number of components and needs no zero tolerance.
 
 A graph is also the context every statement, run, suite and sweep on it
-shares: its ``augmented_degrees``, ``laplacian`` and ``spectrum``
-(eigenvalues only, with the component count as kernel dimension) are built
-on first use and then cached, read-only, on the graph, so each graph gets one
-Laplacian and one eigensolve.  The eigensolve takes the Laplacian as built,
+shares: its ``augmented_degrees``, ``component_labels``, ``kernel_dim`` (the
+component count), ``laplacian``, ``spectrum`` (eigenvalues only) and
+``extremes`` are built on first use and then cached, read-only, on the
+graph, so each graph gets at most one Laplacian and one dense eigensolve.
+Contraction factors need only ``lam_min_nonzero`` and ``lam_max`` when the
+filter is monotone, and ``extremes`` finds those two by Lanczos on the edge
+arrays once the graph has ``LANCZOS_MIN_NODES`` nodes, with no Laplacian and
+no dense solve; a smaller graph, or one Lanczos cannot settle, takes them
+from ``spectrum``.  The dense eigensolve takes the Laplacian as built,
 unchecked: the edge checks of :class:`Graph` (finite positive weights, one
 entry per pair) and the finite-degree check of ``augmented_degrees`` make it
 finite, and both triangles are written from one array, so it is exactly
-symmetric.  The component count comes from vectorized label propagation over
+symmetric.  The component labels come from vectorized label propagation over
 the edge arrays.
 
-Everything here is dense ``numpy`` at desk scale: at most ``MAX_NODES`` nodes.
+Graphs stay at desk scale: at most ``MAX_NODES`` nodes, the size at which
+the dense Laplacian and spectrum that ``spectrum`` and the forward pass of
+``run`` need still fit in memory.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParseError, ValidationError
-from .spectral import Spectrum, eigendecompose
+from .spectral import LANCZOS_MIN_NODES, Spectrum, eigendecompose, lanczos_extremes
 
 Edge = tuple[int, int, float]
 
@@ -152,10 +159,56 @@ class Graph:
         return lap
 
     @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Read-only: per node, the smallest node of its connected component.
+
+        Every round hooks the larger root of each edge whose ends disagree onto
+        the smaller one (``np.minimum.at``), then jumps pointers until each node
+        points at a root.  A label never exceeds its node, so the pointers form
+        a forest, and each round removes at least one root, so the loop ends.
+        """
+        labels = np.arange(self.n)
+        while True:
+            lu, lv = labels[self.u], labels[self.v]
+            split = lu != lv
+            if not split.any():
+                labels.flags.writeable = False
+                return labels
+            np.minimum.at(labels, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+
+    @cached_property
+    def kernel_dim(self) -> int:
+        """The number of connected components, which is the kernel dimension of
+        the Laplacian."""
+        return int(np.count_nonzero(self.component_labels == np.arange(self.n)))
+
+    @cached_property
     def spectrum(self) -> Spectrum:
         """Eigenvalues of ``self.laplacian``, built on first use; the kernel is
         one eigenvalue per connected component."""
-        return eigendecompose(self.laplacian, len(connected_components(self)))
+        return eigendecompose(self.laplacian, self.kernel_dim)
+
+    @cached_property
+    def extremes(self) -> np.ndarray:
+        """Read-only ascending nonzero eigenvalues whose first and last entries
+        are ``lam_min_nonzero`` and ``lam_max``, built on first use.
+
+        On a graph of at least ``LANCZOS_MIN_NODES`` nodes they are the two
+        values Lanczos finds on the edge arrays, with no Laplacian.  On a
+        smaller graph, or when Lanczos does not converge, they are every
+        nonzero eigenvalue of ``self.spectrum``, so the factors of a monotone
+        filter are exactly those of the full spectrum.
+        """
+        if self.n >= LANCZOS_MIN_NODES and self.kernel_dim < self.n:
+            ends = lanczos_extremes(self)
+            if ends is not None:
+                return ends
+        return self.spectrum.nonzero
 
 
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
@@ -237,31 +290,9 @@ def augmented_normalized_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _component_labels(g: Graph) -> np.ndarray:
-    """Per node, the smallest node of its connected component.
-
-    Every round hooks the larger root of each edge whose ends disagree onto
-    the smaller one (``np.minimum.at``), then jumps pointers until each node
-    points at a root.  A label never exceeds its node, so the pointers form a
-    forest, and each round removes at least one root, so the loop ends.
-    """
-    labels = np.arange(g.n)
-    while True:
-        lu, lv = labels[g.u], labels[g.v]
-        split = lu != lv
-        if not split.any():
-            return labels
-        np.minimum.at(labels, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-
-
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted node tuples, ordered by smallest member."""
-    labels = _component_labels(g)
+    labels = g.component_labels
     order = np.argsort(labels, kind="stable")
     nodes = order.tolist()
     cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), g.n]

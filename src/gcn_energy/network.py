@@ -234,7 +234,9 @@ def _record(x: np.ndarray, g: Graph, layer: int, bound_paper: float,
 def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
     """Simulate ``L >= 1`` layers on graph ``g`` and return the run.
 
-    Layers filter on ``g.laplacian``; ``g.spectrum`` only gives the bounds.
+    Layers filter on ``g.laplacian``; the bounds come from
+    :func:`filter_contraction` on ``g``, which reads ``g.extremes`` for a
+    monotone filter and ``g.spectrum`` for any other.
     Energies take the elementwise edge-sum form, so record 0 does not depend
     on the BLAS thread count; it describes the input and carries NaN bounds
     since no layer produced it.  Raises :class:`NumericError` at the first
@@ -252,7 +254,7 @@ def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
         channels = spec.output_channels
     records = [_record(x, g, 0, float("nan"), float("nan"))]
     for l, spec in enumerate(layers, start=1):
-        contraction = filter_contraction(spec.filter, g.spectrum)
+        contraction = filter_contraction(spec.filter, g)
         gain = spec.gain()
         x = layer_forward(x, spec, g, placement=placement)
         records.append(_record(x, g, l, gain * contraction.paper,

@@ -9,8 +9,11 @@ tends to increase the probe energy; boosting edge weights behaves as a rough
 dual, and :func:`duality_report` quantifies the gap without asserting a
 verdict.
 
-Every graph, the base and each perturbed one, is its own context: its
-Laplacian and eigenvalues are built once, through ``g.spectrum``.  Probe
+Every graph, the base and each perturbed one, is its own context: its two
+spectral columns come from :func:`contraction_factors` on the graph, which
+reads ``g.extremes`` once, by Lanczos on the edge arrays on large graphs and
+from the dense ``g.spectrum`` on small ones or where Lanczos does not
+converge.  Probe
 energies take the elementwise edge-sum form, so they do not depend on the
 BLAS thread count.
 
@@ -119,7 +122,7 @@ class SweepRow:
 def _spectral_summary(g: Graph) -> tuple[float, float]:
     """(lambda_min_nonzero, lambda_bar_safe) of the graph, NaN when degenerate."""
     try:
-        cf = contraction_factors(g.spectrum)
+        cf = contraction_factors(g)
     except DegenerateSpectrumError:
         return float("nan"), float("nan")
     return cf.lambda_min_nonzero, cf.lambda_bar_safe

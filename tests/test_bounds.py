@@ -361,7 +361,7 @@ def test_prop_7_1_saturating_activation_on_an_irregular_graph_is_a_failed_precon
     layers = [propagation_layer(2, 0.5, seed=i, act=act) for i in range(3)]
     verdict = verify_prop_7_1(run_network(np.ones((5, 2)), layers, g), epsilon=0.3)
     assert not verdict.ok and not verdict.holds
-    assert verdict.reason.startswith(f"layer 0: activation {act.kind}")
+    assert verdict.reason.startswith(f"layer 1: activation {act.kind}")
     assert verdict.witness is None
     assert verdict.per_layer == () and verdict.decay is None
 

@@ -359,8 +359,23 @@ def test_run_prop71_sigmoid_on_an_irregular_graph_fails_the_activation_precondit
     out = tmp_path / "deep.csv"
     assert main(["run", "--config", str(cfg), "--mode", "prop71", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "prop71 verdict: preconditions FAILED: layer 0: activation sigmoid" in stdout
+    assert "prop71 verdict: preconditions FAILED: layer 1: activation sigmoid" in stdout
     assert len(out.read_text().splitlines()) == 3 + 1 + 1101
+
+
+def test_run_prop71_numbers_its_layers_from_1_as_the_trajectory_does(tmp_path, capsys):
+    # layer 3 is the first whose safe bound reaches 1 - eps; the CSV row is 3 as well
+    cfg = tmp_path / "p71.json"
+    cfg.write_text(json.dumps({"graph": "gen:path:3", "layers": 3, "channels": 4,
+                               "weights": {"target_singular": [0.5, 0.5, 3.2]},
+                               "activation": "relu", "seed": 0}))
+    out = tmp_path / "p71.csv"
+    assert main(["run", "--config", str(cfg), "--mode", "prop71", "--out", str(out)]) == 0
+    assert ("prop71 verdict: preconditions FAILED: layer 3: s^2 * P(lambda_i)^2 reaches 2.56"
+            in capsys.readouterr().out)
+    rows = data_lines(out.read_text())
+    assert rows[4].startswith("3,") and float(rows[4].split(",")[4]) >= 0.5
+    assert all(float(row.split(",")[4]) < 0.5 for row in rows[2:4])
 
 
 def test_run_prop71_runs_each_layer_once(tmp_path, monkeypatch, capsys):
@@ -402,29 +417,37 @@ def outputs_at_thread_counts(tmp_path, command, doc):
     return {threads: data_lines(outputs[threads, 0].decode()) for threads in ("1", "2")}
 
 
+# below and above the size at which the extremes come from Lanczos instead of eigvalsh
+THREAD_TEST_GRAPHS = ("gen:er:600:0.02:3", "gen:er:800:0.02:3")
+
+
 def test_run_bytes_repeat_at_a_fixed_blas_thread_count(tmp_path):
     # byte identity holds at a fixed thread count; across counts the forward
     # products may differ in the last digits, but the input row, taken in the
     # elementwise edge-sum form, may not
-    rows = outputs_at_thread_counts(
-        tmp_path, "run", {"graph": "gen:er:600:0.02:3", "layers": 30, "channels": 16})
-    assert len(rows["1"]) == 32 and rows["1"][1].startswith("0,")
-    assert rows["1"][1] == rows["2"][1]
+    for i, graph in enumerate(THREAD_TEST_GRAPHS):
+        (tmp_path / str(i)).mkdir()
+        rows = outputs_at_thread_counts(
+            tmp_path / str(i), "run", {"graph": graph, "layers": 30, "channels": 16})
+        assert len(rows["1"]) == 32 and rows["1"][1].startswith("0,")
+        assert rows["1"][1] == rows["2"][1]
 
 
 def test_sweep_energies_do_not_depend_on_the_blas_thread_count(tmp_path):
     # eigenvalues may differ across thread counts in the last digits; the
     # energy columns, taken in the edge-sum form, may not
-    rows = outputs_at_thread_counts(
-        tmp_path, "sweep", {"graph": "gen:er:600:0.02:3", "drop_ratios": [0.1, 0.5],
-                            "boost_counts": [5], "trials": 2, "probe": {"channels": 16}})
-    header = rows["1"][0].split(",")
-    assert header[-2:] == ["energy_before", "energy_after"] and len(rows["1"]) == 1 + 6
-
     def energies(lines):
         return [line.split(",")[-2:] for line in lines[1:]]
 
-    assert energies(rows["1"]) == energies(rows["2"])
+    for i, graph in enumerate(THREAD_TEST_GRAPHS):
+        (tmp_path / str(i)).mkdir()
+        rows = outputs_at_thread_counts(
+            tmp_path / str(i), "sweep", {"graph": graph, "drop_ratios": [0.1, 0.5],
+                                         "boost_counts": [5], "trials": 2,
+                                         "probe": {"channels": 16}})
+        header = rows["1"][0].split(",")
+        assert header[-2:] == ["energy_before", "energy_after"] and len(rows["1"]) == 1 + 6
+        assert energies(rows["1"]) == energies(rows["2"])
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +681,19 @@ def test_every_table_cell_follows_its_column_kind(tmp_path, capsys):
 
 def test_no_command_imports_scipy(tmp_path):
     # numpy is the only hard dependency; scipy may only ever back an optional route
+    # the 800-node graphs take the Lanczos route, which must stay numpy-only too
     script = textwrap.dedent(f"""
         import sys
         from gcn_energy.cli import main
         run = {run_json(tmp_path, graph="gen:ring:6")!r}
         sweep = {sweep_json(tmp_path, graph="gen:ring:6")!r}
+        run_large = {run_json(tmp_path, "run_large.json", graph="gen:er:800:0.02:3")!r}
+        sweep_large = {sweep_json(tmp_path, "sweep_large.json", graph="gen:er:800:0.02:3")!r}
         for argv in (["spectrum", "--graph", "gen:ring:6"], ["energy", "--graph", "gen:ring:6"],
                      ["run", "--config", run, "--mode", "prop71"],
-                     ["verify", "--trials", "2"], ["sweep", "--config", sweep]):
+                     ["verify", "--trials", "2"], ["sweep", "--config", sweep],
+                     ["run", "--config", run_large, "--mode", "prop71"],
+                     ["sweep", "--config", sweep_large]):
             assert main(argv) == 0, argv
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
@@ -679,6 +707,30 @@ def test_no_command_imports_scipy(tmp_path):
 
 # ---------------------------------------------------------------------------
 # every command
+
+
+def test_run_and_sweep_need_no_dense_eigensolve_above_the_lanczos_cutoff(tmp_path, monkeypatch,
+                                                                         capsys):
+    # the extremes come from Lanczos on the edge arrays: eigvalsh only ever sees
+    # its small tridiagonal matrix, and the sweep builds no Laplacian at all
+    original = np.linalg.eigvalsh
+
+    def small_only(m, *args, **kwargs):
+        if m.shape[0] > gcn_energy.spectral.LANCZOS_MAX_STEPS:
+            raise AssertionError(f"dense eigvalsh of a {m.shape[0]} x {m.shape[0]} matrix")
+        return original(m, *args, **kwargs)
+
+    def no_laplacian(g):
+        raise AssertionError("dense Laplacian built")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
+    graph = "gen:er:1000:0.02:3"
+    assert main(["run", "--config", run_json(tmp_path, graph=graph, layers=3),
+                 "--mode", "prop71"]) == 0
+    monkeypatch.setattr(gcn_energy.graphs, "augmented_normalized_laplacian", no_laplacian)
+    assert main(["sweep", "--config", sweep_json(tmp_path, graph=graph, trials=1)]) == 0
+    out = capsys.readouterr().out
+    assert "prop71 verdict: preconditions ok" in out and "fraction of drop rows" in out
 
 
 def test_no_command_needs_an_eigenbasis(tmp_path, monkeypatch, capsys):

@@ -22,10 +22,12 @@ from gcn_energy import (
     dirichlet_energy_edge_sum,
     eval_filter_scalar,
     filter_contraction,
+    from_edge_list,
     generate,
     perturb,
 )
-from gcn_energy.spectral import eigendecompose, eval_filter_matrix
+from gcn_energy.spectral import (LANCZOS_MIN_NODES, eigendecompose, eval_filter_matrix,
+                                 is_monotone_on_spectrum, lanczos_extremes)
 
 
 def test_k2_spectrum_is_zero_one():
@@ -353,3 +355,91 @@ def test_filter_contraction_constant_filter():
 def test_filter_contraction_needs_nonzero_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         filter_contraction(PolynomialFilter.propagation(), Graph.from_edges(3, ()).spectrum)
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos route to the extremes, against the dense eigvalsh oracle
+
+
+def _two_er_components_and_isolated_nodes():
+    a = generate("erdos_renyi", 500, 1, p=0.03)
+    b = generate("erdos_renyi", 250, 2, p=0.05)
+    return Graph(800, np.concatenate((a.u, b.u + 500)), np.concatenate((a.v, b.v + 500)),
+                 np.concatenate((a.w, b.w)))
+
+
+def _weighted_edge_list():
+    g = generate("erdos_renyi", 800, 4, p=0.015)
+    w = np.random.default_rng(5).uniform(0.1, 10.0, g.edge_count)
+    return from_edge_list("\n".join(f"{u} {v} {x!r}" for u, v, x in
+                                    zip(g.u.tolist(), g.v.tolist(), w.tolist())))
+
+
+LANCZOS_GRAPHS = {
+    "er-dense": lambda: generate("erdos_renyi", 800, 7, p=0.02),
+    "er-sparse": lambda: generate("erdos_renyi", 800, 8, p=0.008),
+    "er-drop": lambda: perturb(generate("erdos_renyi", 800, 7, p=0.02),
+                               PerturbationPlan.drop(0.3, seed=0)),
+    "er-boost": lambda: perturb(generate("erdos_renyi", 800, 7, p=0.02),
+                                PerturbationPlan.boost(5, 1e4, seed=0)),
+    "disconnected": _two_er_components_and_isolated_nodes,
+    "complete": lambda: generate("complete", 800),
+    "weighted": _weighted_edge_list,
+}
+MONOTONE = (PolynomialFilter.propagation(), PolynomialFilter((1.0, -0.9, 0.2)))
+
+
+@pytest.mark.parametrize("name", list(LANCZOS_GRAPHS))
+def test_lanczos_extremes_match_eigvalsh_above_the_cutoff(name):
+    g = LANCZOS_GRAPHS[name]()
+    assert g.n >= LANCZOS_MIN_NODES
+    oracle = np.linalg.eigvalsh(augmented_normalized_laplacian(g))[len(connected_components(g)):]
+    ends = g.extremes
+    assert ends.shape == (2,) and not ends.flags.writeable  # the Lanczos route, not the fallback
+    assert ends[0] == pytest.approx(oracle[0], rel=1e-12)
+    assert ends[-1] == pytest.approx(oracle[-1], rel=1e-12)
+    dense = Spectrum(oracle, 0)
+    for f in MONOTONE:
+        got, want = filter_contraction(f, g), filter_contraction(f, dense)
+        # on the complete graph 1 - x vanishes at the one nonzero eigenvalue, so its
+        # factors are squares of round-off and compare absolutely
+        assert got.paper == pytest.approx(want.paper, rel=1e-12, abs=1e-24)
+        assert got.safe == pytest.approx(want.safe, rel=1e-12, abs=1e-24)
+    cf = contraction_factors(g)
+    assert cf.kernel_dim == g.spectrum.kernel_dim
+    assert cf.lambda_min_nonzero == ends[0]
+
+
+@pytest.mark.parametrize("kind,k", [("ring", None), ("path", None), ("k_regular", 20)])
+def test_slow_lanczos_graphs_fall_back_to_the_dense_route_bit_for_bit(kind, k):
+    g = generate(kind, 800, k=k)
+    assert g.n >= LANCZOS_MIN_NODES and lanczos_extremes(g) is None
+    assert np.array_equal(g.extremes, g.spectrum.nonzero)
+    for f in MONOTONE:
+        assert filter_contraction(f, g) == filter_contraction(f, g.spectrum)
+    assert contraction_factors(g) == contraction_factors(g.spectrum)
+
+
+def test_a_non_monotone_filter_reads_the_full_spectrum_above_the_cutoff():
+    g = generate("erdos_renyi", 800, 7, p=0.02)
+    bump = PolynomialFilter((0.0, 1.0, -1.0))  # x - x^2 peaks at 1/2
+    assert not is_monotone_on_spectrum(bump)
+    assert filter_contraction(bump, g) == filter_contraction(bump, g.spectrum)
+    assert "extremes" not in vars(g)
+
+
+@pytest.mark.parametrize("coefficients,monotone", [
+    ((0.7,), True), ((1.0, -1.0), True), ((0.2, 0.0), True), ((1.0, -0.9, 0.2), True),
+    ((0.0, 1.0, -1.0), False), ((1.0, -3.0, 1.0), False), ((0.0, 0.0, 0.0, 1.0), False),
+])
+def test_monotone_on_spectrum_reads_only_the_coefficients(coefficients, monotone):
+    # x^3 has P'(0) = 0 at the edge of [0, 2]: a root there counts as inside
+    assert is_monotone_on_spectrum(PolynomialFilter(coefficients)) is monotone
+
+
+def test_small_graphs_read_every_nonzero_eigenvalue():
+    g = generate("erdos_renyi", 60, 3, p=0.1)
+    assert g.n < LANCZOS_MIN_NODES
+    assert np.array_equal(g.extremes, g.spectrum.nonzero)
+    for f in MONOTONE:
+        assert filter_contraction(f, g) == filter_contraction(f, g.spectrum)
