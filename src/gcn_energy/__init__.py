@@ -52,11 +52,8 @@ from .network import (
 )
 from .seeding import derive_seed
 from .spectral import (
-    ContractionFactors,
     FilterContraction,
-    MonotonicityCheck,
     PolynomialFilter,
-    Spectrum,
     apply_filter,
     check_monotone_decreasing,
     contraction_factors,
@@ -81,21 +78,18 @@ __all__ = [
     "SUITE_TOKENS",
     "Activation",
     "BoundReport",
-    "ContractionFactors",
     "DegenerateSpectrumError",
     "DualityEntry",
     "FilterContraction",
     "Graph",
     "LayerRecord",
     "LayerSpec",
-    "MonotonicityCheck",
     "NumericError",
     "ParseError",
     "PerturbationPlan",
     "PolynomialFilter",
     "ProbeSpec",
     "Prop71Verdict",
-    "Spectrum",
     "SuiteResult",
     "SweepConfig",
     "SweepRow",

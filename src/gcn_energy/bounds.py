@@ -157,7 +157,7 @@ def verify_lemma_3_2(g: Graph, x, w, context: str = "") -> BoundReport:
 def _contracts_energy(act: Activation, g: Graph) -> bool:
     """ReLU, LeakyReLU, identity; Tanh and Sigmoid on regular graphs (degrees within 1e-12)."""
     return (act.kind in ("relu", "leaky_relu", "identity")
-            or bool(np.ptp(g.weighted_degrees()) <= 1e-12))
+            or bool(np.ptp(g.augmented_degrees) <= 1e-12))
 
 
 def verify_lemma_3_3(g: Graph, x, act: Activation, context: str = "") -> BoundReport:
@@ -304,10 +304,10 @@ def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop
     g = traj.graph
     lam_max = float(g.extremes[-1])  # raises on a degenerate spectrum
     for l, layer in enumerate(traj.layers, start=1):
-        mono = check_monotone_decreasing(layer.filter, 0.0, lam_max)
-        if not mono.decreasing:
+        witness = check_monotone_decreasing(layer.filter, 0.0, lam_max)
+        if witness is not None:
             return _unmet(f"layer {l}: filter {layer.filter.coefficients} is not monotone "
-                          f"decreasing on [0, {lam_max:.6g}]", mono.witness)
+                          f"decreasing on [0, {lam_max:.6g}]", witness)
         if not _contracts_energy(layer.activation, g):
             return _unmet(f"layer {l}: activation {layer.activation.kind} can raise the "
                           f"energy on an irregular graph")

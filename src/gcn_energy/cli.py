@@ -84,17 +84,17 @@ def _cmd_spectrum(args) -> int:
     g = resolve_graph_source(args.graph)
     spectrum = g.spectrum
     doc = {"command": "spectrum", "graph": args.graph, "n": g.n, "edges": g.edge_count}
-    table = _table("index,eigenvalue", enumerate(spectrum.eigenvalues))
+    table = _table("index,eigenvalue", enumerate(spectrum))
     try:
-        cf = contraction_factors(spectrum)
+        cf = contraction_factors(g)
         summary = (f"lambda_min_nonzero={_fmt(cf.lambda_min_nonzero)} "
-                   f"lambda_bar_paper={_fmt(cf.lambda_bar_paper)} "
-                   f"lambda_bar_safe={_fmt(cf.lambda_bar_safe)} "
-                   f"kernel_dim={cf.kernel_dim}")
+                   f"lambda_bar_paper={_fmt(cf.paper)} "
+                   f"lambda_bar_safe={_fmt(cf.safe)} "
+                   f"kernel_dim={g.kernel_dim}")
     except DegenerateSpectrumError as exc:
         summary = f"degenerate spectrum: {exc}"
     _emit(args.out, _header(doc, "-") + table + f"# {summary}\n")
-    lo, hi = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
+    lo, hi = float(spectrum[0]), float(spectrum[-1])
     if lo < RANGE_LO or hi > RANGE_HI:
         print(f"warning: eigenvalues [{_fmt(lo)}, {_fmt(hi)}] leave the expected "
               f"range [{_fmt(RANGE_LO)}, {_fmt(RANGE_HI)}]")

@@ -110,6 +110,8 @@ def _load_json(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"config {path}: nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path}: top level must be an object")
     return doc
@@ -140,7 +142,10 @@ def _typed(value, kind, name: str):
                 pass
         elif type(value) is k:
             return value
-    shown = json.dumps(value)
+    try:
+        shown = json.dumps(value)
+    except RecursionError:  # nested nearly as deep as the decoder allows
+        shown = "a value nested too deeply to show"
     raise ValidationError(f"config key {name!r} takes {' or '.join(_KINDS[k] for k in kinds)} "
                           f"only, got {shown if len(shown) <= 40 else shown[:37] + '...'}")
 

@@ -16,9 +16,10 @@ symmetric positive semidefinite with eigenvalues in ``[0, 2)``, and
 component that vector spans the kernel of ``Ltil`` exactly, so the kernel
 dimension is the number of components and needs no zero tolerance.
 
-A graph is also the context every statement, run, suite and sweep on it
-shares: its ``augmented_degrees``, ``component_labels``, ``kernel_dim`` (the
-component count), ``laplacian``, ``spectrum`` (eigenvalues only) and
+A graph is also the one spectral context every statement, run, suite and
+sweep on it shares: its ``augmented_degrees``, ``component_labels``,
+``kernel_dim`` (the component count), ``laplacian``, ``spectrum`` (the
+ascending eigenvalues, the first ``kernel_dim`` of which span the kernel) and
 ``extremes`` are built on first use and then cached, read-only, on the
 graph, so each graph gets at most one Laplacian and one dense eigensolve.
 Contraction factors need only ``lam_min_nonzero`` and ``lam_max`` when the
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParseError, ValidationError
-from .spectral import LANCZOS_MIN_NODES, Spectrum, eigendecompose, lanczos_extremes
+from .spectral import LANCZOS_MIN_NODES, eigendecompose, lanczos_extremes, nonzero_spectrum
 
 Edge = tuple[int, int, float]
 
@@ -188,10 +189,10 @@ class Graph:
         return int(np.count_nonzero(self.component_labels == np.arange(self.n)))
 
     @cached_property
-    def spectrum(self) -> Spectrum:
-        """Eigenvalues of ``self.laplacian``, built on first use; the kernel is
-        one eigenvalue per connected component."""
-        return eigendecompose(self.laplacian, self.kernel_dim)
+    def spectrum(self) -> np.ndarray:
+        """Read-only ascending eigenvalues of ``self.laplacian``, built on first
+        use; the first ``self.kernel_dim`` of them span the kernel."""
+        return eigendecompose(self.laplacian)
 
     @cached_property
     def extremes(self) -> np.ndarray:
@@ -202,13 +203,14 @@ class Graph:
         values Lanczos finds on the edge arrays, with no Laplacian.  On a
         smaller graph, or when Lanczos does not converge, they are every
         nonzero eigenvalue of ``self.spectrum``, so the factors of a monotone
-        filter are exactly those of the full spectrum.
+        filter are exactly those of the full spectrum.  Raises
+        :class:`DegenerateSpectrumError` on an edgeless graph.
         """
         if self.n >= LANCZOS_MIN_NODES and self.kernel_dim < self.n:
             ends = lanczos_extremes(self)
             if ends is not None:
                 return ends
-        return self.spectrum.nonzero
+        return nonzero_spectrum(self)
 
 
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:

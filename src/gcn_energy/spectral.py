@@ -9,22 +9,23 @@ the graph built, which is exactly symmetric and finite by construction, so it
 runs ``eigvalsh`` on it with no check and no symmetrised copy.
 :func:`eval_filter_matrix`, the tests' oracle of :func:`apply_filter`, runs its
 own full ``eigh``.  No command calls it.
-A :class:`Spectrum` takes its kernel dimension from the caller, so no float
-tolerance decides what is zero: for a Laplacian it is the component count.
-The factors read the eigenvalues above the kernel; the smallest of them,
-``lam``, drives the paper's factor ``P(lam)^2`` (``(1 - lam)^2`` for one
-propagation step), while the "safe" variant takes the maximum of
-``P(lam_i)^2`` over all of them and is an upper bound for the energy
-contraction of one step regardless of where the spectrum sits inside
-``[0, 2)``.
+
+The graph is the one spectral context: its kernel dimension is its component
+count, so no float tolerance decides what is zero.  The factors read the
+eigenvalues above the kernel; the smallest of them, ``lam``, drives the
+paper's factor ``P(lam)^2`` (``(1 - lam)^2`` for one propagation step), while
+the "safe" variant takes the maximum of ``P(lam_i)^2`` over all of them and
+is an upper bound for the energy contraction of one step regardless of where
+the spectrum sits inside ``[0, 2)``.
 
 When ``P`` is monotone on ``[0, 2]`` (:func:`is_monotone_on_spectrum`, decided
 from the coefficients alone) that maximum is attained at ``lam`` or at
-``lam_max``, so on a graph the factors read ``Graph.extremes``.  On large
-graphs those two values come from :func:`lanczos_extremes`, a numpy-only
-Lanczos iteration on the edge arrays; every other filter, and every graph
-below ``LANCZOS_MIN_NODES`` nodes or on which Lanczos does not converge, reads
-the full :attr:`Spectrum.nonzero`.
+``lam_max``, so the factors read ``Graph.extremes``.  On large graphs those
+two values come from :func:`lanczos_extremes`, a numpy-only Lanczos iteration
+on the edge arrays; every other filter on a large graph reads the full
+``Graph.spectrum`` above the kernel, and on a graph below
+``LANCZOS_MIN_NODES`` nodes, or one on which Lanczos does not converge,
+``Graph.extremes`` is that same full set.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ if TYPE_CHECKING:
 
 # A filter derivative's root this close to [0, 2] counts as inside it.
 ROOT_SLACK = 1e-6
+# The relative rounding of a float; a leading term of P' below it on an
+# interval takes no part in finding the roots of P'' there.
+EPS = float(np.finfo(float).eps)
 # Graphs of at least LANCZOS_MIN_NODES nodes take the Lanczos route to their
 # two extreme nonzero eigenvalues.  On ER graphs of mean degree 10 to 20 at 2
 # BLAS threads it breaks even with the dense solve between 450 and 600 nodes,
@@ -61,35 +65,9 @@ LANCZOS_RESIDUAL = 1e-13
 LANCZOS_SEED = 0
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues, of which the smallest ``kernel_dim`` span the kernel."""
-
-    eigenvalues: np.ndarray
-    kernel_dim: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.kernel_dim, int) and 0 <= self.kernel_dim <= self.n):
-            raise ValidationError(
-                f"kernel_dim must be an integer in [0, {self.n}], got {self.kernel_dim!r}")
-        self.eigenvalues.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def nonzero(self) -> np.ndarray:
-        """The eigenvalues above the kernel, ascending; raises when there are none."""
-        if self.kernel_dim == self.n:
-            raise DegenerateSpectrumError(
-                f"all {self.n} eigenvalues lie in the kernel; no nonzero eigenvalue")
-        return self.eigenvalues[self.kernel_dim:]
-
-
-def eigendecompose(m: np.ndarray, kernel_dim: int) -> Spectrum:
-    """Eigenvalues (``eigvalsh``, no eigenvectors) of ``Graph.laplacian``; the
-    smallest ``kernel_dim`` of them are the kernel.
+def eigendecompose(m: np.ndarray) -> np.ndarray:
+    """Read-only ascending eigenvalues (``eigvalsh``, no eigenvectors) of
+    ``Graph.laplacian``.
 
     ``m`` is taken as built by :class:`~gcn_energy.graphs.Graph`: exactly
     symmetric with finite entries, so it is neither checked nor symmetrised.
@@ -99,38 +77,17 @@ def eigendecompose(m: np.ndarray, kernel_dim: int) -> Spectrum:
         eigenvalues = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return Spectrum(eigenvalues, kernel_dim)
+    eigenvalues.flags.writeable = False
+    return eigenvalues
 
 
-@dataclass(frozen=True)
-class ContractionFactors:
-    """Spectral contraction summary of an augmented normalized Laplacian."""
-
-    lambda_min_nonzero: float
-    lambda_bar_paper: float
-    lambda_bar_safe: float
-    kernel_dim: int
-
-
-def contraction_factors(source: Spectrum | Graph) -> ContractionFactors:
-    """The factors of one propagation step: :func:`filter_contraction` of ``1 - x``.
-
-    ``lambda_bar_paper = (1 - lam)^2`` for the smallest nonzero eigenvalue
-    ``lam``; ``lambda_bar_safe = max (1 - lam_i)^2`` over nonzero eigenvalues.
-    ``source`` is a :class:`Spectrum` or a graph, as for
-    :func:`filter_contraction`; ``1 - x`` is monotone, so a graph reads
-    ``g.extremes``.  Raises :class:`DegenerateSpectrumError` if every
-    eigenvalue lies in the kernel (for a Laplacian: an edgeless graph).
-    """
-    f = PolynomialFilter.propagation()
-    nonzero = _factor_eigenvalues(f, source)
-    fc = _contraction(f, nonzero)
-    return ContractionFactors(
-        lambda_min_nonzero=float(nonzero[0]),
-        lambda_bar_paper=fc.paper,
-        lambda_bar_safe=fc.safe,
-        kernel_dim=source.kernel_dim,
-    )
+def nonzero_spectrum(g: Graph) -> np.ndarray:
+    """``g.spectrum`` above its kernel of ``g.kernel_dim`` eigenvalues; raises
+    :class:`DegenerateSpectrumError` when there is none (an edgeless graph)."""
+    if g.kernel_dim == g.n:
+        raise DegenerateSpectrumError(
+            f"all {g.n} eigenvalues lie in the kernel; no nonzero eigenvalue")
+    return g.spectrum[g.kernel_dim:]
 
 
 @dataclass(frozen=True)
@@ -186,78 +143,101 @@ def _poly_derivative(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
 
 
-@dataclass(frozen=True)
-class MonotonicityCheck:
-    decreasing: bool
-    witness: float | None
+def _derivative_roots(coeffs: tuple[float, ...], rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """The real roots of the derivative of the polynomial with ascending
+    ``coeffs``, each with its slack ``rel * (1 + |root|)``.
+
+    A root of ``np.roots`` whose imaginary part lies within its slack counts
+    as real and is returned as its real part.  A constant derivative has none.
+    Raises :class:`NumericError` when ``np.roots`` fails, as it does when the
+    leading coefficient is so small that the ratio of another to it overflows.
+    """
+    d1 = list(_poly_derivative(coeffs))
+    while d1 and d1[-1] == 0.0:  # np.roots wants the highest degree first, nonzero
+        d1.pop()
+    if len(d1) <= 1:
+        return np.empty(0), np.empty(0)
+    try:
+        with np.errstate(over="ignore"):
+            roots = np.roots(d1[::-1])
+    except np.linalg.LinAlgError as exc:  # a coefficient ratio past the float range
+        raise NumericError(f"roots of the derivative of {coeffs} not found: {exc}") from None
+    slack = rel * (1.0 + np.abs(roots))
+    real = np.abs(roots.imag) <= slack
+    return roots.real[real], slack[real]
 
 
-def check_monotone_decreasing(f: PolynomialFilter, lo: float, hi: float) -> MonotonicityCheck:
-    """Decide whether ``P' <= 0`` throughout ``[lo, hi]``.
+def check_monotone_decreasing(f: PolynomialFilter, lo: float, hi: float) -> float | None:
+    """A point of ``[lo, hi]`` at which ``P' > 0``, or None when ``P' <= 0``
+    throughout, so that ``P`` decreases there.
 
-    The derivative is sampled on a uniform grid of 10001 points plus every
-    real root of the second derivative inside the interval, which covers all
-    interior extrema of ``P'`` exactly.  On failure the returned witness is a
-    point with ``P'(x) > 0``.
+    ``P'`` attains its maximum over the interval at an end or at a real root
+    of ``P''`` inside it, so it is evaluated at those points only, and the
+    witness is the one with the largest ``P'``.  Leading terms of ``P'``
+    below rounding on the interval take no part in finding the roots: they
+    would scale ``np.roots``' companion matrix so far that the roots near the
+    interval come out as zeros.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValidationError(f"monotonicity interval must satisfy lo < hi, got [{lo}, {hi}]")
-    d1 = _poly_derivative(f.coefficients)
-    if not d1 or all(c == 0.0 for c in d1):
-        return MonotonicityCheck(decreasing=True, witness=None)
-    points = np.linspace(lo, hi, 10001)
-    d2 = _poly_derivative(d1)
-    # strip leading zeros before np.roots (it wants highest-degree first)
-    trimmed = list(d2)
-    while trimmed and trimmed[-1] == 0.0:
-        trimmed.pop()
-    if trimmed and len(trimmed) > 1:
-        roots = np.roots(trimmed[::-1])
-        real = roots[np.abs(roots.imag) < 1e-12].real
-        inside = real[(real >= lo) & (real <= hi)]
-        if inside.size:
-            points = np.concatenate([points, inside])
-    dfilter = PolynomialFilter(d1)
-    values = eval_filter_scalar(dfilter, points)
+    d1 = _poly_derivative(f.coefficients) or (0.0,)
+    terms = np.abs(d1) * np.float_power(max(1.0, abs(lo), abs(hi)), np.arange(len(d1)))
+    top = len(d1)
+    while top > 1 and terms[top - 1] <= EPS * terms[:top - 1].sum():
+        top -= 1
+    roots, _ = _derivative_roots(d1[:top], ROOT_SLACK)
+    points = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
+    values = eval_filter_scalar(PolynomialFilter(d1), points)
     worst = int(np.argmax(values))
-    if values[worst] > 0.0:
-        return MonotonicityCheck(decreasing=False, witness=float(points[worst]))
-    return MonotonicityCheck(decreasing=True, witness=None)
+    return float(points[worst]) if values[worst] > 0.0 else None
 
 
 @dataclass(frozen=True)
 class FilterContraction:
-    """Energy contraction factors of one filtered propagation step."""
+    """Energy contraction factors of one filtered propagation step, and the
+    smallest nonzero eigenvalue ``lambda_min_nonzero`` they were read at."""
 
     paper: float
     safe: float
+    lambda_min_nonzero: float
 
 
-def filter_contraction(f: PolynomialFilter, source: Spectrum | Graph) -> FilterContraction:
-    """``paper = P(lam)^2`` at the smallest nonzero eigenvalue; ``safe`` is the
-    maximum of ``P(lam_i)^2`` over all nonzero eigenvalues.
+def filter_contraction(f: PolynomialFilter, g: Graph) -> FilterContraction:
+    """``paper = P(lam)^2`` at the smallest nonzero eigenvalue of graph ``g``;
+    ``safe`` is the maximum of ``P(lam_i)^2`` over all nonzero eigenvalues.
 
-    ``source`` is a :class:`Spectrum`, whose every eigenvalue is read, or a
-    graph, which picks the route: ``g.extremes`` for a filter monotone on
-    ``[0, 2]`` (the maximum of ``P^2`` is then attained at an end of the
-    spectrum), ``g.spectrum`` for any other.
+    A filter monotone on ``[0, 2]`` reads ``g.extremes`` (the maximum of
+    ``P^2`` is then attained at an end of the spectrum); any other reads
+    every nonzero eigenvalue of ``g.spectrum``.  Raises
+    :class:`DegenerateSpectrumError` on an edgeless graph.
     """
-    return _contraction(f, _factor_eigenvalues(f, source))
+    return _contraction(f, _factor_eigenvalues(f, g))
 
 
-def _factor_eigenvalues(f: PolynomialFilter, source: Spectrum | Graph) -> np.ndarray:
-    if isinstance(source, Spectrum):
-        return source.nonzero
-    # below the cutoff g.extremes is g.spectrum.nonzero: skip the root test
-    if source.n < LANCZOS_MIN_NODES or not is_monotone_on_spectrum(f):
-        return source.spectrum.nonzero
-    return source.extremes
+def contraction_factors(g: Graph) -> FilterContraction:
+    """The factors of one propagation step: :func:`filter_contraction` of
+    ``1 - x``, so ``paper = (1 - lam)^2`` and ``safe = max (1 - lam_i)^2``.
+    ``1 - x`` is monotone, so they read ``g.extremes``.
+    """
+    f = PolynomialFilter.propagation()
+    # not through filter_contraction: the benchmark's tracer times both functions
+    # as one layer, and a nested call would count that layer twice
+    return _contraction(f, _factor_eigenvalues(f, g))
+
+
+def _factor_eigenvalues(f: PolynomialFilter, g: Graph) -> np.ndarray:
+    # below the cutoff g.extremes is every nonzero eigenvalue: skip the root test
+    if g.n < LANCZOS_MIN_NODES or is_monotone_on_spectrum(f):
+        return g.extremes
+    return nonzero_spectrum(g)
 
 
 def _contraction(f: PolynomialFilter, nonzero: np.ndarray) -> FilterContraction:
+    lam = float(nonzero[0])
     return FilterContraction(
-        paper=float(eval_filter_scalar(f, float(nonzero[0]))) ** 2,
+        paper=float(eval_filter_scalar(f, lam)) ** 2,
         safe=float((eval_filter_scalar(f, nonzero) ** 2).max()),
+        lambda_min_nonzero=lam,
     )
 
 
@@ -267,17 +247,13 @@ def is_monotone_on_spectrum(f: PolynomialFilter) -> bool:
 
     A filter of degree at most 1 always is.  A root of ``np.roots`` within
     ``ROOT_SLACK`` of the real interval counts as inside it, so a doubtful
-    filter takes the full spectrum.
+    filter, and one whose roots cannot be found, takes the full spectrum.
     """
-    d1 = list(_poly_derivative(f.coefficients))
-    while d1 and d1[-1] == 0.0:
-        d1.pop()
-    if len(d1) <= 1:
-        return True
-    roots = np.roots(d1[::-1])
-    slack = ROOT_SLACK * (1.0 + np.abs(roots))
-    inside = (np.abs(roots.imag) <= slack) & (roots.real >= -slack) & (roots.real <= 2.0 + slack)
-    return not inside.any()
+    try:
+        roots, slack = _derivative_roots(f.coefficients, ROOT_SLACK)
+    except NumericError:
+        return False
+    return not ((roots >= -slack) & (roots <= 2.0 + slack)).any()
 
 
 def lanczos_extremes(g: Graph) -> np.ndarray | None:

@@ -125,7 +125,7 @@ def _spectral_summary(g: Graph) -> tuple[float, float]:
         cf = contraction_factors(g)
     except DegenerateSpectrumError:
         return float("nan"), float("nan")
-    return cf.lambda_min_nonzero, cf.lambda_bar_safe
+    return cf.lambda_min_nonzero, cf.safe
 
 
 def probe_field(cfg: SweepConfig, trial: int) -> np.ndarray | None:

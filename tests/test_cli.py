@@ -611,6 +611,74 @@ def test_sweep_stdout_rows_when_no_out_flag(tmp_path, capsys):
     assert SWEEP_CSV_HEADER in stdout
 
 
+def nested_config(tmp_path, command, depth):
+    """A run or sweep config whose list value nests ``depth`` levels deep."""
+    key = "filter" if command == "run" else "drop_ratios"
+    head = {"run": '{"graph": "gen:ring:6", "layers": 1, ',
+            "sweep": '{"graph": "gen:ring:6", '}[command]
+    path = tmp_path / f"{command}-{depth}.json"
+    path.write_text(f'{head}"{key}": ' + "[" * depth + "]" * depth + "}")
+    return str(path)
+
+
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_config_nested_past_the_decoder_limit_exits_2_naming_it(tmp_path, capsys, command, depth):
+    path = nested_config(tmp_path, command, depth)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config {path}: nested too deeply to decode\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_config_nested_up_to_the_decoder_limit_exits_2(tmp_path, capsys, command):
+    # the depths the decoder still takes leave little stack to show the bad value with
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit + 1):
+        assert main([command, "--config", nested_config(tmp_path, command, depth)]) == 2, depth
+        assert capsys.readouterr().err.startswith("error: config ")
+
+
+@pytest.mark.parametrize("graph,mode", [("gen:path:3", "prop71"), ("gen:ring:700", "trajectory")])
+def test_run_with_a_subnormal_leading_filter_coefficient_exits_0(tmp_path, capsys, graph, mode):
+    # its derivative's roots overflow np.roots; the run takes the full spectrum
+    cfg = run_json(tmp_path, graph=graph, layers=1, filter=[0.0, 0.0, 1.0, 5e-324])
+    assert main(["run", "--config", cfg, "--mode", mode]) == 0
+    out = capsys.readouterr().out
+    assert mode == "trajectory" or "is not monotone decreasing" in out
+
+
+def test_spectrum_and_sweep_print_one_lambda_min_per_graph(tmp_path, capsys):
+    # above the Lanczos cutoff both commands take the factors by contraction_factors(g)
+    graph = "gen:er:1000:0.02:1"
+    assert main(["spectrum", "--graph", graph]) == 0
+    shown = capsys.readouterr().out.rsplit("# lambda_min_nonzero=", 1)[1].split()[0]
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", sweep_json(tmp_path, graph=graph, trials=1,
+                                                 boost_counts=[]), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(data_lines(out.read_text())))
+    assert {row["lambda_min_before"] for row in rows} == {shown}
+
+
+@pytest.mark.parametrize("graph", ["gen:er:600:0.02:3", "gen:path:40", "gen:ring:800",
+                                   "gen:path:800", "gen:kregular:800:20"])
+def test_spectrum_summary_is_the_dense_route_below_the_cutoff_and_on_fallback(graph, capsys):
+    # every nonzero eigenvalue of the dense table, as the summary read them before
+    # it took the route of run and sweep
+    assert main(["spectrum", "--graph", graph]) == 0
+    out = capsys.readouterr().out
+    table = out.split("index,eigenvalue\n", 1)[1].split("# ", 1)[0]
+    values = np.array([float(line.split(",")[1]) for line in table.splitlines()])
+    g = gcn_energy.config.resolve_graph_source(graph)
+    nonzero = values[g.kernel_dim:]
+    lam = float(nonzero[0])
+    want = (f"lambda_min_nonzero={lam:.17g} lambda_bar_paper={(1.0 - lam) ** 2:.17g} "
+            f"lambda_bar_safe={float(((1.0 - nonzero) ** 2).max()):.17g} "
+            f"kernel_dim={g.kernel_dim}")
+    assert f"# {want}\n" in out
+
+
 # ---------------------------------------------------------------------------
 # every table
 
