@@ -22,16 +22,16 @@ sweep on it shares: its ``augmented_degrees``, ``component_labels``,
 ascending eigenvalues, the first ``kernel_dim`` of which span the kernel) and
 ``extremes`` are built on first use and then cached, read-only, on the
 graph, so each graph gets at most one Laplacian and one dense eigensolve.
-Contraction factors need only ``lam_min_nonzero`` and ``lam_max`` when the
-filter is monotone, and ``extremes`` finds those two by Lanczos on the edge
-arrays once the graph has ``LANCZOS_MIN_NODES`` nodes, with no Laplacian and
-no dense solve; a smaller graph, or one Lanczos cannot settle, takes them
-from ``spectrum``.  The dense eigensolve takes the Laplacian as built,
-unchecked: the edge checks of :class:`Graph` (finite positive weights, one
-entry per pair) and the finite-degree check of ``augmented_degrees`` make it
-finite, and both triangles are written from one array, so it is exactly
-symmetric.  The component labels come from vectorized label propagation over
-the edge arrays.
+``extremes`` is always the pair ``[lam_min_nonzero, lam_max]``, all that the
+contraction factors of a monotone filter need.  Once the graph has
+``LANCZOS_MIN_NODES`` nodes it comes from Lanczos on the edge arrays, with no
+Laplacian and no dense solve; a smaller graph, or one Lanczos cannot settle,
+takes the pair from ``spectrum``.  The dense eigensolve takes the Laplacian
+as built, unchecked: the edge checks of :class:`Graph` (finite positive
+weights, one entry per pair) and the finite-degree check of
+``augmented_degrees`` make it finite, and both triangles are written from one
+array, so it is exactly symmetric.  The component labels come from
+vectorized label propagation over the edge arrays.
 
 Graphs stay at desk scale: at most ``MAX_NODES`` nodes, the size at which
 the dense Laplacian and spectrum that ``spectrum`` and the forward pass of
@@ -196,21 +196,21 @@ class Graph:
 
     @cached_property
     def extremes(self) -> np.ndarray:
-        """Read-only ascending nonzero eigenvalues whose first and last entries
-        are ``lam_min_nonzero`` and ``lam_max``, built on first use.
+        """Read-only pair ``[lam_min_nonzero, lam_max]``, built on first use.
 
-        On a graph of at least ``LANCZOS_MIN_NODES`` nodes they are the two
-        values Lanczos finds on the edge arrays, with no Laplacian.  On a
-        smaller graph, or when Lanczos does not converge, they are every
-        nonzero eigenvalue of ``self.spectrum``, so the factors of a monotone
-        filter are exactly those of the full spectrum.  Raises
+        On a graph of at least ``LANCZOS_MIN_NODES`` nodes it is the pair
+        Lanczos finds on the edge arrays, with no Laplacian.  On a smaller
+        graph, or when Lanczos does not converge, it is the two ends of the
+        nonzero part of ``self.spectrum``.  Raises
         :class:`DegenerateSpectrumError` on an edgeless graph.
         """
         if self.n >= LANCZOS_MIN_NODES and self.kernel_dim < self.n:
             ends = lanczos_extremes(self)
             if ends is not None:
                 return ends
-        return nonzero_spectrum(self)
+        ends = nonzero_spectrum(self)[[0, -1]]
+        ends.flags.writeable = False
+        return ends
 
 
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:

@@ -220,9 +220,9 @@ class Trajectory:
 
 def _record(x: np.ndarray, g: Graph, layer: int, bound_paper: float,
             bound_safe: float) -> LayerRecord:
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the layer
-        energy = dirichlet_energy_edge_sum(x, g)
-        norm_sq = float(np.sum(x * x))
+    norm_sq = float(np.sum(x * x))
+    # a finite norm means finite entries, which the energy requires of its input
+    energy = dirichlet_energy_edge_sum(x, g) if math.isfinite(norm_sq) else math.nan
     if not (math.isfinite(energy) and math.isfinite(norm_sq)):
         raise NumericError(f"the run overflows at layer {layer}: energy {energy!r}, "
                            f"squared norm {norm_sq!r}")
@@ -252,11 +252,12 @@ def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
                 f"previous stage emits {channels}"
             )
         channels = spec.output_channels
-    records = [_record(x, g, 0, float("nan"), float("nan"))]
-    for l, spec in enumerate(layers, start=1):
-        contraction = filter_contraction(spec.filter, g)
-        gain = spec.gain()
-        x = layer_forward(x, spec, g, placement=placement)
-        records.append(_record(x, g, l, gain * contraction.paper,
-                               gain * gain * contraction.safe))
+    with np.errstate(over="ignore", invalid="ignore"):  # _record reports it, with the layer
+        records = [_record(x, g, 0, float("nan"), float("nan"))]
+        for l, spec in enumerate(layers, start=1):
+            contraction = filter_contraction(spec.filter, g)
+            gain = spec.gain()
+            x = layer_forward(x, spec, g, placement=placement)
+            records.append(_record(x, g, l, gain * contraction.paper,
+                                   gain * gain * contraction.safe))
     return Trajectory(g, layers, tuple(records))

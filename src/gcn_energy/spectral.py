@@ -18,18 +18,18 @@ the "safe" variant takes the maximum of ``P(lam_i)^2`` over all of them and
 is an upper bound for the energy contraction of one step regardless of where
 the spectrum sits inside ``[0, 2)``.
 
-When ``P`` is monotone on ``[0, 2]`` (:func:`is_monotone_on_spectrum`, decided
-from the coefficients alone) that maximum is attained at ``lam`` or at
-``lam_max``, so the factors read ``Graph.extremes``.  On large graphs those
-two values come from :func:`lanczos_extremes`, a numpy-only Lanczos iteration
-on the edge arrays; every other filter on a large graph reads the full
-``Graph.spectrum`` above the kernel, and on a graph below
-``LANCZOS_MIN_NODES`` nodes, or one on which Lanczos does not converge,
-``Graph.extremes`` is that same full set.
+When ``P`` is monotone on ``[0, 2]`` (decided from the coefficients alone, by
+the critical-point rule of :func:`check_monotone_decreasing` applied to ``P``
+and to ``-P``) that maximum is attained at ``lam`` or at ``lam_max``, so the
+factors read the pair ``Graph.extremes``; every other filter reads the full
+``Graph.spectrum`` above the kernel.  On graphs of at least
+``LANCZOS_MIN_NODES`` nodes the pair comes from :func:`lanczos_extremes`, a
+numpy-only Lanczos iteration on the edge arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -42,7 +42,8 @@ if TYPE_CHECKING:
     from .graphs import Graph
 
 
-# A filter derivative's root this close to [0, 2] counts as inside it.
+# A root of P'' whose imaginary part is within ROOT_SLACK * (1 + |root|) of
+# zero counts as real.
 ROOT_SLACK = 1e-6
 # The relative rounding of a float; a leading term of P' below it on an
 # interval takes no part in finding the roots of P'' there.
@@ -143,53 +144,64 @@ def _poly_derivative(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
 
 
-def _derivative_roots(coeffs: tuple[float, ...], rel: float) -> tuple[np.ndarray, np.ndarray]:
-    """The real roots of the derivative of the polynomial with ascending
-    ``coeffs``, each with its slack ``rel * (1 + |root|)``.
-
-    A root of ``np.roots`` whose imaginary part lies within its slack counts
-    as real and is returned as its real part.  A constant derivative has none.
-    Raises :class:`NumericError` when ``np.roots`` fails, as it does when the
-    leading coefficient is so small that the ratio of another to it overflows.
-    """
-    d1 = list(_poly_derivative(coeffs))
-    while d1 and d1[-1] == 0.0:  # np.roots wants the highest degree first, nonzero
-        d1.pop()
-    if len(d1) <= 1:
-        return np.empty(0), np.empty(0)
-    try:
-        with np.errstate(over="ignore"):
-            roots = np.roots(d1[::-1])
-    except np.linalg.LinAlgError as exc:  # a coefficient ratio past the float range
-        raise NumericError(f"roots of the derivative of {coeffs} not found: {exc}") from None
-    slack = rel * (1.0 + np.abs(roots))
-    real = np.abs(roots.imag) <= slack
-    return roots.real[real], slack[real]
-
-
 def check_monotone_decreasing(f: PolynomialFilter, lo: float, hi: float) -> float | None:
     """A point of ``[lo, hi]`` at which ``P' > 0``, or None when ``P' <= 0``
-    throughout, so that ``P`` decreases there.
-
-    ``P'`` attains its maximum over the interval at an end or at a real root
-    of ``P''`` inside it, so it is evaluated at those points only, and the
-    witness is the one with the largest ``P'``.  Leading terms of ``P'``
-    below rounding on the interval take no part in finding the roots: they
-    would scale ``np.roots``' companion matrix so far that the roots near the
-    interval come out as zeros.
+    throughout, so that ``P`` decreases there; the witness is the point of
+    :func:`_critical_slopes` with the largest ``P'``.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValidationError(f"monotonicity interval must satisfy lo < hi, got [{lo}, {hi}]")
+    points, slopes = _critical_slopes(f, lo, hi)
+    worst = int(np.argmax(slopes))
+    if math.isnan(slopes[worst]):  # argmax stops at the first nan
+        raise NumericError(f"the derivative of filter {f.coefficients} leaves the float range")
+    return float(points[worst]) if slopes[worst] > 0.0 else None
+
+
+def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """``P'`` at the ends of ``[lo, hi]`` and at the real roots of ``P''``
+    inside it, the points at which ``P'`` attains its extremes there.
+
+    Leading terms of ``P'`` below rounding on the interval take no part in
+    finding the roots: they would scale ``np.roots``' companion matrix so far
+    that the roots near the interval come out as zeros.  Raises
+    :class:`NumericError` when ``np.roots`` fails.
+    """
     d1 = _poly_derivative(f.coefficients) or (0.0,)
     terms = np.abs(d1) * np.float_power(max(1.0, abs(lo), abs(hi)), np.arange(len(d1)))
     top = len(d1)
     while top > 1 and terms[top - 1] <= EPS * terms[:top - 1].sum():
         top -= 1
-    roots, _ = _derivative_roots(d1[:top], ROOT_SLACK)
-    points = np.concatenate(([lo, hi], roots[(roots >= lo) & (roots <= hi)]))
-    values = eval_filter_scalar(PolynomialFilter(d1), points)
-    worst = int(np.argmax(values))
-    return float(points[worst]) if values[worst] > 0.0 else None
+    points = np.array([lo, hi])
+    # a kept leading term is nonzero, so np.roots gets a nonzero leading coefficient
+    d2 = _poly_derivative(d1[:top])
+    if len(d2) > 1:
+        try:
+            with np.errstate(over="ignore"):
+                roots = np.roots(d2[::-1])
+        except np.linalg.LinAlgError as exc:  # a coefficient ratio past the float range
+            raise NumericError(f"roots of the second derivative of {f.coefficients} "
+                               f"not found: {exc}") from None
+        real = roots.real[np.abs(roots.imag) <= ROOT_SLACK * (1.0 + np.abs(roots))]
+        points = np.concatenate((points, real[(real >= lo) & (real <= hi)]))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients give inf or nan
+        return points, np.polyval(d1[::-1], points)
+
+
+@functools.lru_cache(maxsize=32)  # a run asks once per layer, mostly of one filter
+def _is_monotone(f: PolynomialFilter) -> bool:
+    """Whether ``P`` is monotone on ``[0, 2]``, which holds every eigenvalue of
+    an augmented normalized Laplacian: ``P'`` keeps one sign at its critical
+    points there.  A filter of degree at most 1 always is; one with a nan
+    slope, or whose roots cannot be found, is not.
+    """
+    if len(f.coefficients) <= 2:
+        return True
+    try:
+        _, slopes = _critical_slopes(f, 0.0, 2.0)
+    except NumericError:
+        return False
+    return bool(slopes.max() <= 0.0 or slopes.min() >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -206,10 +218,11 @@ def filter_contraction(f: PolynomialFilter, g: Graph) -> FilterContraction:
     """``paper = P(lam)^2`` at the smallest nonzero eigenvalue of graph ``g``;
     ``safe`` is the maximum of ``P(lam_i)^2`` over all nonzero eigenvalues.
 
-    A filter monotone on ``[0, 2]`` reads ``g.extremes`` (the maximum of
-    ``P^2`` is then attained at an end of the spectrum); any other reads
-    every nonzero eigenvalue of ``g.spectrum``.  Raises
-    :class:`DegenerateSpectrumError` on an edgeless graph.
+    A filter monotone on ``[0, 2]`` reads the pair ``g.extremes`` (the
+    maximum of ``P^2`` is then attained at an end of the spectrum); any other
+    reads every nonzero eigenvalue of ``g.spectrum``.  Raises
+    :class:`DegenerateSpectrumError` on an edgeless graph and
+    :class:`NumericError` when a square leaves the float range.
     """
     return _contraction(f, _factor_eigenvalues(f, g))
 
@@ -226,34 +239,19 @@ def contraction_factors(g: Graph) -> FilterContraction:
 
 
 def _factor_eigenvalues(f: PolynomialFilter, g: Graph) -> np.ndarray:
-    # below the cutoff g.extremes is every nonzero eigenvalue: skip the root test
-    if g.n < LANCZOS_MIN_NODES or is_monotone_on_spectrum(f):
-        return g.extremes
-    return nonzero_spectrum(g)
+    return g.extremes if _is_monotone(f) else nonzero_spectrum(g)
 
 
-def _contraction(f: PolynomialFilter, nonzero: np.ndarray) -> FilterContraction:
-    lam = float(nonzero[0])
-    return FilterContraction(
-        paper=float(eval_filter_scalar(f, lam)) ** 2,
-        safe=float((eval_filter_scalar(f, nonzero) ** 2).max()),
-        lambda_min_nonzero=lam,
-    )
-
-
-def is_monotone_on_spectrum(f: PolynomialFilter) -> bool:
-    """Whether ``P'`` has no real root in ``[0, 2]``, which holds every
-    eigenvalue of an augmented normalized Laplacian, so ``P`` is monotone there.
-
-    A filter of degree at most 1 always is.  A root of ``np.roots`` within
-    ``ROOT_SLACK`` of the real interval counts as inside it, so a doubtful
-    filter, and one whose roots cannot be found, takes the full spectrum.
-    """
-    try:
-        roots, slack = _derivative_roots(f.coefficients, ROOT_SLACK)
-    except NumericError:
-        return False
-    return not ((roots >= -slack) & (roots <= 2.0 + slack)).any()
+def _contraction(f: PolynomialFilter, eigenvalues: np.ndarray) -> FilterContraction:
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        squares = eval_filter_scalar(f, eigenvalues) ** 2
+    safe = float(squares.max())
+    if not math.isfinite(safe):
+        raise NumericError(f"filter {f.coefficients} overflows: its largest square on "
+                           f"the spectrum is {safe!r}")
+    lam = float(eigenvalues[0])
+    return FilterContraction(paper=float(eval_filter_scalar(f, lam)) ** 2, safe=safe,
+                             lambda_min_nonzero=lam)
 
 
 def lanczos_extremes(g: Graph) -> np.ndarray | None:

@@ -291,7 +291,10 @@ def test_run_records_stay_within_their_safe_bound_at_gain_10(tmp_path, capsys):
     (dict(graph="gen:ring:8", layers=400, activation="identity",
           weights={"target_singular": 10.0}), 207),
     (dict(graph="gen:ring:6", layers=40, weights={"target_singular": 1e100}), 2),
-], ids=["ring8-identity-gain10", "ring6-relu-gain1e100"])
+    # the layer's own output overflows, so its entries, not only its energy, are infinite
+    (dict(graph="gen:ring:8", layers=1, activation="identity",
+          weights={"shapes": [[[4, 4], [4, 4]]], "target_singular": [[1e200, 1e200]]}), 1),
+], ids=["ring8-identity-gain10", "ring6-relu-gain1e100", "ring8-identity-entries-overflow"])
 def test_run_that_overflows_exits_3_naming_the_layer(tmp_path, capsys, overrides, layer):
     # the energy or squared norm of a layer's embedding leaves the float range:
     # numerical trouble, not inf rows and not an input error
@@ -300,8 +303,19 @@ def test_run_that_overflows_exits_3_naming_the_layer(tmp_path, capsys, overrides
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("numeric error: ") == 1 and "Traceback" not in err
+    assert "Warning" not in err
     assert f"numeric error: the run overflows at layer {layer}: " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["trajectory", "prop71"])
+def test_run_whose_filter_factor_overflows_exits_3(tmp_path, capsys, mode):
+    # P(lam)^2 of a filter with huge coefficients leaves the float range
+    cfg = run_json(tmp_path, graph="gen:ring:8", layers=1, filter=[1e200, -1e200])
+    assert main(["run", "--config", cfg, "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("numeric error: filter ")
+    assert captured.out == ""
 
 
 def test_run_zero_layers_exits_2(tmp_path, capsys):
@@ -642,7 +656,8 @@ def test_config_nested_up_to_the_decoder_limit_exits_2(tmp_path, capsys, command
 
 @pytest.mark.parametrize("graph,mode", [("gen:path:3", "prop71"), ("gen:ring:700", "trajectory")])
 def test_run_with_a_subnormal_leading_filter_coefficient_exits_0(tmp_path, capsys, graph, mode):
-    # its derivative's roots overflow np.roots; the run takes the full spectrum
+    # np.roots would overflow on all of its second derivative; the filter is
+    # monotone on [0, 2], so the run reads the pair of extremes
     cfg = run_json(tmp_path, graph=graph, layers=1, filter=[0.0, 0.0, 1.0, 5e-324])
     assert main(["run", "--config", cfg, "--mode", mode]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,8 +25,7 @@ from gcn_energy import (
     generate,
     perturb,
 )
-from gcn_energy.spectral import (LANCZOS_MIN_NODES, eval_filter_matrix, is_monotone_on_spectrum,
-                                 lanczos_extremes)
+from gcn_energy.spectral import LANCZOS_MIN_NODES, eval_filter_matrix, lanczos_extremes
 
 
 def dense_factors(f, eigenvalues, kernel_dim):
@@ -394,6 +395,17 @@ def test_filter_contraction_needs_nonzero_spectrum():
         filter_contraction(PolynomialFilter.propagation(), Graph.from_edges(3, ()))
 
 
+def test_filter_contraction_overflow_is_a_numeric_error():
+    g = generate("ring", 8)
+    for f in (PolynomialFilter((1e200, -1e200)),        # monotone: the pair
+              PolynomialFilter((0.0, 1e200, -1e200)),   # a bump: every eigenvalue
+              PolynomialFilter((0.0, 0.0, 1e308))):     # P' = 2e308 x overflows too
+        with pytest.raises(NumericError, match="overflows"):
+            filter_contraction(f, g)
+    with pytest.raises(NumericError, match="derivative"):
+        check_monotone_decreasing(PolynomialFilter((0.0, 0.0, 1e308)), 0.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # the Lanczos route to the extremes, against the dense eigvalsh oracle
 
@@ -432,7 +444,8 @@ def test_lanczos_extremes_match_eigvalsh_above_the_cutoff(name):
     assert g.n >= LANCZOS_MIN_NODES
     oracle = np.linalg.eigvalsh(augmented_normalized_laplacian(g))[len(connected_components(g)):]
     ends = g.extremes
-    assert ends.shape == (2,) and not ends.flags.writeable  # the Lanczos route, not the fallback
+    assert ends.shape == (2,) and not ends.flags.writeable
+    assert np.array_equal(ends, lanczos_extremes(g))  # the Lanczos route, not the fallback
     assert ends[0] == pytest.approx(oracle[0], rel=1e-12)
     assert ends[-1] == pytest.approx(oracle[-1], rel=1e-12)
     for f in MONOTONE:
@@ -450,7 +463,7 @@ def test_lanczos_extremes_match_eigvalsh_above_the_cutoff(name):
 def test_slow_lanczos_graphs_fall_back_to_the_dense_route_bit_for_bit(kind, k):
     g = generate(kind, 800, k=k)
     assert g.n >= LANCZOS_MIN_NODES and lanczos_extremes(g) is None
-    assert np.array_equal(g.extremes, g.spectrum[g.kernel_dim:])
+    assert np.array_equal(g.extremes, g.spectrum[[g.kernel_dim, -1]])
     for f in MONOTONE:
         assert filter_contraction(f, g) == dense_factors(f, g.spectrum, g.kernel_dim)
     assert contraction_factors(g) == dense_factors(PolynomialFilter.propagation(), g.spectrum,
@@ -460,33 +473,55 @@ def test_slow_lanczos_graphs_fall_back_to_the_dense_route_bit_for_bit(kind, k):
 def test_a_non_monotone_filter_reads_the_full_spectrum_above_the_cutoff():
     g = generate("erdos_renyi", 800, 7, p=0.02)
     bump = PolynomialFilter((0.0, 1.0, -1.0))  # x - x^2 peaks at 1/2
-    assert not is_monotone_on_spectrum(bump)
     assert filter_contraction(bump, g) == dense_factors(bump, g.spectrum, g.kernel_dim)
     assert "extremes" not in vars(g)
 
 
 def test_a_subnormal_leading_coefficient_is_not_a_crash():
-    # np.roots divides by the leading coefficient, and 1 / 5e-324 overflows
+    # np.roots divides by the leading coefficient, and 1 / 5e-324 overflows;
+    # below rounding on [0, 2], that term takes no part in finding the roots
     f = PolynomialFilter((0.0, 0.0, 1.0, 5e-324))
-    assert not is_monotone_on_spectrum(f)  # doubtful: the full spectrum
     witness = check_monotone_decreasing(f, 0.0, 2.0)  # P'(x) = 2x + 1.5e-323 x^2
     assert witness == 2.0
     g = generate("ring", LANCZOS_MIN_NODES)
     assert filter_contraction(f, g) == dense_factors(f, g.spectrum, g.kernel_dim)
+    assert "extremes" in vars(g)  # increasing on [0, 2]: the pair
+
+
+@functools.cache
+def _er800_eigenvalues():
+    g = generate("erdos_renyi", 800, 7, p=0.02)
+    return np.linalg.eigvalsh(augmented_normalized_laplacian(g)), g.kernel_dim
 
 
 @pytest.mark.parametrize("coefficients,monotone", [
     ((0.7,), True), ((1.0, -1.0), True), ((0.2, 0.0), True), ((1.0, -0.9, 0.2), True),
-    ((0.0, 1.0, -1.0), False), ((1.0, -3.0, 1.0), False), ((0.0, 0.0, 0.0, 1.0), False),
+    ((0.0, 1.0, -1.0), False), ((1.0, -3.0, 1.0), False), ((0.0, 0.0, 0.0, 1.0), True),
+    ((1.0, -1.5, 0.75, -0.125), True),
 ])
 def test_monotone_on_spectrum_reads_only_the_coefficients(coefficients, monotone):
-    # x^3 has P'(0) = 0 at the edge of [0, 2]: a root there counts as inside
-    assert is_monotone_on_spectrum(PolynomialFilter(coefficients)) is monotone
+    # the route reads the Lanczos pair for a filter monotone on [0, 2] and the
+    # full spectrum for any other: x^3 (P'(0) = 0 at the edge) and
+    # (1 - x/2)^3 (P'(2) = 0) are monotone, the bumps are not
+    f = PolynomialFilter(coefficients)
+    g = generate("erdos_renyi", 800, 7, p=0.02)
+    got = filter_contraction(f, g)
+    if monotone:
+        assert "spectrum" not in vars(g) and np.array_equal(g.extremes, lanczos_extremes(g))
+        want = dense_factors(f, *_er800_eigenvalues())
+        for name in ("lambda_min_nonzero", "paper", "safe"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+    else:
+        assert "extremes" not in vars(g)
+        assert got == dense_factors(f, g.spectrum, g.kernel_dim)
 
 
 def test_small_graphs_read_every_nonzero_eigenvalue():
     g = generate("erdos_renyi", 60, 3, p=0.1)
     assert g.n < LANCZOS_MIN_NODES
-    assert np.array_equal(g.extremes, g.spectrum[g.kernel_dim:])
+    assert np.array_equal(g.extremes, g.spectrum[[g.kernel_dim, -1]])
+    # always the pair, even where only one eigenvalue is nonzero
+    ends = generate("complete", 2).extremes
+    assert ends.shape == (2,) and ends[0] == ends[1] == pytest.approx(1.0, abs=1e-14)
     for f in MONOTONE:
         assert filter_contraction(f, g) == dense_factors(f, g.spectrum, g.kernel_dim)
