@@ -21,8 +21,8 @@ assert; nominal-bound violations are possible when the spectrum extends past
 ``2 - lam`` or a gain exceeds one, and are counted and persisted as
 counterexamples rather than asserted away.
 
-Every check takes edge-sum energies and filters by Horner's rule on the cached
-Laplacian (:func:`apply_filter`), as a run does; eigenvalues supply the factors.
+Every check takes edge-sum energies and filters by Horner's rule on the edge
+arrays (:func:`apply_filter`), as a run does; eigenvalues supply the factors.
 L3.1 is L7.2's filter step with ``1 - x``.  T3.4 is a one-layer
 :func:`run_network`, and C3.5 and P7.1 read a run, which carries its graph,
 layers and records, so no check runs layers of its own or pairs a run with
@@ -131,7 +131,7 @@ def _filter_step(statement: str, g: Graph, x, f: PolynomialFilter, context: str)
     fc = filter_contraction(f, g)
     x = as_embedding(x, g.n)
     ex = dirichlet_energy_edge_sum(x, g)
-    lhs = dirichlet_energy_edge_sum(apply_filter(f, g.laplacian, x), g)
+    lhs = dirichlet_energy_edge_sum(apply_filter(f, g, x), g)
     return _dual_report(statement, lhs, ex, fc.paper, fc.safe, context)
 
 

@@ -17,11 +17,14 @@ component that vector spans the kernel of ``Ltil`` exactly, so the kernel
 dimension is the number of components and needs no zero tolerance.
 
 A graph is also the one spectral context every statement, run, suite and
-sweep on it shares: its ``augmented_degrees``, ``component_labels``,
-``kernel_dim`` (the component count), ``laplacian``, ``spectrum`` (the
-ascending eigenvalues, the first ``kernel_dim`` of which span the kernel) and
-``extremes`` are built on first use and then cached, read-only, on the
-graph, so each graph gets at most one Laplacian and one dense eigensolve.
+sweep on it shares: its ``augmented_degrees``, ``inv_sqrt_degrees``,
+``component_labels``, ``kernel_dim`` (the component count), ``laplacian``,
+``spectrum`` (the ascending eigenvalues, the first ``kernel_dim`` of which
+span the kernel) and ``extremes`` are built on first use and then cached,
+read-only, on the graph, so each graph gets at most one Laplacian and one
+dense eigensolve.  Every product with ``Ltil`` outside the dense eigensolve
+and the ``energy`` command's trace form is ``Graph.laplacian_times``, two
+``np.bincount`` calls over the edge arrays per channel.
 ``extremes`` is always the pair ``[lam_min_nonzero, lam_max]``, all that the
 contraction factors of a monotone filter need.  Once the graph has
 ``LANCZOS_MIN_NODES`` nodes it comes from Lanczos on the edge arrays, with no
@@ -34,8 +37,9 @@ array, so it is exactly symmetric.  The component labels come from
 vectorized label propagation over the edge arrays.
 
 Graphs stay at desk scale: at most ``MAX_NODES`` nodes, the size at which
-the dense Laplacian and spectrum that ``spectrum`` and the forward pass of
-``run`` need still fit in memory.
+the dense Laplacian and spectrum still fit in memory.  The ``spectrum``
+command, small graphs, graphs Lanczos cannot settle and filters that are not
+monotone need them; a run on the edge arrays alone needs neither.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ from .spectral import LANCZOS_MIN_NODES, eigendecompose, lanczos_extremes, nonze
 
 Edge = tuple[int, int, float]
 
-# at this n one dense float64 n x n matrix takes 0.8 GB, and a run holds about six
+# at this n one dense float64 n x n matrix takes 0.8 GB, and the dense eigensolve holds two:
+# the Laplacian and the copy eigvalsh works on
 MAX_NODES = 10_000
 # work sizes of one command, checked before any weight is drawn or array allocated
 MAX_LAYERS = 10_000          # run "layers"
@@ -153,8 +158,34 @@ class Graph:
         return dtil
 
     @cached_property
+    def inv_sqrt_degrees(self) -> np.ndarray:
+        """Read-only ``Dtil^{-1/2}``: ``1 / sqrt(augmented degree)`` per node."""
+        s = 1.0 / np.sqrt(self.augmented_degrees)
+        s.flags.writeable = False
+        return s
+
+    def laplacian_times(self, x: np.ndarray) -> np.ndarray:
+        """``Ltil @ x`` for a vector or an ``n x C`` matrix, on the edge arrays.
+
+        ``Ltil x = x - Dtil^{-1/2} (A + I) Dtil^{-1/2} x`` takes two
+        ``np.bincount`` calls over the edges per channel; no ``n x n`` matrix is
+        built.  A matrix is taken one contiguous channel at a time: one
+        ``bincount`` over every channel at once needs ``2E x C`` temporaries.
+        """
+        if x.ndim == 2:
+            out = np.empty(x.shape)
+            for c, channel in enumerate(np.ascontiguousarray(x.T)):
+                out[:, c] = self.laplacian_times(channel)
+            return out
+        n, u, v, w, s = self.n, self.u, self.v, self.w, self.inv_sqrt_degrees
+        y = x * s
+        return x - (np.bincount(u, w * y[v], n) + np.bincount(v, w * y[u], n) + y) * s
+
+    @cached_property
     def laplacian(self) -> np.ndarray:
-        """Read-only :func:`augmented_normalized_laplacian`, built on first use."""
+        """Read-only :func:`augmented_normalized_laplacian`, built on first use
+        by ``spectrum`` and the ``energy`` command's trace form; every other
+        product with ``Ltil`` is :meth:`laplacian_times`."""
         lap = augmented_normalized_laplacian(self)
         lap.flags.writeable = False
         return lap
@@ -282,8 +313,7 @@ def augmented_normalized_laplacian(g: Graph) -> np.ndarray:
     Diagonal entries are ``1 - 1/dtil_i``; the off-diagonal entry for edge
     (i, j) is ``-w_ij / sqrt(dtil_i * dtil_j)``, with ``dtil = g.augmented_degrees``.
     """
-    dtil = g.augmented_degrees
-    inv_sqrt = 1.0 / np.sqrt(dtil)
+    dtil, inv_sqrt = g.augmented_degrees, g.inv_sqrt_degrees
     lap = np.zeros((g.n, g.n))
     np.fill_diagonal(lap, 1.0 - 1.0 / dtil)
     off = -g.w * inv_sqrt[g.u] * inv_sqrt[g.v]
@@ -339,8 +369,10 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
         lo, hi = np.arange(n - 1), np.arange(1, n)
     else:
         raise ValidationError(f"unknown generator kind {kind!r}")
-    # no family repeats a pair, so merging only sorts and orients the edges
-    return _merge_edges(n, lo, hi, np.ones(lo.size))
+    # no family repeats a pair, so the edges need orienting and sorting, not merging
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    order = np.lexsort((hi, lo))
+    return Graph(n, lo[order], hi[order], np.ones(lo.size))
 
 
 @dataclass(frozen=True)

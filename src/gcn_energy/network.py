@@ -5,18 +5,19 @@ normalized Laplacian and pushes it through a small MLP:
 
     f(X) = sigma(... sigma(sigma(P(Ltil) X) W_1) W_2 ... W_H)
 
-``P(Ltil) X`` is formed by Horner's rule on the Laplacian (``deg P``
-products with an N x C matrix), never as an N x N filter matrix.  With the
-default ``paper`` placement the activation wraps the filtered input first
-and then follows every weight multiplication, matching the parenthesization
-above; ``conventional`` placement skips the innermost activation, i.e.
-``sigma(P(Ltil) X W_1)`` for a single weight.  A run (``Trajectory``) holds
-its graph, its layers and per stage the Dirichlet energy (edge-sum form),
-Rayleigh quotient and two per-layer energy bounds.  With ``s_l`` the layer's
-``gain()``, the product of the realized top singular values of its weights,
-the safe bound is ``s_l^2`` times the safe filter factor, since each weight
-scales the energy by at most its squared top singular value (L3.2); the
-nominal bound is ``s_l`` times the paper's filter factor.
+``P(Ltil) X`` is formed by Horner's rule on the edge arrays (``deg P``
+products :meth:`Graph.laplacian_times` with an N x C matrix), never with an
+N x N matrix.  With the default ``paper`` placement the activation wraps the
+filtered input first and then follows every weight multiplication, matching
+the parenthesization above; ``conventional`` placement skips the innermost
+activation, i.e. ``sigma(P(Ltil) X W_1)`` for a single weight.  A run
+(``Trajectory``) holds its graph, its layers and per stage the Dirichlet
+energy (edge-sum form), Rayleigh quotient and two per-layer energy bounds.
+With ``s_l`` the layer's ``gain()``, the product of the realized top singular
+values of its weights, the safe bound is ``s_l^2`` times the safe filter
+factor, since each weight scales the energy by at most its squared top
+singular value (L3.2); the nominal bound is ``s_l`` times the paper's filter
+factor.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .energy import as_embedding, dirichlet_energy_edge_sum
 from .errors import NumericError, ValidationError
 from .graphs import Graph
-from .spectral import PolynomialFilter, apply_filter, filter_contraction
+from .spectral import FilterContraction, PolynomialFilter, apply_filter, filter_contraction
 
 ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "sigmoid", "identity")
 PLACEMENTS = ("paper", "conventional")
@@ -162,7 +163,7 @@ class LayerSpec:
 
 
 def layer_forward(x, spec: LayerSpec, g: Graph, placement: str = "paper") -> np.ndarray:
-    """Run one layer on an embedding matrix; the filter acts on ``g.laplacian``."""
+    """Run one layer on an embedding matrix; the filter acts on the edge arrays of ``g``."""
     if placement not in PLACEMENTS:
         raise ValidationError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
     x = as_embedding(x, g.n)
@@ -170,7 +171,7 @@ def layer_forward(x, spec: LayerSpec, g: Graph, placement: str = "paper") -> np.
         raise ValidationError(
             f"layer expects {spec.input_channels} input channels, got {x.shape[1]}"
         )
-    h = apply_filter(spec.filter, g.laplacian, x)
+    h = apply_filter(spec.filter, g, x)
     if placement == "paper":
         h = apply_activation(h, spec.activation)
     for w in spec.weights:
@@ -234,9 +235,10 @@ def _record(x: np.ndarray, g: Graph, layer: int, bound_paper: float,
 def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
     """Simulate ``L >= 1`` layers on graph ``g`` and return the run.
 
-    Layers filter on ``g.laplacian``; the bounds come from
-    :func:`filter_contraction` on ``g``, which reads ``g.extremes`` for a
-    monotone filter and ``g.spectrum`` for any other.
+    Layers filter by :meth:`Graph.laplacian_times`, with no ``n x n``
+    matrix; the bounds come from :func:`filter_contraction` on ``g``, once
+    per distinct filter, which reads ``g.extremes`` for a monotone filter and
+    ``g.spectrum`` for any other.
     Energies take the elementwise edge-sum form, so record 0 does not depend
     on the BLAS thread count; it describes the input and carries NaN bounds
     since no layer produced it.  Raises :class:`NumericError` at the first
@@ -254,8 +256,11 @@ def run_network(x0, layers, g: Graph, placement: str = "paper") -> Trajectory:
         channels = spec.output_channels
     with np.errstate(over="ignore", invalid="ignore"):  # _record reports it, with the layer
         records = [_record(x, g, 0, float("nan"), float("nan"))]
+        factors: dict[PolynomialFilter, FilterContraction] = {}
         for l, spec in enumerate(layers, start=1):
-            contraction = filter_contraction(spec.filter, g)
+            if spec.filter not in factors:
+                factors[spec.filter] = filter_contraction(spec.filter, g)
+            contraction = factors[spec.filter]
             gain = spec.gain()
             x = layer_forward(x, spec, g, placement=placement)
             records.append(_record(x, g, l, gain * contraction.paper,

@@ -2,7 +2,9 @@
 
 For a symmetric matrix ``M = V diag(lam) V^T`` a polynomial filter with
 coefficients ``[a_0, ..., a_k]`` acts as ``P(M) = V diag(P(lam_i)) V^T``.
-:func:`apply_filter` forms ``P(M) X`` by Horner's rule on ``M``, with no eigenvectors.
+:func:`apply_filter` forms ``P(Ltil) X`` by Horner's rule on a graph's
+edge-array product ``Graph.laplacian_times``, with no eigenvectors and no
+``n x n`` matrix.
 :func:`eigendecompose` computes eigenvalues only, since every contraction factor
 depends on them alone.  It serves ``Graph.spectrum`` and takes the Laplacian
 the graph built, which is exactly symmetric and finite by construction, so it
@@ -121,12 +123,13 @@ def eval_filter_scalar(f: PolynomialFilter, x):
     return float(acc) if np.ndim(x) == 0 else acc
 
 
-def apply_filter(f: PolynomialFilter, lap: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``P(lap) @ x`` by Horner's rule: ``deg P`` products of ``lap`` with ``x``."""
+def apply_filter(f: PolynomialFilter, g: Graph, x: np.ndarray) -> np.ndarray:
+    """``P(Ltil) @ x`` on graph ``g`` by Horner's rule: ``deg P`` products
+    :meth:`~gcn_energy.graphs.Graph.laplacian_times`, on the edge arrays."""
     coeffs = f.coefficients[::-1]
     acc = coeffs[0] * x
     for c in coeffs[1:]:
-        acc = lap @ acc + c * x
+        acc = g.laplacian_times(acc) + c * x
     return acc
 
 
@@ -164,8 +167,10 @@ def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndar
 
     Leading terms of ``P'`` below rounding on the interval take no part in
     finding the roots: they would scale ``np.roots``' companion matrix so far
-    that the roots near the interval come out as zeros.  Raises
-    :class:`NumericError` when ``np.roots`` fails.
+    that the roots near the interval come out as zeros.  A linear ``P''``
+    (every cubic filter) has its one root in closed form, the value
+    ``np.roots`` returns, without a LAPACK call.  Raises
+    :class:`NumericError` when a root cannot be found.
     """
     d1 = _poly_derivative(f.coefficients) or (0.0,)
     terms = np.abs(d1) * np.float_power(max(1.0, abs(lo), abs(hi)), np.arange(len(d1)))
@@ -177,8 +182,13 @@ def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndar
     d2 = _poly_derivative(d1[:top])
     if len(d2) > 1:
         try:
-            with np.errstate(over="ignore"):
-                roots = np.roots(d2[::-1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                if len(d2) > 2:
+                    roots = np.roots(d2[::-1])
+                else:
+                    roots = np.array([-d2[0]]) / d2[1] + 0.0  # np.roots' zero is +0.0
+                    if not np.isfinite(roots[0]):  # where np.roots' eigvals would fail
+                        raise np.linalg.LinAlgError(f"root {roots[0]}")
         except np.linalg.LinAlgError as exc:  # a coefficient ratio past the float range
             raise NumericError(f"roots of the second derivative of {f.coefficients} "
                                f"not found: {exc}") from None
@@ -259,25 +269,20 @@ def lanczos_extremes(g: Graph) -> np.ndarray | None:
     by Lanczos on its edge arrays, or None when the extreme Ritz residuals do
     not reach ``LANCZOS_RESIDUAL`` times their Ritz values.
 
-    ``Ltil x = x - Dtil^{-1/2} (A + I) Dtil^{-1/2} x`` is formed with
-    ``np.bincount`` over the edges, never as a matrix.  The kernel,
-    ``Dtil^{1/2} 1`` on each component, is projected out of the seeded start
-    vector and after each of the two orthogonalization passes against the
-    whole basis, so the smallest Ritz value approximates ``lam_min_nonzero``.
+    Each step takes one ``g.laplacian_times``, on the edge arrays, never a
+    matrix.  The kernel, ``Dtil^{1/2} 1`` on each component, is projected
+    out of the seeded start vector and after each of the two
+    orthogonalization passes against the whole basis, so the smallest Ritz
+    value approximates ``lam_min_nonzero``.
     An invariant subspace or an exhausted Krylov space ends the run with exact
     values.  ``g`` needs at least one edge.
     """
-    n, u, v, w, labels = g.n, g.u, g.v, g.w, g.component_labels
+    n, labels = g.n, g.component_labels
     root = np.sqrt(g.augmented_degrees)
-    inv_root = 1.0 / root
     mass = np.bincount(labels, g.augmented_degrees, n)[labels]  # dtil summed over the component
 
     def deflate(x: np.ndarray) -> None:
         x -= root * (np.bincount(labels, root * x, n)[labels] / mass)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = x * inv_root
-        return x - (np.bincount(u, w * y[v], n) + np.bincount(v, w * y[u], n) + y) * inv_root
 
     dim = n - g.kernel_dim
     steps = min(LANCZOS_MAX_STEPS, dim)
@@ -289,7 +294,7 @@ def lanczos_extremes(g: Graph) -> np.ndarray | None:
     trend = []
     for j in range(steps):
         basis[j] = q
-        x = apply(q)
+        x = g.laplacian_times(q)
         alpha[j] = q @ x
         # one pass loses orthogonality as beta shrinks, and the Ritz values with it
         for _ in range(2):

@@ -92,7 +92,7 @@ def test_lemma_3_1_near_kernel_input_passes_by_tolerance():
     # input energy is tiny but nonzero, so the report is a regular
     # (non-vacuous) pass, and the absolute floor is what makes it hold
     g = generate("erdos_renyi", 15, seed=1, p=0.3)
-    x = apply_filter(PolynomialFilter.propagation(), g.laplacian, np.sqrt(g.augmented_degrees))
+    x = apply_filter(PolynomialFilter.propagation(), g, np.sqrt(g.augmented_degrees))
     r = verify_lemma_3_1(g, x)
     assert not r.vacuous
     assert 0.0 < r.rhs_paper <= 1e-20

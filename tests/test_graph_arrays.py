@@ -7,12 +7,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gcn_energy.graphs as graphs
 import gcn_energy.network as network
 from gcn_energy import (
+    Graph,
     PerturbationPlan,
     SweepConfig,
+    apply_filter,
     augmented_normalized_laplacian,
     dirichlet_energy_edge_sum,
     generate,
@@ -22,8 +26,9 @@ from gcn_energy import (
     verify_prop_7_1,
 )
 from gcn_energy.cli import main
+from gcn_energy.config import load_run_config
 from gcn_energy.network import Activation, LayerSpec, make_weights, run_network
-from gcn_energy.spectral import PolynomialFilter
+from gcn_energy.spectral import PolynomialFilter, eval_filter_matrix
 
 # ---------------------------------------------------------------------------
 # loop references: the per-edge implementations the arrays replaced
@@ -104,6 +109,54 @@ def test_arrays_match_loop_references_exactly(seed):
     assert dirichlet_energy_edge_sum(x, g) == ref_edge_sum(x, n, edges)
     for plan in (PerturbationPlan.drop(0.3, seed=seed), PerturbationPlan.boost(9, 37.5, seed)):
         assert perturb(g, plan).edges == ref_perturb(edges, plan)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs of up to 60 nodes with weights far from 1; few edges leave
+    isolated nodes and several components, none leaves the graph edgeless."""
+    n = draw(st.integers(1, 60))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.floats(1e-3, 1e3)), max_size=3 * n))
+    merged = {(min(a, b), max(a, b)): w for a, b, w in pairs if a != b}
+    return Graph.from_edges(n, ((a, b, w) for (a, b), w in sorted(merged.items())))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(g=weighted_graphs(), channels=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=5))
+@example(g=Graph.from_edges(6, ((0, 1, 0.5), (2, 3, 40.0))), channels=0, seed=0,
+         coeffs=[1.0, -1.0])  # two components and two isolated nodes, 1-D input
+@example(g=Graph.from_edges(3, ()), channels=2, seed=0, coeffs=[0.5, 2.0])  # edgeless
+def test_laplacian_times_matches_the_dense_laplacian(g, channels, seed, coeffs):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(g.n if channels == 0 else (g.n, channels))
+    lap = augmented_normalized_laplacian(g)
+    got = g.laplacian_times(x)
+    assert got.shape == x.shape
+    # formed as x - P x with ||P|| <= 1, the product rounds relative to ||x||: on
+    # weights near 1e-3, ||Ltil|| ||x|| is far smaller than that cancellation
+    assert np.linalg.norm(got - lap @ x) <= 1e-14 * max(1.0, np.linalg.norm(lap, 2)) * np.linalg.norm(x)
+    f = PolynomialFilter.from_coefficients(coeffs)
+    want = eval_filter_matrix(f, lap) @ x
+    # Horner and the eigenbasis both round at about eps * sum |a_k| ||Ltil||^k ||x||
+    bound = sum(abs(c) * 2.0**k for k, c in enumerate(coeffs)) * np.linalg.norm(x)
+    assert np.linalg.norm(apply_filter(f, g, x) - want) <= 1e-12 * bound
+
+
+def test_run_above_the_lanczos_cutoff_builds_no_dense_matrix(tmp_path):
+    # the forward pass multiplies on the edge arrays and the factors read the
+    # Lanczos pair, so neither the Laplacian nor the spectrum is ever built
+    doc = {"graph": "gen:er:750:0.02:4", "layers": 3, "channels": 4, "filter": [1.0, -1.0],
+           "weights": {"target_singular": 0.9}, "activation": "relu", "seed": 2}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    setup = load_run_config(str(cfg))
+    traj = run_network(setup.x0, setup.layers, setup.graph, placement=setup.placement)
+    g = traj.graph
+    assert g.n >= 700 and traj.depth == 3
+    assert "laplacian" not in vars(g) and "spectrum" not in vars(g)
+    assert "extremes" in vars(g)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_laplacian_weighted_triangle_entries():
 def test_propagation_matrix_fixes_sqrt_degree_vector():
     g = generate("erdos_renyi", 25, seed=3, p=0.2)
     fixed = np.sqrt(g.augmented_degrees)
-    step = apply_filter(PolynomialFilter.propagation(), g.laplacian, fixed)
+    step = apply_filter(PolynomialFilter.propagation(), g, fixed)
     assert np.allclose(step, fixed, atol=1e-12)
 
 

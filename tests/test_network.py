@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gcn_energy.network as network
 from gcn_energy import (
     Activation,
     LayerSpec,
@@ -303,3 +304,23 @@ def test_deep_contractive_run_decays_exponentially():
     traj = run_network(x0, layers, g)
     e = traj.energies()
     assert e[30] <= (0.8**30) * e[0] * (1.0 + 1e-6)
+
+
+def test_run_reads_the_factors_once_per_distinct_filter(monkeypatch):
+    calls = []
+    original = network.filter_contraction
+
+    def counting(f, g):
+        calls.append(f.coefficients)
+        return original(f, g)
+
+    monkeypatch.setattr(network, "filter_contraction", counting)
+    filters = [(1.0, -1.0)] * 4 + [(0.5, -0.25)] * 2 + [(1.0, -1.0)]
+    layers = [identity_layer(2, filt) for filt in filters]
+    g = generate("ring", 9)
+    x0 = np.random.default_rng(3).standard_normal((9, 2))
+    traj = run_network(x0, layers, g)
+    assert calls == [(1.0, -1.0), (0.5, -0.25)]
+    for spec, rec in zip(layers, traj.records[1:]):
+        fc = original(spec.filter, g)
+        assert (rec.bound_paper, rec.bound_safe) == (fc.paper, fc.safe)

@@ -25,7 +25,13 @@ from gcn_energy import (
     generate,
     perturb,
 )
-from gcn_energy.spectral import LANCZOS_MIN_NODES, eval_filter_matrix, lanczos_extremes
+from gcn_energy.spectral import (
+    LANCZOS_MIN_NODES,
+    _critical_slopes,
+    _is_monotone,
+    eval_filter_matrix,
+    lanczos_extremes,
+)
 
 
 def dense_factors(f, eigenvalues, kernel_dim):
@@ -265,7 +271,7 @@ def test_apply_filter_matches_eigenbasis_oracle(kind, seed):
         assert len(f.coefficients) - 1 == degree
         assert (check_monotone_decreasing(f, 0.0, 2.0) is None) == monotone
         x = rng.standard_normal((g.n, 3))
-        got = apply_filter(f, g.laplacian, x)
+        got = apply_filter(f, g, x)
         want = eval_filter_matrix(f, g.laplacian) @ x
         scale = np.max(np.abs(eval_filter_scalar(f, g.spectrum)))
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(x) * scale, (degree, monotone)
@@ -374,6 +380,33 @@ def test_monotone_gate_agrees_with_the_grid_oracle(coeffs, ends):
         assert np.polynomial.polynomial.polyval(witness, d1) > 0.0
     if abs(worst) > 1e-12:
         assert (witness is None) == (worst <= 0.0), (worst, witness)
+
+
+nonzero = st.floats(-3, 3).filter(lambda c: abs(c) >= 1e-6)
+
+
+@given(coeffs=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), nonzero),
+       ends=st.tuples(st.floats(0, 2), st.floats(0, 2)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(coeffs=(0.0, 0.0, 0.0, 1.0), ends=(0.0, 2.0))  # P'' = 6x: its root is zero
+def test_cubic_root_in_closed_form_matches_np_roots(coeffs, ends):
+    # a cubic has a linear P'' = 2 a_2 + 6 a_3 x, whose root needs no companion matrix
+    f = PolynomialFilter.from_coefficients(coeffs)
+    d1 = np.polynomial.polynomial.polyder(f.coefficients)
+    want = float(np.roots(np.polynomial.polynomial.polyder(d1)[::-1]).real[0])
+    points, _ = _critical_slopes(f, -1e7, 1e7)  # wide enough to hold every root here
+    assert points.size == 3
+    assert abs(points[2] - want) <= 1e-15 * abs(want)
+    # the decisions read the same points as they would with np.roots
+    lo, hi = sorted(ends)
+    assume(lo < hi)
+    pts = np.array([lo, hi] + ([want] if lo <= want <= hi else []))
+    slopes = np.polyval(d1[::-1], pts)
+    worst = int(np.argmax(slopes))
+    assert check_monotone_decreasing(f, lo, hi) == (pts[worst] if slopes[worst] > 0.0 else None)
+    pts = np.array([0.0, 2.0] + ([want] if 0.0 <= want <= 2.0 else []))
+    slopes = np.polyval(d1[::-1], pts)
+    assert _is_monotone(f) == bool(slopes.max() <= 0.0 or slopes.min() >= 0.0)
 
 
 def test_filter_contraction_path3():
