@@ -28,8 +28,9 @@ and the ``energy`` command's trace form is ``Graph.laplacian_times``, two
 ``extremes`` is always the pair ``[lam_min_nonzero, lam_max]``, all that the
 contraction factors of a monotone filter need.  Once the graph has
 ``LANCZOS_MIN_NODES`` nodes it comes from Lanczos on the edge arrays, with no
-Laplacian and no dense solve; a smaller graph, or one Lanczos cannot settle,
-takes the pair from ``spectrum``.  The dense eigensolve takes the Laplacian
+Laplacian and no dense solve; a smaller graph, or one Lanczos does not settle
+within a dense solve's worth of work (``lanczos_step_cap``), takes the pair
+from ``spectrum``.  The dense eigensolve takes the Laplacian
 as built, unchecked: the edge checks of :class:`Graph` (finite positive
 weights, one entry per pair) and the finite-degree check of
 ``augmented_degrees`` make it finite, and both triangles are written from one
@@ -231,8 +232,8 @@ class Graph:
 
         On a graph of at least ``LANCZOS_MIN_NODES`` nodes it is the pair
         Lanczos finds on the edge arrays, with no Laplacian.  On a smaller
-        graph, or when Lanczos does not converge, it is the two ends of the
-        nonzero part of ``self.spectrum``.  Raises
+        graph, or when Lanczos does not converge within ``lanczos_step_cap``
+        steps, it is the two ends of the nonzero part of ``self.spectrum``.  Raises
         :class:`DegenerateSpectrumError` on an edgeless graph.
         """
         if self.n >= LANCZOS_MIN_NODES and self.kernel_dim < self.n:

@@ -26,7 +26,8 @@ and to ``-P``) that maximum is attained at ``lam`` or at ``lam_max``, so the
 factors read the pair ``Graph.extremes``; every other filter reads the full
 ``Graph.spectrum`` above the kernel.  On graphs of at least
 ``LANCZOS_MIN_NODES`` nodes the pair comes from :func:`lanczos_extremes`, a
-numpy-only Lanczos iteration on the edge arrays.
+numpy-only Lanczos iteration on the edge arrays that may do as much work as
+the dense solve it would fall back to, and no more (:func:`lanczos_step_cap`).
 """
 
 from __future__ import annotations
@@ -52,19 +53,20 @@ ROOT_SLACK = 1e-6
 EPS = float(np.finfo(float).eps)
 # Graphs of at least LANCZOS_MIN_NODES nodes take the Lanczos route to their
 # two extreme nonzero eigenvalues.  On ER graphs of mean degree 10 to 20 at 2
-# BLAS threads it breaks even with the dense solve between 450 and 600 nodes,
-# but a graph that falls back pays 12 to 20 ms on top of the dense solve,
-# which at 700 nodes takes about 32 ms and at 500 about 16 ms.
+# BLAS threads it breaks even with the dense solve between 450 and 600 nodes;
+# the dense solve takes about 32 ms at 700 nodes and 16 ms at 500.
 # Every LANCZOS_CHECK_EVERY steps the extreme Ritz residuals are checked
-# against LANCZOS_RESIDUAL times their Ritz values.  At LANCZOS_TREND_STEPS
-# a run whose residual trend would not converge within LANCZOS_MAX_STEPS
-# stops, leaving the graph to the dense solve; rings, paths and circulants
-# converge that slowly.
+# against LANCZOS_RESIDUAL times their Ritz values.  A run that has done the
+# work of the dense solve it would fall back to stops, leaving the graph to
+# that solve (lanczos_step_cap).  LANCZOS_WORK_RATIO weighs Lanczos work,
+# m (E + m n) through step m, against eigvalsh's n^3; it is fitted from the
+# time ratios of ER graphs with 1,000 to 5,000 nodes at 2 BLAS threads.
+# Rings, paths and sparse circulants do not settle in time: from 800 to 5,000
+# nodes their attempt takes 0.9 to 1.13 times the dense solve that follows.
 LANCZOS_MIN_NODES = 700
-LANCZOS_MAX_STEPS = 300
 LANCZOS_CHECK_EVERY = 10
-LANCZOS_TREND_STEPS = 100
 LANCZOS_RESIDUAL = 1e-13
+LANCZOS_WORK_RATIO = 20
 LANCZOS_SEED = 0
 
 
@@ -264,10 +266,26 @@ def _contraction(f: PolynomialFilter, eigenvalues: np.ndarray) -> FilterContract
                              lambda_min_nonzero=lam)
 
 
+def lanczos_step_cap(g: Graph) -> int:
+    """The most Lanczos steps graph ``g`` may take: the largest ``m`` with
+    ``LANCZOS_WORK_RATIO m (E + m n) <= n^3``, and at most the dimension above
+    the kernel.  Through step ``m`` a run does ``m`` edge products over ``E``
+    edges and reorthogonalizes against ``m`` basis rows of length ``n``; the
+    dense ``eigvalsh`` of the fallback does about ``n^3``.  The cap never
+    exceeds ``n / sqrt(LANCZOS_WORK_RATIO)``, so the basis stays smaller than
+    the fallback's ``n x n`` Laplacian.
+    """
+    k, n, e = LANCZOS_WORK_RATIO, g.n, g.edge_count
+    # the positive root of k n m^2 + k e m - n^3, floored exactly in integers
+    budget = (math.isqrt(k * k * e * e + 4 * k * n ** 4) - k * e) // (2 * k * n)
+    return min(budget, n - g.kernel_dim)
+
+
 def lanczos_extremes(g: Graph) -> np.ndarray | None:
     """Read-only ``[lam_min_nonzero, lam_max]`` of the Laplacian of graph ``g``
     by Lanczos on its edge arrays, or None when the extreme Ritz residuals do
-    not reach ``LANCZOS_RESIDUAL`` times their Ritz values.
+    not reach ``LANCZOS_RESIDUAL`` times their Ritz values within
+    :func:`lanczos_step_cap` steps.
 
     Each step takes one ``g.laplacian_times``, on the edge arrays, never a
     matrix.  The kernel, ``Dtil^{1/2} 1`` on each component, is projected
@@ -285,13 +303,12 @@ def lanczos_extremes(g: Graph) -> np.ndarray | None:
         x -= root * (np.bincount(labels, root * x, n)[labels] / mass)
 
     dim = n - g.kernel_dim
-    steps = min(LANCZOS_MAX_STEPS, dim)
+    steps = lanczos_step_cap(g)
     basis = np.empty((steps, n))
     alpha, beta = np.empty(steps), np.empty(steps)
     q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
     deflate(q)
     q /= np.linalg.norm(q)
-    trend = []
     for j in range(steps):
         basis[j] = q
         x = g.laplacian_times(q)
@@ -309,24 +326,8 @@ def lanczos_extremes(g: Graph) -> np.ndarray | None:
             if worst <= LANCZOS_RESIDUAL or beta[j] <= LANCZOS_RESIDUAL or m == dim:
                 ends.flags.writeable = False
                 return ends
-            trend.append(worst)
-            if m == LANCZOS_TREND_STEPS and _projected_steps(m, trend) > LANCZOS_MAX_STEPS:
-                return None
         q = x / beta[j]
     return None
-
-
-def _projected_steps(m: int, trend: list[float]) -> float:
-    """Steps to bring the worst relative residual to ``LANCZOS_RESIDUAL``,
-    extrapolated log-linearly from its last three checks, ``m`` steps in.
-
-    Lanczos converges faster than linearly, so the projection errs long.
-    """
-    r0, r1 = trend[-3], trend[-1]
-    if r1 >= r0:
-        return math.inf
-    span = 2 * LANCZOS_CHECK_EVERY
-    return m + span * math.log(r1 / LANCZOS_RESIDUAL) / math.log(r0 / r1)
 
 
 def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -231,7 +231,7 @@ def edge_sets(draw):
     return n, pairs
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(edge_sets())
 def test_connected_components_match_the_search_oracle(case):
     n, pairs = case
