@@ -58,11 +58,13 @@ EPS = float(np.finfo(float).eps)
 # Every LANCZOS_CHECK_EVERY steps the extreme Ritz residuals are checked
 # against LANCZOS_RESIDUAL times their Ritz values.  A run that has done the
 # work of the dense solve it would fall back to stops, leaving the graph to
-# that solve (lanczos_step_cap).  LANCZOS_WORK_RATIO weighs Lanczos work,
-# m (E + m n) through step m, against eigvalsh's n^3; it is fitted from the
-# time ratios of ER graphs with 1,000 to 5,000 nodes at 2 BLAS threads.
+# that solve (lanczos_step_cap).  LANCZOS_WORK_RATIO weighs the products and
+# reorthogonalization, m (E + m n) through step m, against eigvalsh's n^3; it
+# is fitted from the time ratios of ER graphs with 1,000 to 5,000 nodes at 2
+# BLAS threads.  The checks' eigvalsh of the j x j tridiagonal costs j^3 in
+# the units of the dense solve's n^3, and counts at that weight.
 # Rings, paths and sparse circulants do not settle in time: from 800 to 5,000
-# nodes their attempt takes 0.9 to 1.13 times the dense solve that follows.
+# nodes their attempt takes 0.64 to 1.11 times the dense solve that follows.
 LANCZOS_MIN_NODES = 700
 LANCZOS_CHECK_EVERY = 10
 LANCZOS_RESIDUAL = 1e-13
@@ -268,17 +270,30 @@ def _contraction(f: PolynomialFilter, eigenvalues: np.ndarray) -> FilterContract
 
 def lanczos_step_cap(g: Graph) -> int:
     """The most Lanczos steps graph ``g`` may take: the largest ``m`` with
-    ``LANCZOS_WORK_RATIO m (E + m n) <= n^3``, and at most the dimension above
-    the kernel.  Through step ``m`` a run does ``m`` edge products over ``E``
-    edges and reorthogonalizes against ``m`` basis rows of length ``n``; the
-    dense ``eigvalsh`` of the fallback does about ``n^3``.  The cap never
-    exceeds ``n / sqrt(LANCZOS_WORK_RATIO)``, so the basis stays smaller than
-    the fallback's ``n x n`` Laplacian.
+    ``LANCZOS_WORK_RATIO m (E + m n) + m^4 / (4 LANCZOS_CHECK_EVERY) <= n^3``,
+    and at most the dimension above the kernel.  Through step ``m`` a run
+    does ``m`` edge products over ``E`` edges, reorthogonalizes against ``m``
+    basis rows of length ``n``, and checks its Ritz values every
+    ``LANCZOS_CHECK_EVERY`` steps with an ``eigvalsh`` of the ``j x j``
+    tridiagonal, about ``j^3`` at step ``j``; the dense ``eigvalsh`` of the
+    fallback does about ``n^3``.  The cap never exceeds
+    ``n / sqrt(LANCZOS_WORK_RATIO)``, so the basis stays smaller than the
+    fallback's ``n x n`` Laplacian.
     """
     k, n, e = LANCZOS_WORK_RATIO, g.n, g.edge_count
-    # the positive root of k n m^2 + k e m - n^3, floored exactly in integers
-    budget = (math.isqrt(k * k * e * e + 4 * k * n ** 4) - k * e) // (2 * k * n)
-    return min(budget, n - g.kernel_dim)
+
+    def work(m: int) -> int:
+        return k * m * (e + m * n) + m ** 4 // (4 * LANCZOS_CHECK_EVERY)
+
+    # the work grows with m: bisect for the last m within budget, in integers
+    lo, hi = 0, n - g.kernel_dim
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if work(mid) <= n ** 3:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def lanczos_extremes(g: Graph) -> np.ndarray | None:

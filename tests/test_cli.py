@@ -797,18 +797,26 @@ def test_run_and_sweep_need_no_dense_eigensolve_above_the_lanczos_cutoff(tmp_pat
     # the extremes come from Lanczos on the edge arrays: eigvalsh only ever sees
     # its small tridiagonal matrix, and the sweep builds no Laplacian at all
     original = np.linalg.eigvalsh
-    n = 1000
+    step_cap = gcn_energy.spectral.lanczos_step_cap
+    caps = []
+
+    def recorded_cap(g):
+        caps.append(step_cap(g))
+        return caps[-1]
 
     def small_only(m, *args, **kwargs):
-        if m.shape[0] >= n:
+        # the tridiagonal of the Lanczos run under way, never past that run's cap,
+        # which is below the graph's node count
+        if not caps or m.shape[0] > caps[-1]:
             raise AssertionError(f"dense eigvalsh of a {m.shape[0]} x {m.shape[0]} matrix")
         return original(m, *args, **kwargs)
 
     def no_laplacian(g):
         raise AssertionError("dense Laplacian built")
 
+    monkeypatch.setattr(gcn_energy.spectral, "lanczos_step_cap", recorded_cap)
     monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
-    graph = f"gen:er:{n}:0.02:3"
+    graph = "gen:er:1000:0.02:3"
     assert main(["run", "--config", run_json(tmp_path, graph=graph, layers=3),
                  "--mode", "prop71"]) == 0
     monkeypatch.setattr(gcn_energy.graphs, "augmented_normalized_laplacian", no_laplacian)
