@@ -50,11 +50,20 @@ def dirichlet_energy_trace(x, lap: np.ndarray) -> float:
 
 
 def dirichlet_energy_edge_sum(x, g: Graph) -> float:
-    """Edge-wise Dirichlet energy on the graph's cached degrees; equals the trace form."""
+    """Edge-wise Dirichlet energy on the graph's cached degrees; equals the trace form.
+
+    The squared differences are added into one per-edge sum a channel at a
+    time, in channel order, so no ``E x C`` array is built.
+    """
     x = as_embedding(x, g.n)
-    y = x / np.sqrt(g.augmented_degrees)[:, None]
-    diffs = y[g.u] - y[g.v]
-    return float((g.w * (diffs * diffs).sum(axis=1)).sum())
+    u, v = g.u, g.v
+    squares = np.zeros(g.edge_count)
+    for y in np.ascontiguousarray(x.T) / np.sqrt(g.augmented_degrees):
+        diffs = y[u]
+        diffs -= y[v]
+        diffs *= diffs
+        squares += diffs
+    return float((g.w * squares).sum())
 
 
 def rayleigh_quotient(x, lap: np.ndarray) -> float:

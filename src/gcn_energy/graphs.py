@@ -18,13 +18,14 @@ dimension is the number of components and needs no zero tolerance.
 
 A graph is also the one spectral context every statement, run, suite and
 sweep on it shares: its ``augmented_degrees``, ``inv_sqrt_degrees``,
+``neighbours`` (both directions of every edge, sorted by row),
 ``component_labels``, ``kernel_dim`` (the component count), ``laplacian``,
 ``spectrum`` (the ascending eigenvalues, the first ``kernel_dim`` of which
 span the kernel) and ``extremes`` are built on first use and then cached,
 read-only, on the graph, so each graph gets at most one Laplacian and one
 dense eigensolve.  Every product with ``Ltil`` outside the dense eigensolve
-and the ``energy`` command's trace form is ``Graph.laplacian_times``, two
-``np.bincount`` calls over the edge arrays per channel.
+and the ``energy`` command's trace form is ``Graph.laplacian_times``: per
+channel, one gather and one segmented sum over ``neighbours``.
 ``extremes`` is always the pair ``[lam_min_nonzero, lam_max]``, all that the
 contraction factors of a monotone filter need.  Once the graph has
 ``LANCZOS_MIN_NODES`` nodes it comes from Lanczos on the edge arrays, with no
@@ -165,22 +166,41 @@ class Graph:
         s.flags.writeable = False
         return s
 
+    @cached_property
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(rows, first, cols, weights)``: both directions of every
+        edge, sorted by row and, within a row, by neighbour.  ``cols`` and
+        ``weights`` hold each entry's neighbour and weight; ``rows`` are the
+        non-empty rows and ``first`` the index of each one's first entry."""
+        ends = np.concatenate((self.v, self.u))
+        order = np.argsort(ends, kind="stable")  # lower neighbours first, each part ascending
+        ends = ends[order]
+        rows = np.flatnonzero(np.bincount(ends, minlength=self.n))
+        layout = (rows, np.searchsorted(ends, rows), np.concatenate((self.u, self.v))[order],
+                  np.concatenate((self.w, self.w))[order])
+        for arr in layout:
+            arr.flags.writeable = False
+        return layout
+
     def laplacian_times(self, x: np.ndarray) -> np.ndarray:
         """``Ltil @ x`` for a vector or an ``n x C`` matrix, on the edge arrays.
 
-        ``Ltil x = x - Dtil^{-1/2} (A + I) Dtil^{-1/2} x`` takes two
-        ``np.bincount`` calls over the edges per channel; no ``n x n`` matrix is
-        built.  A matrix is taken one contiguous channel at a time: one
-        ``bincount`` over every channel at once needs ``2E x C`` temporaries.
+        ``Ltil x = x - Dtil^{-1/2} (A + I) Dtil^{-1/2} x`` takes one gather and
+        one segmented sum (``np.add.reduceat``) over :attr:`neighbours` per
+        channel; no ``n x n`` matrix is built.  A matrix is taken one
+        contiguous channel at a time: every channel at once needs ``2E x C``
+        temporaries.
         """
         if x.ndim == 2:
             out = np.empty(x.shape)
             for c, channel in enumerate(np.ascontiguousarray(x.T)):
                 out[:, c] = self.laplacian_times(channel)
             return out
-        n, u, v, w, s = self.n, self.u, self.v, self.w, self.inv_sqrt_degrees
-        y = x * s
-        return x - (np.bincount(u, w * y[v], n) + np.bincount(v, w * y[u], n) + y) * s
+        rows, first, cols, w = self.neighbours
+        s = self.inv_sqrt_degrees
+        acc = x * s
+        acc[rows] += np.add.reduceat(w * acc[cols], first)
+        return x - acc * s
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -332,6 +352,28 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(nodes[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
+def _erdos_renyi_pairs(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``u < v`` kept with probability ``p``, sorted, from one draw
+    per pair in row order: the seeded stream of every ER graph.
+
+    Whole rows are drawn together, at most 2^18 doubles at a time, to bound
+    the memory; ``random()`` takes one output per double, so the stream is
+    the one a draw per row gives.
+    """
+    # ends[u]: the pairs before row u, which holds the n - u - 1 pairs (u, v > u)
+    ends = np.arange(n + 1) * (2 * n - 1 - np.arange(n + 1)) // 2
+    kept = []
+    r0 = 0
+    while r0 < n:
+        # rows r0 to r1 - 1, and at least one row however long
+        r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] + 2**18, side="right")) - 1)
+        kept.append(np.flatnonzero(rng.random(ends[r1] - ends[r0]) < p) + ends[r0])
+        r0 = r1
+    pairs = np.concatenate(kept)
+    lo = np.searchsorted(ends, pairs, side="right") - 1
+    return lo, pairs - ends[lo] + lo + 1
+
+
 def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
              k: int | None = None) -> Graph:
     """Build a unit-weight graph from a named family, deterministically per seed.
@@ -348,11 +390,7 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
     if kind == "erdos_renyi":
         if p is None or not (0.0 <= p <= 1.0):
             raise ValidationError(f"erdos_renyi needs edge probability p in [0, 1], got {p!r}")
-        rng = np.random.default_rng(seed)
-        # one draw per pair, row by row: the seeded stream of every ER graph
-        rows = [np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1) for u in range(n)]
-        lo = np.repeat(np.arange(n), [row.size for row in rows])
-        hi = np.concatenate(rows)
+        lo, hi = _erdos_renyi_pairs(n, p, np.random.default_rng(seed))
     elif kind == "ring":
         if n < 3:
             raise ValidationError(f"ring needs n >= 3, got {n}")

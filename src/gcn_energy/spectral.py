@@ -59,16 +59,16 @@ EPS = float(np.finfo(float).eps)
 # against LANCZOS_RESIDUAL times their Ritz values.  A run that has done the
 # work of the dense solve it would fall back to stops, leaving the graph to
 # that solve (lanczos_step_cap).  LANCZOS_WORK_RATIO weighs the products and
-# reorthogonalization, m (E + m n) through step m, against eigvalsh's n^3; it
-# is fitted from the time ratios of ER graphs with 1,000 to 5,000 nodes at 2
-# BLAS threads.  The checks' eigvalsh of the j x j tridiagonal costs j^3 in
-# the units of the dense solve's n^3, and counts at that weight.
-# Rings, paths and sparse circulants do not settle in time: from 800 to 5,000
-# nodes their attempt takes 0.64 to 1.11 times the dense solve that follows.
+# reorthogonalization, m (E + m n) through step m, against eigvalsh's n^3.
+# The checks' eigvalsh of the j x j tridiagonal costs j^3 in the units of the
+# dense solve's n^3, and counts at that weight.  The ratio is fitted from
+# graphs that do not settle in time, rings, paths and 4-regular circulants of
+# 800 to 5,000 nodes at 2 BLAS threads: at 12 their attempt takes 0.75 to 1.04
+# times the dense solve that follows; at 20 their steps alone took 0.43 to 0.61.
 LANCZOS_MIN_NODES = 700
 LANCZOS_CHECK_EVERY = 10
 LANCZOS_RESIDUAL = 1e-13
-LANCZOS_WORK_RATIO = 20
+LANCZOS_WORK_RATIO = 12
 LANCZOS_SEED = 0
 
 
@@ -303,10 +303,11 @@ def lanczos_extremes(g: Graph) -> np.ndarray | None:
     :func:`lanczos_step_cap` steps.
 
     Each step takes one ``g.laplacian_times``, on the edge arrays, never a
-    matrix.  The kernel, ``Dtil^{1/2} 1`` on each component, is projected
-    out of the seeded start vector and after each of the two
-    orthogonalization passes against the whole basis, so the smallest Ritz
-    value approximates ``lam_min_nonzero``.
+    matrix, subtracts the three-term recurrence and then makes one full
+    reorthogonalization pass against the basis.  The kernel,
+    ``Dtil^{1/2} 1`` on each component, is projected out of the seeded start
+    vector and after that pass, so the smallest Ritz value approximates
+    ``lam_min_nonzero``.
     An invariant subspace or an exhausted Krylov space ends the run with exact
     values.  ``g`` needs at least one edge.
     """
@@ -328,10 +329,13 @@ def lanczos_extremes(g: Graph) -> np.ndarray | None:
         basis[j] = q
         x = g.laplacian_times(q)
         alpha[j] = q @ x
-        # one pass loses orthogonality as beta shrinks, and the Ritz values with it
-        for _ in range(2):
-            x -= (basis[:j + 1] @ x) @ basis[:j + 1]
-            deflate(x)
+        # the three-term recurrence, then one full pass against the basis: the
+        # recurrence leaves only rounding for that pass to remove
+        x -= alpha[j] * q
+        if j:
+            x -= beta[j - 1] * basis[j - 1]
+        x -= (basis[:j + 1] @ x) @ basis[:j + 1]
+        deflate(x)
         beta[j] = np.linalg.norm(x)
         m = j + 1
         if m % LANCZOS_CHECK_EVERY == 0 or m == steps or beta[j] <= LANCZOS_RESIDUAL:
@@ -357,7 +361,11 @@ def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.n
     """
     k = alpha.size
     off = beta[:-1]
-    ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    t = np.zeros((k, k))
+    t.flat[::k + 1] = alpha
+    t.flat[1::k + 1] = off
+    t.flat[k::k + 1] = off
+    ritz = np.linalg.eigvalsh(t)
     ends = np.array([ritz[0], ritz[-1]])
     a, b = alpha.tolist(), off.tolist() + [0.0]
     last = []

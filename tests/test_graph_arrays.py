@@ -74,12 +74,16 @@ def ref_perturb(edges, plan):
 
 
 def ref_edge_sum(x, n, edges):
+    """Per edge, the squared differences added channel by channel in order."""
     y = x / np.sqrt(1.0 + ref_weighted_degrees(n, edges))[:, None]
     us = np.fromiter((e[0] for e in edges), dtype=int, count=len(edges))
     vs = np.fromiter((e[1] for e in edges), dtype=int, count=len(edges))
     ws = np.fromiter((e[2] for e in edges), dtype=float, count=len(edges))
-    diffs = y[us] - y[vs]
-    return float(np.sum(ws * np.sum(diffs * diffs, axis=1)))
+    squares = np.zeros(len(edges))
+    for c in range(x.shape[1]):
+        diffs = y[us, c] - y[vs, c]
+        squares += diffs * diffs
+    return float(np.sum(ws * squares))
 
 
 def raw_weighted_edges(seed, n=30, m=150):
@@ -105,8 +109,9 @@ def test_arrays_match_loop_references_exactly(seed):
     assert g.edges == edges
     assert np.array_equal(g.weighted_degrees(), ref_weighted_degrees(n, edges))
     assert np.array_equal(augmented_normalized_laplacian(g), ref_laplacian(n, edges))
-    x = np.random.default_rng(seed).standard_normal((n, 3))
-    assert dirichlet_energy_edge_sum(x, g) == ref_edge_sum(x, n, edges)
+    for channels in (1, 3, 8, 16):
+        x = np.random.default_rng(seed).standard_normal((n, channels))
+        assert dirichlet_energy_edge_sum(x, g) == ref_edge_sum(x, n, edges)
     for plan in (PerturbationPlan.drop(0.3, seed=seed), PerturbationPlan.boost(9, 37.5, seed)):
         assert perturb(g, plan).edges == ref_perturb(edges, plan)
 

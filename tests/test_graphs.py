@@ -259,6 +259,19 @@ def test_generate_complete_edge_count():
     assert generate("complete", 7).edge_count == 21
 
 
+@pytest.mark.parametrize("n", [1, 2, 40, 2000])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_generate_erdos_renyi_matches_the_row_by_row_stream(n, p):
+    # one draw per pair, row by row, is the seeded stream; the generator may
+    # draw several rows at once, but must keep every graph
+    for seed in (0, 1, 4242):
+        rng = np.random.default_rng(seed)
+        rows = [np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1) for u in range(n)]
+        g = generate("erdos_renyi", n, seed, p=p)
+        assert np.array_equal(g.u, np.repeat(np.arange(n), [row.size for row in rows]))
+        assert np.array_equal(g.v, np.concatenate(rows))
+
+
 def test_generate_erdos_renyi_deterministic_per_seed():
     a = generate("erdos_renyi", 40, seed=9, p=0.15)
     b = generate("erdos_renyi", 40, seed=9, p=0.15)

@@ -542,8 +542,25 @@ def test_a_slow_graph_spends_at_most_its_step_cap_before_the_dense_route(monkeyp
     assert np.array_equal(ends, g.spectrum[[g.kernel_dim, -1]])
 
 
+@pytest.mark.parametrize("n,p,steps", [(1000, 0.02, 150), (2000, 0.01, 180)])
+def test_lanczos_step_counts_on_the_benchmark_graphs(monkeypatch, n, p, steps):
+    # the sweep's and run-deep's graphs at seed 1: a cheaper step that needs
+    # more of them to settle shows here
+    g = generate("erdos_renyi", n, 1, p=p)
+    calls = []
+    product = Graph.laplacian_times
+
+    def counted(self, x):
+        calls.append(x)
+        return product(self, x)
+
+    monkeypatch.setattr(Graph, "laplacian_times", counted)
+    assert lanczos_extremes(g) is not None
+    assert len(calls) == steps
+
+
 def test_a_graph_that_settles_within_its_cap_takes_the_lanczos_route():
-    # the run-deep graph at seed 4242 settles in 200 steps, under its cap of 419
+    # the run-deep graph at seed 4242 settles in 200 steps, under its cap of 508
     g = generate("erdos_renyi", 2000, 4242, p=0.01)
     ends = g.extremes
     assert "spectrum" not in vars(g) and "laplacian" not in vars(g)
