@@ -27,7 +27,6 @@ from .energy import (
     as_embedding,
     dirichlet_energy_edge_sum,
     dirichlet_energy_trace,
-    rayleigh_quotient,
 )
 from .errors import DegenerateSpectrumError, NumericError, ParseError, ValidationError
 from .graphs import (
@@ -116,7 +115,6 @@ __all__ = [
     "make_weights",
     "perturb",
     "probe_field",
-    "rayleigh_quotient",
     "run_network",
     "run_suite",
     "run_sweep",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -399,30 +399,30 @@ class SuiteResult:
         return lines
 
 
-def _suite_l31(rng: np.random.Generator, trial: int) -> list[BoundReport]:
+def _suite_l31(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng)
     x = random_embedding(rng, g.n)
-    ctx = f"trial={trial} graph={desc} C={x.shape[1]}"
+    ctx = f"{prefix} graph={desc} C={x.shape[1]}"
     return [verify_lemma_3_1(g, x, context=ctx)]
 
 
-def _suite_l32(rng: np.random.Generator, trial: int) -> list[BoundReport]:
+def _suite_l32(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng)
     x = random_embedding(rng, g.n)
     cols = int(rng.integers(1, 9))
     target = float(rng.uniform(0.2, 2.0))
     w = make_weights(x.shape[1], cols, target, seed=int(rng.integers(2**63)))
-    ctx = f"trial={trial} graph={desc} C={x.shape[1]} W={x.shape[1]}x{cols} target={target:.3f}"
+    ctx = f"{prefix} graph={desc} C={x.shape[1]} W={x.shape[1]}x{cols} target={target:.3f}"
     return [verify_lemma_3_2(g, x, w, context=ctx)]
 
 
 _L33_SLOPES = (0.01, 0.2, 0.5)
 
 
-def _suite_l33(rng: np.random.Generator, trial: int) -> list[BoundReport]:
+def _suite_l33(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng)
     x = random_embedding(rng, g.n)
-    ctx = f"trial={trial} graph={desc} C={x.shape[1]}"
+    ctx = f"{prefix} graph={desc} C={x.shape[1]}"
     acts = [Activation.relu()] + [Activation.leaky_relu(a) for a in _L33_SLOPES]
     acts += [Activation.tanh(), Activation.sigmoid()]
     ex = dirichlet_energy_edge_sum(x, g)  # one input energy for all six activations
@@ -437,17 +437,17 @@ def _random_energy_activation(rng: np.random.Generator) -> Activation:
     return Activation.leaky_relu(float(rng.uniform(0.01, 0.99)))
 
 
-def _suite_t34(rng: np.random.Generator, trial: int) -> list[BoundReport]:
+def _suite_t34(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng)
     x = random_embedding(rng, g.n)
     weights, wdesc = random_weight_chain(rng, x.shape[1])
     act = _random_energy_activation(rng)
     layer = LayerSpec(filter=PolynomialFilter.propagation(), weights=weights, activation=act)
-    ctx = f"trial={trial} graph={desc} weights={wdesc} act={act.kind}"
+    ctx = f"{prefix} graph={desc} weights={wdesc} act={act.kind}"
     return [verify_theorem_3_4(g, x, layer, context=ctx)]
 
 
-def _suite_c35(rng: np.random.Generator, trial: int) -> list[BoundReport]:
+def _suite_c35(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng, n_lo=5, n_hi=40)
     channels = int(rng.integers(1, 7))
     depth = int(rng.integers(3, 11))
@@ -463,7 +463,7 @@ def _suite_c35(rng: np.random.Generator, trial: int) -> list[BoundReport]:
     ]
     x0 = rng.standard_normal((g.n, channels))
     traj = run_network(x0, layers, g)
-    ctx = f"trial={trial} graph={desc} C={channels} L={depth} target={target:.3f} act={act.kind}"
+    ctx = f"{prefix} graph={desc} C={channels} L={depth} target={target:.3f} act={act.kind}"
     return [verify_corollary_3_5(traj, context=ctx)]
 
 
@@ -478,16 +478,16 @@ def _random_filter(rng: np.random.Generator) -> PolynomialFilter:
     return PolynomialFilter.from_coefficients(rng.uniform(-1.0, 1.0, size=degree + 1))
 
 
-def _suite_l72(rng: np.random.Generator, trial: int) -> list[BoundReport]:
+def _suite_l72(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng)
     x = random_embedding(rng, g.n)
     f = _random_filter(rng)
     coeffs = ",".join(f"{c:.6g}" for c in f.coefficients)
-    ctx = f"trial={trial} graph={desc} C={x.shape[1]} filter=[{coeffs}]"
+    ctx = f"{prefix} graph={desc} C={x.shape[1]} filter=[{coeffs}]"
     return [verify_lemma_7_2(g, x, f, context=ctx)]
 
 
-def _suite_p71(rng: np.random.Generator, trial: int) -> list[BoundReport]:
+def _suite_p71(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng, n_lo=5, n_hi=40)
     channels = int(rng.integers(1, 7))
     depth = int(rng.integers(2, 7))
@@ -504,7 +504,7 @@ def _suite_p71(rng: np.random.Generator, trial: int) -> list[BoundReport]:
     traj = run_network(x0, layers, g)
     worst = max(rec.bound_safe for rec in traj.records[1:])
     epsilon = min(0.99, max(1e-6, (1.0 - worst) / 2.0))
-    ctx = f"trial={trial} graph={desc} C={channels} L={depth}"
+    ctx = f"{prefix} graph={desc} C={channels} L={depth}"
     verdict = verify_prop_7_1(traj, epsilon, context=ctx)
     if not verdict.ok:
         # constructed instances must satisfy the preconditions
@@ -530,6 +530,5 @@ def run_suite(statement: str, trials: int, seed: int) -> SuiteResult:
     reports: list[BoundReport] = []
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, trial))
-        for report in builder(rng, trial):
-            reports.append(replace(report, context=f"seed={seed} {report.context}"))
+        reports += builder(rng, f"seed={seed} trial={trial}")
     return SuiteResult(statement=statement, trials=trials, seed=seed, reports=tuple(reports))

@@ -32,9 +32,9 @@ from .config import (
     load_sweep_config,
     resolve_graph_source,
 )
-from .energy import dirichlet_energy_edge_sum, dirichlet_energy_trace, rayleigh_quotient
+from .energy import dirichlet_energy_edge_sum, dirichlet_energy_trace
 from .errors import DegenerateSpectrumError, NumericError, ValidationError
-from .graphs import MAX_CHANNELS, MAX_TRIALS, check_work_size
+from .graphs import MAX_CHANNELS, MAX_TRIALS, augmented_normalized_laplacian, check_work_size
 from .network import run_network
 from .seeding import check_seed
 from .spectral import contraction_factors
@@ -111,9 +111,9 @@ def _cmd_energy(args) -> int:
     g = resolve_graph_source(args.graph)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((g.n, args.channels))
-    e_trace = dirichlet_energy_trace(x, g.laplacian)
+    e_trace = dirichlet_energy_trace(x, augmented_normalized_laplacian(g))
     e_edge = dirichlet_energy_edge_sum(x, g)
-    rq = rayleigh_quotient(x, g.laplacian)
+    rq = e_trace / float(np.sum(x * x))  # the run's rule: energy over ||X||^2
     doc = {"command": "energy", "graph": args.graph,
            "channels": args.channels, "seed": args.seed}
     body = _table("n,edges,channels,seed,energy_trace,energy_edge_sum,rayleigh",

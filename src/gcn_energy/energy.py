@@ -11,7 +11,7 @@ degrees.  The energy vanishes exactly on multiples of ``Dtil^{1/2} 1`` per
 channel and scales quadratically: ``E(cX) = c^2 E(X)``.
 
 Verdicts, runs and sweeps take the edge-sum form, a sum of squares; the trace
-form serves the ``energy`` command's cross-check and :func:`rayleigh_quotient`.
+form serves the ``energy`` command's cross-check.
 """
 
 from __future__ import annotations
@@ -64,13 +64,3 @@ def dirichlet_energy_edge_sum(x, g: Graph) -> float:
         diffs *= diffs
         squares += diffs
     return float((g.w * squares).sum())
-
-
-def rayleigh_quotient(x, lap: np.ndarray) -> float:
-    """``tr(X^T Ltil X) / tr(X^T X)``; diagnostic only, never used in verdicts."""
-    lap = np.asarray(lap, dtype=float)
-    x = as_embedding(x, lap.shape[0])
-    denom = float(np.sum(x * x))
-    if denom <= 0.0:
-        raise ValidationError("Rayleigh quotient undefined for an all-zero embedding")
-    return dirichlet_energy_trace(x, lap) / denom

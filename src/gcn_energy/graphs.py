@@ -19,13 +19,14 @@ dimension is the number of components and needs no zero tolerance.
 A graph is also the one spectral context every statement, run, suite and
 sweep on it shares: its ``augmented_degrees``, ``inv_sqrt_degrees``,
 ``neighbours`` (both directions of every edge, sorted by row),
-``component_labels``, ``kernel_dim`` (the component count), ``laplacian``,
-``spectrum`` (the ascending eigenvalues, the first ``kernel_dim`` of which
-span the kernel) and ``extremes`` are built on first use and then cached,
-read-only, on the graph, so each graph gets at most one Laplacian and one
-dense eigensolve.  Every product with ``Ltil`` outside the dense eigensolve
-and the ``energy`` command's trace form is ``Graph.laplacian_times``: per
-channel, one gather and one segmented sum over ``neighbours``.
+``component_labels``, ``kernel_dim`` (the component count), ``spectrum``
+(the ascending eigenvalues, the first ``kernel_dim`` of which span the
+kernel) and ``extremes`` are built on first use and then cached, read-only,
+on the graph, so each graph gets at most one dense eigensolve.  The graph
+holds no ``n x n`` matrix: :func:`augmented_normalized_laplacian` builds one
+for the eigensolve alone, and the ``energy`` command builds its own for its
+trace form.  Every other product with ``Ltil`` is ``Graph.laplacian_times``:
+per channel, one gather and one segmented sum over ``neighbours``.
 ``extremes`` is always the pair ``[lam_min_nonzero, lam_max]``, all that the
 contraction factors of a monotone filter need.  Once the graph has
 ``LANCZOS_MIN_NODES`` nodes it comes from Lanczos on the edge arrays, with no
@@ -203,15 +204,6 @@ class Graph:
         return x - acc * s
 
     @cached_property
-    def laplacian(self) -> np.ndarray:
-        """Read-only :func:`augmented_normalized_laplacian`, built on first use
-        by ``spectrum`` and the ``energy`` command's trace form; every other
-        product with ``Ltil`` is :meth:`laplacian_times`."""
-        lap = augmented_normalized_laplacian(self)
-        lap.flags.writeable = False
-        return lap
-
-    @cached_property
     def component_labels(self) -> np.ndarray:
         """Read-only: per node, the smallest node of its connected component.
 
@@ -242,9 +234,10 @@ class Graph:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Read-only ascending eigenvalues of ``self.laplacian``, built on first
-        use; the first ``self.kernel_dim`` of them span the kernel."""
-        return eigendecompose(self.laplacian)
+        """Read-only ascending eigenvalues of the Laplacian, built on first use;
+        the first ``self.kernel_dim`` of them span the kernel.  The dense
+        Laplacian lives only for the eigensolve."""
+        return eigendecompose(augmented_normalized_laplacian(self))
 
     @cached_property
     def extremes(self) -> np.ndarray:

@@ -7,8 +7,9 @@ edge-array product ``Graph.laplacian_times``, with no eigenvectors and no
 ``n x n`` matrix.
 :func:`eigendecompose` computes eigenvalues only, since every contraction factor
 depends on them alone.  It serves ``Graph.spectrum`` and takes the Laplacian
-the graph built, which is exactly symmetric and finite by construction, so it
-runs ``eigvalsh`` on it with no check and no symmetrised copy.
+that ``augmented_normalized_laplacian`` builds for it, which is exactly
+symmetric and finite by construction, so it runs ``eigvalsh`` on it with no
+check and no symmetrised copy.
 :func:`eval_filter_matrix`, the tests' oracle of :func:`apply_filter`, runs its
 own full ``eigh``.  No command calls it.
 
@@ -32,7 +33,6 @@ the dense solve it would fall back to, and no more (:func:`lanczos_step_cap`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,12 +73,12 @@ LANCZOS_SEED = 0
 
 
 def eigendecompose(m: np.ndarray) -> np.ndarray:
-    """Read-only ascending eigenvalues (``eigvalsh``, no eigenvectors) of
-    ``Graph.laplacian``.
+    """Read-only ascending eigenvalues (``eigvalsh``, no eigenvectors) of a
+    graph's Laplacian.
 
-    ``m`` is taken as built by :class:`~gcn_energy.graphs.Graph`: exactly
-    symmetric with finite entries, so it is neither checked nor symmetrised.
-    ``g.spectrum`` is the public route.
+    ``m`` is taken as :func:`~gcn_energy.graphs.augmented_normalized_laplacian`
+    builds it: exactly symmetric with finite entries, so it is neither checked
+    nor symmetrised.  ``g.spectrum`` is the public route.
     """
     try:
         eigenvalues = np.linalg.eigvalsh(m)
@@ -171,10 +171,8 @@ def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndar
 
     Leading terms of ``P'`` below rounding on the interval take no part in
     finding the roots: they would scale ``np.roots``' companion matrix so far
-    that the roots near the interval come out as zeros.  A linear ``P''``
-    (every cubic filter) has its one root in closed form, the value
-    ``np.roots`` returns, without a LAPACK call.  Raises
-    :class:`NumericError` when a root cannot be found.
+    that the roots near the interval come out as zeros.  Raises
+    :class:`NumericError` when ``np.roots`` cannot find the roots.
     """
     d1 = _poly_derivative(f.coefficients) or (0.0,)
     terms = np.abs(d1) * np.float_power(max(1.0, abs(lo), abs(hi)), np.arange(len(d1)))
@@ -187,12 +185,7 @@ def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndar
     if len(d2) > 1:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if len(d2) > 2:
-                    roots = np.roots(d2[::-1])
-                else:
-                    roots = np.array([-d2[0]]) / d2[1] + 0.0  # np.roots' zero is +0.0
-                    if not np.isfinite(roots[0]):  # where np.roots' eigvals would fail
-                        raise np.linalg.LinAlgError(f"root {roots[0]}")
+                roots = np.roots(d2[::-1])
         except np.linalg.LinAlgError as exc:  # a coefficient ratio past the float range
             raise NumericError(f"roots of the second derivative of {f.coefficients} "
                                f"not found: {exc}") from None
@@ -202,7 +195,6 @@ def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndar
         return points, np.polyval(d1[::-1], points)
 
 
-@functools.lru_cache(maxsize=32)  # a run asks once per layer, mostly of one filter
 def _is_monotone(f: PolynomialFilter) -> bool:
     """Whether ``P`` is monotone on ``[0, 2]``, which holds every eigenvalue of
     an augmented normalized Laplacian: ``P'`` keeps one sign at its critical

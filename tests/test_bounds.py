@@ -196,7 +196,7 @@ def test_theorem_3_4_safe_bound_is_attained_at_every_gain(target):
     # equalities: E(f(X)) = s^2 * max (1 - lam_i)^2 * E(X), so the safe bound
     # needs the squared gain
     g = generate("ring", 12)
-    eigenvalues, eigenvectors = np.linalg.eigh(g.laplacian)
+    eigenvalues, eigenvectors = np.linalg.eigh(augmented_normalized_laplacian(g))
     v = eigenvectors[:, 1 + int(np.argmax((1.0 - eigenvalues[1:]) ** 2))]
     w = make_weights(4, 4, target, seed=3)
     a = np.linalg.svd(w)[0][:, 0]
@@ -228,7 +228,8 @@ def test_lemma_7_2_can_violate_paper_bound_but_not_safe():
     # P(x) = x is tiny at the smallest nonzero eigenvalue yet large at the
     # top of the spectrum, so the nominal bound loses while the safe one holds
     g = generate("path", 10)
-    top = np.linalg.eigh(g.laplacian)[1][:, -1]  # eigenvector of the largest eigenvalue
+    # the eigenvector of the largest eigenvalue
+    top = np.linalg.eigh(augmented_normalized_laplacian(g))[1][:, -1]
     r = verify_lemma_7_2(g, top, PolynomialFilter((0.0, 1.0)))
     assert r.holds_safe
     assert not r.holds_paper

@@ -219,6 +219,20 @@ def test_energy_file_output_and_dual_forms_agree(tmp_path, capsys):
     assert "dirichlet energy of a seeded Gaussian probe" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("graph", ["gen:ring:8", "gen:er:30:0.1:3", "gen:path:5"])
+def test_energy_rayleigh_column_lies_in_the_spectral_range(tmp_path, capsys, graph):
+    # energy over ||X||^2 lies between the extreme eigenvalues, inside [0, 2]
+    out = tmp_path / "e.csv"
+    assert main(["energy", "--graph", graph, "--channels", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, row = data_lines(out.read_text())
+    cols = dict(zip(header.split(","), row.split(",")))
+    r = float(cols["rayleigh"])
+    assert 0.0 <= r <= 2.0
+    assert r == float(cols["energy_trace"]) / float(np.sum(
+        np.random.default_rng(0).standard_normal((int(cols["n"]), 3)) ** 2))
+
+
 def test_energy_same_seed_identical_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

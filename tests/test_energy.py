@@ -11,7 +11,6 @@ from gcn_energy import (
     dirichlet_energy_trace,
     generate,
     perturb,
-    rayleigh_quotient,
 )
 
 
@@ -125,19 +124,3 @@ def test_as_embedding_promotes_vectors():
 def test_as_embedding_rejects_bad_shapes_and_values(bad):
     with pytest.raises(ValidationError):
         as_embedding(bad, 2)
-
-
-def test_rayleigh_quotient_range_and_zero_rejection():
-    g, x = random_instance(8)
-    lap = augmented_normalized_laplacian(g)
-    r = rayleigh_quotient(x, lap)
-    # bounded by the extreme eigenvalues of the Laplacian
-    assert -1e-12 <= r <= 2.0
-    with pytest.raises(ValidationError):
-        rayleigh_quotient(np.zeros(g.n), lap)
-
-
-def test_rayleigh_quotient_of_kernel_vector_is_zero():
-    g = generate("path", 4)
-    lap = augmented_normalized_laplacian(g)
-    assert rayleigh_quotient(np.sqrt(g.augmented_degrees), lap) <= 1e-14

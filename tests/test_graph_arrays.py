@@ -1,9 +1,8 @@
 """Array-backed graphs against per-edge loop references, and the cached
-per-graph context (degrees, Laplacian, spectrum)."""
+per-graph context (degrees, edge layout, spectrum)."""
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from gcn_energy import (
 from gcn_energy.cli import main
 from gcn_energy.config import load_run_config
 from gcn_energy.network import Activation, LayerSpec, make_weights, run_network
-from gcn_energy.spectral import PolynomialFilter, eval_filter_matrix
+from gcn_energy.spectral import PolynomialFilter, eval_filter_matrix, filter_contraction
 
 # ---------------------------------------------------------------------------
 # loop references: the per-edge implementations the arrays replaced
@@ -149,7 +148,7 @@ def test_laplacian_times_matches_the_dense_laplacian(g, channels, seed, coeffs):
     assert np.linalg.norm(apply_filter(f, g, x) - want) <= 1e-12 * bound
 
 
-def test_run_above_the_lanczos_cutoff_builds_no_dense_matrix(tmp_path):
+def test_run_above_the_lanczos_cutoff_builds_no_dense_matrix(counted, tmp_path):
     # the forward pass multiplies on the edge arrays and the factors read the
     # Lanczos pair, so neither the Laplacian nor the spectrum is ever built
     doc = {"graph": "gen:er:750:0.02:4", "layers": 3, "channels": 4, "filter": [1.0, -1.0],
@@ -160,7 +159,7 @@ def test_run_above_the_lanczos_cutoff_builds_no_dense_matrix(tmp_path):
     traj = run_network(setup.x0, setup.layers, setup.graph, placement=setup.placement)
     g = traj.graph
     assert g.n >= 700 and traj.depth == 3
-    assert "laplacian" not in vars(g) and "spectrum" not in vars(g)
+    assert counted["laplacian"] == 0 and "spectrum" not in vars(g)
     assert "extremes" in vars(g)
 
 
@@ -170,36 +169,31 @@ def test_run_above_the_lanczos_cutoff_builds_no_dense_matrix(tmp_path):
 
 def test_context_properties_are_cached_and_read_only():
     g = generate("erdos_renyi", 15, seed=3, p=0.3)
-    assert g.laplacian is g.laplacian
     assert g.spectrum is g.spectrum
-    assert np.array_equal(g.laplacian, augmented_normalized_laplacian(g))
-    with pytest.raises(ValueError):
-        g.laplacian[0, 0] = 1.0
     with pytest.raises(ValueError):
         g.u[0] = 1
     with pytest.raises(ValueError):
         g.w[0] = 2.0
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """Count the Laplacian builds and eigensolves, wherever a module calls them."""
-    calls = {"laplacian": 0, "eigendecompose": 0}
+def test_the_graph_holds_no_dense_matrix():
+    # every context member is built here; the n x n Laplacian of the
+    # eigensolve is not one of them
+    g = generate("erdos_renyi", 15, seed=3, p=0.3)
+    assert g.spectrum.size == g.n and g.extremes.size == 2
+    f = PolynomialFilter((0.2, 0.9, -1.1, 0.3))
+    filter_contraction(f, g)
+    layer = LayerSpec(f, (make_weights(2, 2, 0.9, seed=1),), Activation.relu())
+    run_network(np.random.default_rng(3).standard_normal((g.n, 2)), [layer], g)
+    assert "spectrum" in vars(g) and "extremes" in vars(g) and "neighbours" in vars(g)
+    for name, value in vars(g).items():
+        assert not (isinstance(value, np.ndarray) and value.ndim == 2), name
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
-    for attr, name in (("augmented_normalized_laplacian", "laplacian"),
-                       ("eigendecompose", "eigendecompose")):
-        original = getattr(graphs, attr)
-        wrapper = counting(name, original)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("gcn_energy") and getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, wrapper)
-    return calls
+def test_the_energy_command_builds_one_laplacian(counted, capsys):
+    assert main(["energy", "--graph", "gen:er:20:0.3:5"]) == 0
+    capsys.readouterr()
+    assert counted == {"laplacian": 1, "eigendecompose": 0}
 
 
 def test_weight_and_activation_suites_build_no_laplacian(counted):

@@ -170,9 +170,9 @@ def _laplacian_cases():
 
 
 def test_laplacian_is_exactly_symmetric_and_finite():
-    # the eigensolve runs eigvalsh on g.laplacian unchecked, so the graph must build it so
+    # the eigensolve runs eigvalsh on this Laplacian unchecked, so it must be built so
     for name, g in _laplacian_cases():
-        lap = g.laplacian
+        lap = augmented_normalized_laplacian(g)
         assert (lap == lap.T).all(), name
         assert np.isfinite(lap).all(), name
 

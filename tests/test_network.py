@@ -11,6 +11,7 @@ from gcn_energy import (
     Trajectory,
     ValidationError,
     apply_activation,
+    augmented_normalized_laplacian,
     dirichlet_energy_trace,
     generate,
     layer_forward,
@@ -213,16 +214,17 @@ def test_run_network_matches_eigenbasis_reference_loop(placement):
               for i, f in enumerate(filters)]
     x = np.random.default_rng(9).standard_normal((g.n, 3))
     traj = run_network(x, layers, g, placement=placement)
+    lap = augmented_normalized_laplacian(g)
     for l, rec in enumerate(traj.records):
         if l:
             spec = layers[l - 1]
-            x = eval_filter_matrix(spec.filter, g.laplacian) @ x
+            x = eval_filter_matrix(spec.filter, lap) @ x
             if placement == "paper":
                 x = apply_activation(x, act)
             for w in spec.weights:
                 x = apply_activation(x @ w, act)
         norm_sq = float(np.sum(x * x))
-        energy = dirichlet_energy_trace(x, g.laplacian)
+        energy = dirichlet_energy_trace(x, lap)
         assert abs(rec.energy - energy) <= 1e-10 * norm_sq, l
         assert rec.rayleigh == pytest.approx(energy / norm_sq, rel=1e-9, abs=1e-12)
         assert rec.channels == x.shape[1]

@@ -15,3 +15,12 @@ def test_the_graph_is_the_only_spectral_context():
     for name in ("Spectrum", "ContractionFactors", "MonotonicityCheck"):
         assert name not in gcn_energy.__all__
         assert not hasattr(gcn_energy, name)
+
+
+def test_no_dense_laplacian_member_and_no_rayleigh_quotient():
+    # the dense Laplacian is built only where it is used, and the energy
+    # command takes its Rayleigh quotient as energy over ||X||^2
+    assert "rayleigh_quotient" not in gcn_energy.__all__
+    assert not hasattr(gcn_energy, "rayleigh_quotient")
+    assert not hasattr(gcn_energy.energy, "rayleigh_quotient")
+    assert not hasattr(gcn_energy.Graph, "laplacian")

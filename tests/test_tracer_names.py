@@ -39,6 +39,8 @@ def test_every_traced_function_resolves(tracing):
     # the cached graph context builds through these globals of graphs
     ("gcn_energy.graphs", "eigendecompose", "gcn_energy.spectral"),
     ("gcn_energy.graphs", "augmented_normalized_laplacian", "gcn_energy.graphs"),
+    # the energy command builds its own Laplacian for its trace form
+    ("gcn_energy.cli", "augmented_normalized_laplacian", "gcn_energy.graphs"),
 ])
 def test_consumers_bind_traced_functions_by_name(tracing, consumer, name, owner):
     traced = {(m, f) for targets in tracing.LAYERS.values() for m, f in targets}
