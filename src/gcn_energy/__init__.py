@@ -33,7 +33,6 @@ from .graphs import (
     Graph,
     PerturbationPlan,
     augmented_normalized_laplacian,
-    connected_components,
     from_edge_list,
     generate,
     perturb,
@@ -99,7 +98,6 @@ __all__ = [
     "as_embedding",
     "augmented_normalized_laplacian",
     "check_monotone_decreasing",
-    "connected_components",
     "contraction_factors",
     "derive_seed",
     "dirichlet_energy_edge_sum",

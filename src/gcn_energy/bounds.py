@@ -320,15 +320,13 @@ def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop
         _dual_report("P7.1", after.energy, before.energy, after.bound_paper, after.bound_safe,
                      f"{context} layer={l}".strip())
         for l, (before, after) in enumerate(zip(traj.records, traj.records[1:]), start=1))
-    energies = [rec.energy for rec in traj.records]
-    e0 = energies[0]
-    worst_ratio = max(_decay_ratio(energies[l], threshold, l) for l in range(1, len(energies)))
+    e0, later = traj.records[0].energy, [rec.energy for rec in traj.records[1:]]
+    # the worst ratio E_l / (1 - eps)^l; a zero input passes iff every later
+    # energy, not the scaled worst ratio, is <= 1e-12
+    lhs = (max(later) if e0 == 0.0
+           else max(_decay_ratio(e, threshold, l) for l, e in enumerate(later, start=1)))
     ctx = f"{context} eps={epsilon:.17g} depth={traj.depth}".strip()
-    # a zero input passes iff every layer's energy, not the scaled worst ratio, is <= 1e-12
-    holds = (all(e <= VACUOUS_LHS_TOL for e in energies[1:]) if e0 == 0.0
-             else _holds(worst_ratio, e0, DECAY_REL))
-    decay = BoundReport("P7.1", worst_ratio, e0, None, e0 - worst_ratio, holds_paper=holds,
-                        holds_safe=None, vacuous=e0 == 0.0, context=ctx)
+    decay = _dual_report("P7.1", lhs, e0, 1.0, context=ctx, rel=DECAY_REL)
     return Prop71Verdict(ok=True, reason="preconditions satisfied", witness=None,
                          per_layer=per_layer, decay=decay)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .graphs import MAX_CHANNELS, MAX_LAYERS, MAX_TRIALS, MAX_WEIGHT_ENTRIES, Graph
 from .graphs import check_work_size, from_edge_list, generate
-from .network import Activation, LayerSpec, make_weights
+from .network import PLACEMENTS, Activation, LayerSpec, make_weights
 from .seeding import check_seed, derive_seed
 from .spectral import PolynomialFilter
 from .sweeps import ProbeSpec, SweepConfig
@@ -282,7 +282,7 @@ def load_run_config(path: str) -> RunSetup:
     seed = _field(doc, "seed", int, 0)
     check_seed("config key 'seed'", seed)
     placement = _field(doc, "activation_placement", str, "paper")
-    if placement not in ("paper", "conventional"):
+    if placement not in PLACEMENTS:
         raise ValidationError(f"'activation_placement' must be 'paper' or 'conventional', "
                               f"got {placement!r}")
     epsilon = _field(doc, "epsilon", float, 0.5)

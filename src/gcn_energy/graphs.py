@@ -336,15 +336,6 @@ def augmented_normalized_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted node tuples, ordered by smallest member."""
-    labels = g.component_labels
-    order = np.argsort(labels, kind="stable")
-    nodes = order.tolist()
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), g.n]
-    return tuple(tuple(nodes[a:b]) for a, b in zip(cuts, cuts[1:]))
-
-
 def _erdos_renyi_pairs(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The pairs ``u < v`` kept with probability ``p``, sorted, from one draw
     per pair in row order: the seeded stream of every ER graph.
@@ -367,6 +358,17 @@ def _erdos_renyi_pairs(n: int, p: float, rng: np.random.Generator) -> tuple[np.n
     return lo, pairs - ends[lo] + lo + 1
 
 
+def _circulant_pairs(n: int, half_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(i, i + s mod n)`` for ``s`` in ``1..half_k``, oriented
+    ``u < v`` and sorted, as every other family yields its pairs.  With
+    ``half_k < n / 2`` no pair repeats, so none needs merging."""
+    lo = np.tile(np.arange(n), half_k)
+    hi = (lo + np.repeat(np.arange(1, half_k + 1), n)) % n
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order]
+
+
 def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
              k: int | None = None) -> Graph:
     """Build a unit-weight graph from a named family, deterministically per seed.
@@ -387,24 +389,20 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
     elif kind == "ring":
         if n < 3:
             raise ValidationError(f"ring needs n >= 3, got {n}")
-        lo, hi = np.arange(n), (np.arange(n) + 1) % n
+        lo, hi = _circulant_pairs(n, 1)
     elif kind == "k_regular":
         if k is None or k < 0 or k % 2 != 0 or k >= n:
             raise ValidationError(
                 f"k_regular needs even k with 0 <= k < n, got k={k!r}, n={n}"
             )
-        lo = np.tile(np.arange(n), k // 2)
-        hi = (lo + np.repeat(np.arange(1, k // 2 + 1), n)) % n
+        lo, hi = _circulant_pairs(n, k // 2)
     elif kind == "complete":
         lo, hi = np.triu_indices(n, 1)
     elif kind == "path":
         lo, hi = np.arange(n - 1), np.arange(1, n)
     else:
         raise ValidationError(f"unknown generator kind {kind!r}")
-    # no family repeats a pair, so the edges need orienting and sorting, not merging
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    order = np.lexsort((hi, lo))
-    return Graph(n, lo[order], hi[order], np.ones(lo.size))
+    return Graph(n, lo, hi, np.ones(lo.size))
 
 
 @dataclass(frozen=True)

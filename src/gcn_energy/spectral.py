@@ -64,7 +64,7 @@ EPS = float(np.finfo(float).eps)
 # dense solve's n^3, and counts at that weight.  The ratio is fitted from
 # graphs that do not settle in time, rings, paths and 4-regular circulants of
 # 800 to 5,000 nodes at 2 BLAS threads: at 12 their attempt takes 0.75 to 1.04
-# times the dense solve that follows; at 20 their steps alone took 0.43 to 0.61.
+# times the dense solve that follows.
 LANCZOS_MIN_NODES = 700
 LANCZOS_CHECK_EVERY = 10
 LANCZOS_RESIDUAL = 1e-13
@@ -120,11 +120,9 @@ class PolynomialFilter:
 
 
 def eval_filter_scalar(f: PolynomialFilter, x):
-    """Horner evaluation of the filter polynomial at a scalar or array."""
-    acc = np.zeros_like(np.asarray(x, dtype=float))
-    for c in reversed(f.coefficients):
-        acc = acc * x + c
-    return float(acc) if np.ndim(x) == 0 else acc
+    """Horner evaluation of the filter polynomial at a scalar or array
+    (``np.polyval``, which takes the coefficients highest degree first)."""
+    return np.polyval(f.coefficients[::-1], x)
 
 
 def apply_filter(f: PolynomialFilter, g: Graph, x: np.ndarray) -> np.ndarray:
@@ -182,16 +180,15 @@ def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndar
     points = np.array([lo, hi])
     # a kept leading term is nonzero, so np.roots gets a nonzero leading coefficient
     d2 = _poly_derivative(d1[:top])
-    if len(d2) > 1:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                roots = np.roots(d2[::-1])
-        except np.linalg.LinAlgError as exc:  # a coefficient ratio past the float range
-            raise NumericError(f"roots of the second derivative of {f.coefficients} "
-                               f"not found: {exc}") from None
-        real = roots.real[np.abs(roots.imag) <= ROOT_SLACK * (1.0 + np.abs(roots))]
-        points = np.concatenate((points, real[(real >= lo) & (real <= hi)]))
     with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients give inf or nan
+        if len(d2) > 1:
+            try:
+                roots = np.roots(d2[::-1])
+            except np.linalg.LinAlgError as exc:  # a coefficient ratio past the float range
+                raise NumericError(f"roots of the second derivative of {f.coefficients} "
+                                   f"not found: {exc}") from None
+            real = roots.real[np.abs(roots.imag) <= ROOT_SLACK * (1.0 + np.abs(roots))]
+            points = np.concatenate((points, real[(real >= lo) & (real <= hi)]))
         return points, np.polyval(d1[::-1], points)
 
 

@@ -1,7 +1,8 @@
 """One Hypothesis profile for the whole suite: derandomized, so every run
 draws the same examples, and with no deadline, since the numerical tests'
 timing follows the host.  Each test keeps its own ``max_examples``.  The
-``counted`` fixture counts the dense Laplacian builds and eigensolves."""
+``counted`` fixture counts the dense Laplacian builds and eigensolves, and
+:func:`search_components` is the component oracle of the tests."""
 
 import sys
 
@@ -33,3 +34,28 @@ def counted(monkeypatch):
             if module_name.startswith("gcn_energy") and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapper)
     return calls
+
+
+def search_components(g):
+    """Components by depth-first search over Python adjacency lists, as sorted
+    node tuples ordered by smallest member: the oracle of ``g.component_labels``."""
+    neighbors = [[] for _ in range(g.n)]
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = [False] * g.n
+    components = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        stack, nodes = [start], []
+        seen[start] = True
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            for nxt in neighbors[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(nxt)
+        components.append(tuple(sorted(nodes)))
+    return tuple(components)

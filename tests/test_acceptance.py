@@ -26,13 +26,14 @@ from gcn_energy.energy import dirichlet_energy_edge_sum, dirichlet_energy_trace
 from gcn_energy.graphs import (
     PerturbationPlan,
     augmented_normalized_laplacian,
-    connected_components,
     generate,
     perturb,
 )
 from gcn_energy.network import Activation, LayerSpec, make_weights, run_network
 from gcn_energy.seeding import derive_seed
 from gcn_energy.spectral import PolynomialFilter
+
+from conftest import search_components
 
 T0 = time.perf_counter()
 
@@ -100,7 +101,7 @@ def test_criterion_02_kernel_dimension():
         # agree: exactly that many eigenvalues within 1e-8 * max(1, |lam_max|)
         vals = g.spectrum
         near_zero = np.count_nonzero(np.abs(vals) <= 1e-8 * max(1.0, abs(float(vals[-1]))))
-        if near_zero != len(connected_components(g)) or g.kernel_dim != near_zero:
+        if near_zero != len(search_components(g)) or g.kernel_dim != near_zero:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 10.0

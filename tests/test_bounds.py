@@ -6,9 +6,11 @@ import pytest
 from gcn_energy import (
     Activation,
     BoundReport,
+    LayerRecord,
     LayerSpec,
     PolynomialFilter,
     SuiteResult,
+    Trajectory,
     ValidationError,
     apply_filter,
     augmented_normalized_laplacian,
@@ -26,7 +28,7 @@ from gcn_energy import (
     verify_prop_7_1,
     verify_theorem_3_4,
 )
-from gcn_energy.bounds import STATEMENTS, SUITE_TOKENS, _decay_ratio, _holds
+from gcn_energy.bounds import STATEMENTS, SUITE_TOKENS, VACUOUS_LHS_TOL, _decay_ratio, _holds
 
 
 def propagation_layer(channels, target, seed=0, act=None):
@@ -337,6 +339,22 @@ def test_prop_7_1_constant_filter_with_wide_margin():
     x0 = np.random.default_rng(3).standard_normal((3, 2))
     verdict = verify_prop_7_1(run_network(x0, [layer] * 5, g), epsilon=0.1)
     assert verdict.ok and verdict.holds
+
+
+@pytest.mark.parametrize("later, holds", [(1e-13, True), (2e-12, False)])
+def test_prop_7_1_zero_input_holds_iff_every_later_energy_is_at_most_1e_12(later, holds):
+    # E_0 = 0: the decay report is vacuous, and it reads the later energies
+    # themselves, not E_l / (1 - eps)^l, which exceeds 1e-12 here
+    g = generate("path", 3)
+    layer = propagation_layer(2, 1.0)
+    first = LayerRecord(0.0, float("nan"), float("nan"), float("nan"), 2)
+    rest = LayerRecord(later, 0.5, 0.05, 0.05, 2)
+    traj = Trajectory(g, (layer,) * 3, (first, rest, rest, rest))
+    assert _decay_ratio(1e-13, 0.1, 3) > VACUOUS_LHS_TOL
+    verdict = verify_prop_7_1(traj, epsilon=0.9)
+    assert verdict.ok
+    assert verdict.decay.vacuous
+    assert verdict.decay.gate_holds is holds
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.2, 1.5])

@@ -11,13 +11,14 @@ from gcn_energy import (
     PerturbationPlan,
     ValidationError,
     augmented_normalized_laplacian,
-    connected_components,
     from_edge_list,
     generate,
     perturb,
 )
 from gcn_energy.graphs import MAX_NODES
 from gcn_energy.spectral import PolynomialFilter, apply_filter
+
+from conftest import search_components
 
 
 def test_graph_basic_fields():
@@ -177,35 +178,22 @@ def test_laplacian_is_exactly_symmetric_and_finite():
         assert np.isfinite(lap).all(), name
 
 
-def search_components(g):
-    """Components by depth-first search over Python adjacency lists: the oracle."""
-    neighbors = [[] for _ in range(g.n)]
-    for u, v in zip(g.u.tolist(), g.v.tolist()):
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = [False] * g.n
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack, nodes = [start], []
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            for nxt in neighbors[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        components.append(tuple(sorted(nodes)))
-    return tuple(components)
+def labels_from_search(g):
+    """Per node, the smallest node of its depth-first-search component."""
+    labels = np.empty(g.n, dtype=np.int64)
+    for nodes in search_components(g):
+        labels[list(nodes)] = nodes[0]
+    return labels
 
 
-def test_connected_components_orders_by_smallest_member():
+def test_component_labels_name_the_smallest_member():
     g = Graph.from_edges(6, ((0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0)))
-    assert connected_components(g) == ((0, 3), (1, 4), (2, 5))
+    assert search_components(g) == ((0, 3), (1, 4), (2, 5))
+    assert g.component_labels.tolist() == [0, 1, 2, 0, 1, 2]
     # a long path needs many pointer jumps; every node ends in one component
-    assert connected_components(generate("path", 10_000)) == (tuple(range(10_000)),)
+    path = generate("path", 10_000)
+    assert search_components(path) == (tuple(range(10_000)),)
+    assert np.array_equal(path.component_labels, labels_from_search(path))
 
 
 @st.composite
@@ -233,13 +221,14 @@ def edge_sets(draw):
 
 @settings(max_examples=300)
 @given(edge_sets())
-def test_connected_components_match_the_search_oracle(case):
+def test_component_labels_match_the_search_oracle(case):
     n, pairs = case
     g = Graph.from_edges(n, ())
     if pairs:  # the parser merges duplicate and reversed pairs
         parsed = from_edge_list("".join(f"{a} {b}\n" for a, b in pairs))
         g = Graph(n, parsed.u, parsed.v, parsed.w)  # keeps isolated nodes past the largest id
-    assert connected_components(g) == search_components(g)
+    assert np.array_equal(g.component_labels, labels_from_search(g))
+    assert g.kernel_dim == len(search_components(g))
 
 
 def test_generate_ring_and_path_shapes():

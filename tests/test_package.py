@@ -24,3 +24,10 @@ def test_no_dense_laplacian_member_and_no_rayleigh_quotient():
     assert not hasattr(gcn_energy, "rayleigh_quotient")
     assert not hasattr(gcn_energy.energy, "rayleigh_quotient")
     assert not hasattr(gcn_energy.Graph, "laplacian")
+
+
+def test_component_labels_are_the_one_component_rule():
+    # nothing regroups g.component_labels into node tuples
+    assert "connected_components" not in gcn_energy.__all__
+    assert not hasattr(gcn_energy, "connected_components")
+    assert not hasattr(gcn_energy.graphs, "connected_components")

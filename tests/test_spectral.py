@@ -16,7 +16,6 @@ from gcn_energy import (
     apply_filter,
     augmented_normalized_laplacian,
     check_monotone_decreasing,
-    connected_components,
     contraction_factors,
     dirichlet_energy_edge_sum,
     eval_filter_scalar,
@@ -33,6 +32,8 @@ from gcn_energy.spectral import (
     lanczos_extremes,
     lanczos_step_cap,
 )
+
+from conftest import search_components
 
 
 def dense_factors(f, eigenvalues, kernel_dim):
@@ -103,7 +104,7 @@ def test_spectrum_stays_inside_zero_two(seed):
 def test_kernel_dim_matches_component_count():
     g = Graph.from_edges(7, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 5.0)))
     s = g.spectrum
-    assert g.kernel_dim == len(connected_components(g)) == 4
+    assert g.kernel_dim == len(search_components(g)) == 4
     assert np.max(np.abs(s[:4])) <= 1e-12
     assert s[g.kernel_dim] == pytest.approx(0.5, abs=1e-12)
 
@@ -118,7 +119,7 @@ def test_boosted_path_kernel_is_the_component_count():
     # and report lam_min = 2.24e-3
     g = boosted_path40()
     reference = np.linalg.eigh(augmented_normalized_laplacian(g))[0]
-    assert g.kernel_dim == len(connected_components(g)) == 1
+    assert g.kernel_dim == len(search_components(g)) == 1
     assert g.spectrum[g.kernel_dim] == pytest.approx(reference[1], rel=1e-5)
     assert g.spectrum[g.kernel_dim] == pytest.approx(9.81e-10, rel=1e-3)
 
@@ -131,7 +132,7 @@ def kernel_distance_sq(g, x):
     """``||X - Pi_M X||_F^2``, Pi_M projecting onto ``Dtil^{1/2} 1`` per component."""
     root = np.sqrt(g.augmented_degrees)
     rest = x.copy()
-    for nodes in connected_components(g):
+    for nodes in search_components(g):
         idx = list(nodes)
         unit = root[idx] / np.linalg.norm(root[idx])
         rest[idx] -= np.outer(unit, unit @ x[idx])
@@ -290,7 +291,7 @@ def test_eigendecompose_values_match_full_eigh(kind, seed):
     # the zero tolerance of old, 1e-8 * max(1, |lam_max|), agrees with the component count here
     assert np.count_nonzero(np.abs(full) <= 1e-8 * scale) == g.kernel_dim
     got = contraction_factors(g)
-    want = dense_factors(PolynomialFilter.propagation(), full, len(connected_components(g)))
+    want = dense_factors(PolynomialFilter.propagation(), full, len(search_components(g)))
     for name in ("lambda_min_nonzero", "paper", "safe"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
 
@@ -484,7 +485,7 @@ MONOTONE = (PolynomialFilter.propagation(), PolynomialFilter((1.0, -0.9, 0.2)))
 def test_lanczos_extremes_match_eigvalsh_above_the_cutoff(name):
     g = LANCZOS_GRAPHS[name]()
     assert g.n >= LANCZOS_MIN_NODES
-    oracle = np.linalg.eigvalsh(augmented_normalized_laplacian(g))[len(connected_components(g)):]
+    oracle = np.linalg.eigvalsh(augmented_normalized_laplacian(g))[len(search_components(g)):]
     ends = g.extremes
     assert ends.shape == (2,) and not ends.flags.writeable
     assert np.array_equal(ends, lanczos_extremes(g))  # the Lanczos route, not the fallback
