@@ -31,7 +31,6 @@ from .energy import (
 from .errors import DegenerateSpectrumError, NumericError, ParseError, ValidationError
 from .graphs import (
     Graph,
-    PerturbationPlan,
     augmented_normalized_laplacian,
     from_edge_list,
     generate,
@@ -84,7 +83,6 @@ __all__ = [
     "LayerSpec",
     "NumericError",
     "ParseError",
-    "PerturbationPlan",
     "PolynomialFilter",
     "ProbeSpec",
     "Prop71Verdict",

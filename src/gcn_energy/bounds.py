@@ -27,6 +27,11 @@ L3.1 is L7.2's filter step with ``1 - x``.  T3.4 is a one-layer
 :func:`run_network`, and C3.5 and P7.1 read a run, which carries its graph,
 layers and records, so no check runs layers of its own or pairs a run with
 layers it did not run.
+
+The seeded random suites of :func:`run_suite` draw their own instances from
+one generator per trial: graphs with at least one edge from the ring,
+k-regular, path and Erdos-Renyi families (:func:`random_graph`), Gaussian
+embeddings of 1 to 8 channels and chains of weight matrices.
 """
 
 from __future__ import annotations
@@ -39,10 +44,9 @@ import numpy as np
 
 from .energy import as_embedding, dirichlet_energy_edge_sum
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import Graph, generate
 from .network import (Activation, LayerSpec, Trajectory, apply_activation, make_weights,
                       run_network, top_singular_value)
-from .sampling import random_embedding, random_graph, random_weight_chain
 from .seeding import derive_seed
 from .spectral import (
     PolynomialFilter,
@@ -395,6 +399,55 @@ class SuiteResult:
         for r in violations:
             lines.append(f"counterexample: {r.context} lhs={r.lhs:.17g} rhs_paper={r.rhs_paper:.17g}")
         return lines
+
+
+_KINDS = ("erdos_renyi", "ring", "k_regular", "path")
+
+
+def random_graph(rng: np.random.Generator, *, n_lo: int = 5,
+                 n_hi: int = 60) -> tuple[Graph, str]:
+    """Draw one graph with at least one edge plus a short description of how it was built."""
+    kind = _KINDS[int(rng.integers(len(_KINDS)))]
+    n = int(rng.integers(n_lo, n_hi + 1))
+    if kind in ("ring", "k_regular"):
+        n = max(n, 3)
+    if kind == "erdos_renyi":
+        p = float(rng.uniform(0.05, 0.5))
+        for _ in range(200):
+            seed = int(rng.integers(2**63))
+            g = generate("erdos_renyi", n, seed, p=p)
+            if g.edge_count > 0:
+                return g, f"er(n={n},p={p:.3f},seed={seed})"
+        raise ValidationError(f"no edges after 200 draws for erdos_renyi({n}, {p})")
+    if kind == "ring":
+        return generate("ring", n), f"ring(n={n})"
+    if kind == "k_regular":
+        k_max = max(1, min(4, (n - 1) // 2))
+        k = 2 * int(rng.integers(1, k_max + 1))
+        return generate("k_regular", n, k=k), f"kregular(n={n},k={k})"
+    return generate("path", n), f"path(n={n})"
+
+
+def random_embedding(rng: np.random.Generator, n: int) -> np.ndarray:
+    channels = int(rng.integers(1, 9))  # 1 to 8
+    return rng.standard_normal((n, channels))
+
+
+def random_weight_chain(rng: np.random.Generator,
+                        c_in: int) -> tuple[tuple[np.ndarray, ...], str]:
+    """Rectangular chain of 1 to 3 weight matrices, widths 1 to 8, with
+    per-matrix top singular values drawn from [0.2, 2.0], as in the L3.2 suite.
+    """
+    depth = int(rng.integers(1, 4))
+    dims = [c_in] + [int(rng.integers(1, 9)) for _ in range(depth)]
+    weights = []
+    targets = []
+    for h in range(depth):
+        target = float(rng.uniform(0.2, 2.0))
+        targets.append(target)
+        weights.append(make_weights(dims[h], dims[h + 1], target, seed=int(rng.integers(2**63))))
+    desc = "x".join(str(d) for d in dims) + " targets=" + ",".join(f"{t:.3f}" for t in targets)
+    return tuple(weights), desc
 
 
 def _suite_l31(rng: np.random.Generator, prefix: str) -> list[BoundReport]:

@@ -205,6 +205,9 @@ def _parse_filters(doc: dict, depth: int) -> list[PolynomialFilter]:
     filters = _field(doc, "filters", [[float]], None)
     if filters is None:
         return [PolynomialFilter.from_coefficients(_field(doc, "filter", [float], [1.0, -1.0]))] * depth
+    if doc.get("filter") is not None:
+        raise ValidationError("config gives both 'filter' and 'filters'; "
+                              "give 'filters' (one per layer) instead of 'filter'")
     if len(filters) != depth:
         raise ValidationError(f"'filters' must list {depth} filters, got {len(filters)}")
     return [PolynomialFilter.from_coefficients(c) for c in filters]

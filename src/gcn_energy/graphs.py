@@ -55,6 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParseError, ValidationError
+from .seeding import check_seed
 from .spectral import LANCZOS_MIN_NODES, eigendecompose, lanczos_extremes, nonzero_spectrum
 
 Edge = tuple[int, int, float]
@@ -405,55 +406,35 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
     return Graph(n, lo, hi, np.ones(lo.size))
 
 
-@dataclass(frozen=True)
-class PerturbationPlan:
-    """Seeded edge perturbation: drop a fraction of edges or boost some weights.
+def perturb(g: Graph, op: str, param: float | int, seed: int = 0,
+            factor: float = 1.0) -> Graph:
+    """Seeded edge perturbation of ``g``; bit-identical per arguments.
 
-    ``drop`` removes exactly ``ceil(ratio * edge_count)`` edges chosen
-    uniformly at random; ``boost`` multiplies the weights of ``count``
-    uniformly chosen edges by ``boost_factor``.  Node count never changes.
+    ``perturb(g, "drop", ratio, seed)`` removes exactly ``ceil(ratio *
+    edge_count)`` edges chosen uniformly at random, ``ratio`` in [0, 1];
+    ``perturb(g, "boost", count, seed, factor)`` multiplies the weights of
+    ``count`` uniformly chosen edges, an integer from 1 to the edge count, by
+    a finite ``factor >= 1``.  The node count never changes.
     """
-
-    kind: str
-    ratio: float = 0.0
-    count: int = 0
-    boost_factor: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("drop", "boost"):
-            raise ValidationError(f"perturbation kind must be 'drop' or 'boost', got {self.kind!r}")
-        if self.kind == "drop" and not (0.0 <= self.ratio <= 1.0):
-            raise ValidationError(f"drop ratio must lie in [0, 1], got {self.ratio}")
-        if self.kind == "boost":
-            if self.count < 1:
-                raise ValidationError(f"boost count must be a positive integer, got {self.count}")
-            if not (math.isfinite(self.boost_factor) and self.boost_factor >= 1.0):
-                raise ValidationError(f"boost factor must be >= 1, got {self.boost_factor}")
-
-    @classmethod
-    def drop(cls, ratio: float, seed: int = 0) -> "PerturbationPlan":
-        return cls(kind="drop", ratio=float(ratio), seed=seed)
-
-    @classmethod
-    def boost(cls, count: int, factor: float, seed: int = 0) -> "PerturbationPlan":
-        return cls(kind="boost", count=int(count), boost_factor=float(factor), seed=seed)
-
-
-def perturb(g: Graph, plan: PerturbationPlan) -> Graph:
-    """Apply a :class:`PerturbationPlan`; bit-identical per (graph, plan)."""
-    rng = np.random.default_rng(plan.seed)
-    if plan.kind == "drop":
-        m = math.ceil(plan.ratio * g.edge_count)
+    if op not in ("drop", "boost"):
+        raise ValidationError(f"perturbation kind must be 'drop' or 'boost', got {op!r}")
+    check_seed("perturbation seed", seed)
+    rng = np.random.default_rng(seed)
+    if op == "drop":
+        if not (0.0 <= param <= 1.0):
+            raise ValidationError(f"drop ratio must lie in [0, 1], got {param}")
+        m = math.ceil(param * g.edge_count)
         if m == 0:
             return g
         kept = np.ones(g.edge_count, dtype=bool)
         kept[rng.choice(g.edge_count, size=m, replace=False)] = False
         return Graph(g.n, g.u[kept], g.v[kept], g.w[kept])
-    if plan.count > g.edge_count:
-        raise ValidationError(
-            f"cannot boost {plan.count} edges, graph has only {g.edge_count}"
-        )
+    if isinstance(param, bool) or not isinstance(param, (int, np.integer)) or param < 1:
+        raise ValidationError(f"boost count must be a positive integer, got {param}")
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ValidationError(f"boost factor must be >= 1, got {factor}")
+    if param > g.edge_count:
+        raise ValidationError(f"cannot boost {param} edges, graph has only {g.edge_count}")
     w = g.w.copy()
-    w[rng.choice(g.edge_count, size=plan.count, replace=False)] *= plan.boost_factor
+    w[rng.choice(g.edge_count, size=param, replace=False)] *= factor
     return Graph(g.n, g.u, g.v, w)

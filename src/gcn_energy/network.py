@@ -138,7 +138,11 @@ class LayerSpec:
                 raise ValidationError(f"weight {h} must be a 2-D array")
             if not np.all(np.isfinite(w)):
                 raise ValidationError(f"weight {h} has non-finite entries")
+        # private read-only copies: the cached gain relies on the weights never changing
+        weights = tuple(np.array(w) for w in self.weights)
+        for w in weights:
             w.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
         for h in range(len(self.weights) - 1):
             if self.weights[h].shape[1] != self.weights[h + 1].shape[0]:
                 raise ValidationError(

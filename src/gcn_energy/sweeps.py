@@ -3,8 +3,10 @@ and the Dirichlet energy of a fixed probe field.
 
 Each trial draws one probe (a Gaussian node-feature matrix held fixed across
 all perturbations of that trial, so before/after energies are comparable),
-then applies every configured drop ratio and boost count to the base graph
-and records spectral and energy quantities before and after.  Dropping edges
+then calls :func:`perturb` on the base graph with every configured drop ratio
+and boost count, each under its own derived seed, and records spectral and
+energy quantities before and after; a row whose graph lost every edge is
+``degenerate``.  Dropping edges
 tends to increase the probe energy; boosting edge weights behaves as a rough
 dual, and :func:`duality_report` quantifies the gap without asserting a
 verdict.
@@ -31,7 +33,7 @@ import numpy as np
 
 from .energy import dirichlet_energy_edge_sum
 from .errors import DegenerateSpectrumError, ValidationError
-from .graphs import Graph, PerturbationPlan, perturb
+from .graphs import Graph, perturb
 from .seeding import check_seed, derive_seed
 from .spectral import contraction_factors
 
@@ -43,7 +45,8 @@ class ProbeSpec:
     """What to measure on each perturbed graph.
 
     ``fixed-field`` draws one Gaussian N x C probe per trial and tracks its
-    energy; ``spectrum-only`` skips probe energies (NaN columns).
+    energy; ``spectrum-only`` skips probe energies (NaN columns).  Either
+    kind needs at least one channel.
     """
 
     kind: str = "fixed-field"
@@ -53,7 +56,7 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if self.kind not in PROBE_KINDS:
             raise ValidationError(f"probe kind must be one of {PROBE_KINDS}, got {self.kind!r}")
-        if self.kind == "fixed-field" and self.channels < 1:
+        if self.channels < 1:
             raise ValidationError(f"probe channels must be >= 1, got {self.channels}")
         check_seed("'probe.seed'", self.seed)
 
@@ -116,7 +119,11 @@ class SweepRow:
     lambda_bar_safe_after: float
     energy_before: float
     energy_after: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """True when the perturbation left no edge; the spectral columns are then NaN."""
+        return self.edges_after == 0
 
 
 def _spectral_summary(g: Graph) -> tuple[float, float]:
@@ -156,13 +163,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRow, ...]:
                          if x is not None else float("nan"))
         for op_index, (op, param) in enumerate(cfg.operations()):
             op_seed = derive_seed(trial_seed, op_index)
-            if op == "drop":
-                plan = PerturbationPlan.drop(param, seed=op_seed)
-            else:
-                plan = PerturbationPlan.boost(param, cfg.boost_factor, seed=op_seed)
-            g2 = perturb(cfg.graph, plan)
+            g2 = perturb(cfg.graph, op, param, op_seed, cfg.boost_factor)
             lam_after, safe_after = _spectral_summary(g2)
-            degenerate = g2.edge_count == 0
             energy_after = (dirichlet_energy_edge_sum(x, g2)
                             if x is not None else float("nan"))
             rows.append(SweepRow(
@@ -178,7 +180,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepRow, ...]:
                 lambda_bar_safe_after=safe_after,
                 energy_before=energy_before,
                 energy_after=energy_after,
-                degenerate=degenerate,
             ))
     return tuple(rows)
 

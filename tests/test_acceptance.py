@@ -23,12 +23,7 @@ from gcn_energy.bounds import (
 from gcn_energy.cli import SWEEP_CSV_HEADER, main
 from gcn_energy.config import load_run_config
 from gcn_energy.energy import dirichlet_energy_edge_sum, dirichlet_energy_trace
-from gcn_energy.graphs import (
-    PerturbationPlan,
-    augmented_normalized_laplacian,
-    generate,
-    perturb,
-)
+from gcn_energy.graphs import augmented_normalized_laplacian, generate, perturb
 from gcn_energy.network import Activation, LayerSpec, make_weights, run_network
 from gcn_energy.seeding import derive_seed
 from gcn_energy.spectral import PolynomialFilter
@@ -61,12 +56,11 @@ def mixed_graph(i: int, n_max: int = 200, boost_every: int = 3):
     else:
         g = generate(kind, int(rng.integers(3, n_max + 1)))
     if boost_every and i % boost_every == 0 and g.edge_count:
-        plan = PerturbationPlan.boost(
-            count=int(rng.integers(1, g.edge_count + 1)),
+        g = perturb(
+            g, "boost", int(rng.integers(1, g.edge_count + 1)),
             factor=float(rng.choice([10.0, 1000.0, 10000.0])),
             seed=int(rng.integers(0, 2**31)),
         )
-        g = perturb(g, plan)
     return g
 
 

@@ -135,8 +135,7 @@ def test_spectrum_has_no_kernel_tolerance_flag(capsys):
 
 def boosted_path40_edges(tmp_path):
     """Edge list of one component whose three boosted edges push two eigenvalues below 1e-8."""
-    g = gcn_energy.perturb(gcn_energy.generate("path", 40),
-                           gcn_energy.PerturbationPlan.boost(3, 1e8, seed=0))
+    g = gcn_energy.perturb(gcn_energy.generate("path", 40), "boost", 3, seed=0, factor=1e8)
     path = tmp_path / "boosted.txt"
     path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
     return str(path)
@@ -336,6 +335,17 @@ def test_run_zero_layers_exits_2(tmp_path, capsys):
     cfg = run_json(tmp_path, layers=0)
     assert main(["run", "--config", cfg]) == 2
     assert "at least one layer" in capsys.readouterr().err
+
+
+def test_run_with_both_filter_and_filters_exits_2_naming_both(tmp_path, capsys):
+    # 'filters' stands instead of 'filter'; given both, 'filter' used to be dropped silently
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": "gen:ring:6", "layers": 2, "filter": [5.0, 1.0],
+                               "filters": [[1.0, -1.0], [1.0, -1.0]]}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "'filter'" in captured.err and "'filters'" in captured.err
+    assert captured.out == ""
 
 
 def test_run_bad_json_exits_2(tmp_path, capsys):
@@ -624,6 +634,15 @@ def test_sweep_repeated_operation_exits_2(tmp_path, capsys, key, values, shown):
     assert main(["sweep", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {shown} is listed more than once\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["fixed-field", "spectrum-only"])
+def test_sweep_probe_with_no_channels_exits_2(tmp_path, capsys, kind):
+    cfg = sweep_json(tmp_path, probe={"kind": kind, "channels": -5})
+    assert main(["sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: probe channels must be >= 1, got -5\n"
     assert captured.out == ""
 
 

@@ -170,6 +170,11 @@ def test_run_config_per_layer_filters(tmp_path):
     assert setup.layers[1].filter.coefficients == (0.5,)
 
 
+def test_run_config_null_filter_beside_filters_is_absent(tmp_path):
+    setup = load_run_config(write_run_config(tmp_path, filter=None, filters=[[0.5], [0.25]]))
+    assert [l.filter.coefficients for l in setup.layers] == [(0.5,), (0.25,)]
+
+
 def test_run_config_filters_length_must_match_depth(tmp_path):
     path = write_run_config(tmp_path, filters=[[1.0, -1.0]])
     with pytest.raises(ValidationError, match="2 filters"):

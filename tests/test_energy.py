@@ -3,7 +3,6 @@ import pytest
 
 from gcn_energy import (
     Graph,
-    PerturbationPlan,
     ValidationError,
     as_embedding,
     augmented_normalized_laplacian,
@@ -19,7 +18,7 @@ def random_instance(seed, weighted=False):
     n = int(rng.integers(4, 50))
     g = generate("erdos_renyi", n, seed=seed, p=float(rng.uniform(0.1, 0.5)))
     if weighted and g.edge_count:
-        g = perturb(g, PerturbationPlan.boost(1, float(rng.choice([10.0, 10000.0])), seed=seed))
+        g = perturb(g, "boost", 1, seed=seed, factor=float(rng.choice([10.0, 10000.0])))
     x = rng.standard_normal((n, int(rng.integers(1, 8))))
     return g, x
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from gcn_energy import (
     Graph,
     ParseError,
-    PerturbationPlan,
     ValidationError,
     augmented_normalized_laplacian,
     from_edge_list,
@@ -76,7 +76,7 @@ def test_graphs_compare_and_hash_by_value():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a == Graph.from_edges(4, a.edges)
     assert a != generate("path", 4)
-    assert a != perturb(a, PerturbationPlan.boost(1, 2.0))
+    assert a != perturb(a, "boost", 1, factor=2.0)
     assert len({a, b, generate("path", 4)}) == 2
 
 
@@ -162,8 +162,8 @@ def _laplacian_cases():
     yield "complete", generate("complete", 7)
     yield "path", generate("path", 11)
     yield "merged", from_edge_list("0 1 0.1\n1 0 0.2\n1 2 0.3\n2 1 1e-3\n0 1 7\n3 2\n")
-    yield "drop", perturb(er, PerturbationPlan.drop(0.4, seed=1))
-    yield "boost", perturb(er, PerturbationPlan.boost(20, 1e4, seed=2))
+    yield "drop", perturb(er, "drop", 0.4, seed=1)
+    yield "boost", perturb(er, "boost", 20, seed=2, factor=1e4)
     yield "tiny", Graph(er.n, er.u, er.v, np.full(er.edge_count, 1e-300))
     yield "huge", Graph(er.n, er.u, er.v, np.full(er.edge_count, 1e300))
     rng = np.random.default_rng(5)
@@ -291,25 +291,25 @@ def test_generate_rejects_bad_parameters(kind, kwargs):
 def test_drop_count_is_ceil_of_ratio():
     g = generate("complete", 6)  # 15 edges
     for ratio, removed in [(0.1, 2), (1.0 / 3.0, 5), (0.5, 8), (1.0, 15)]:
-        out = perturb(g, PerturbationPlan.drop(ratio, seed=4))
+        out = perturb(g, "drop", ratio, seed=4)
         assert g.edge_count - out.edge_count == removed
 
 
 def test_drop_ratio_zero_is_identity():
     g = generate("ring", 8)
-    assert perturb(g, PerturbationPlan.drop(0.0, seed=1)) is g
+    assert perturb(g, "drop", 0.0, seed=1) is g
 
 
 def test_drop_is_deterministic_per_seed():
     g = generate("erdos_renyi", 30, seed=0, p=0.3)
-    a = perturb(g, PerturbationPlan.drop(0.4, seed=7))
-    b = perturb(g, PerturbationPlan.drop(0.4, seed=7))
+    a = perturb(g, "drop", 0.4, seed=7)
+    b = perturb(g, "drop", 0.4, seed=7)
     assert a.edges == b.edges
 
 
 def test_boost_multiplies_chosen_weights_only():
     g = generate("ring", 6)
-    out = perturb(g, PerturbationPlan.boost(2, 100.0, seed=5))
+    out = perturb(g, "boost", 2, seed=5, factor=100.0)
     weights = sorted(w for _, _, w in out.edges)
     assert weights == [1.0, 1.0, 1.0, 1.0, 100.0, 100.0]
     assert out.edge_count == g.edge_count
@@ -317,27 +317,40 @@ def test_boost_multiplies_chosen_weights_only():
 
 def test_boost_factor_one_is_identity():
     g = generate("ring", 6)
-    out = perturb(g, PerturbationPlan.boost(3, 1.0, seed=5))
+    out = perturb(g, "boost", 3, seed=5, factor=1.0)
     assert out.edges == g.edges
 
 
 def test_boost_count_exceeding_edges_is_an_error():
     g = generate("path", 3)
     with pytest.raises(ValidationError):
-        perturb(g, PerturbationPlan.boost(5, 10.0, seed=0))
+        perturb(g, "boost", 5, seed=0, factor=10.0)
 
 
 @pytest.mark.parametrize(
-    "plan_kwargs",
+    "args, message",
     [
-        dict(kind="twist"),
-        dict(kind="drop", ratio=-0.1),
-        dict(kind="drop", ratio=1.5),
-        dict(kind="boost", count=0),
-        dict(kind="boost", count=1, boost_factor=0.5),
-        dict(kind="boost", count=1, boost_factor=math.nan),
+        (("twist", 0.5), "perturbation kind must be 'drop' or 'boost'"),
+        (("drop", -0.1), "drop ratio must lie in [0, 1]"),
+        (("drop", 1.5), "drop ratio must lie in [0, 1]"),
+        (("drop", 0.5, -1), "perturbation seed is -1, outside the seed range"),
+        (("drop", 0.5, 2**64), "perturbation seed is 18446744073709551616"),
+        (("boost", 0), "boost count must be a positive integer"),
+        (("boost", 1.5, 0, 10.0), "boost count must be a positive integer, got 1.5"),
+        (("boost", True, 0, 10.0), "boost count must be a positive integer"),
+        (("boost", 1, 0, 0.5), "boost factor must be >= 1"),
+        (("boost", 1, 0, math.nan), "boost factor must be >= 1"),
+        (("boost", 1, -3, 10.0), "perturbation seed is -3"),
     ],
+    ids=["unknown-kind", "negative-ratio", "ratio-above-1", "negative-seed", "seed-past-2-64",
+         "zero-count", "float-count", "bool-count", "factor-below-1", "nan-factor",
+         "boost-negative-seed"],
 )
-def test_perturbation_plan_validation(plan_kwargs):
-    with pytest.raises(ValidationError):
-        PerturbationPlan(**plan_kwargs)
+def test_perturb_rejects_invalid_arguments(args, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        perturb(generate("ring", 6), *args)
+
+
+def test_perturb_takes_numpy_integer_counts():
+    g = generate("ring", 6)
+    assert perturb(g, "boost", np.int64(2), 5, 100.0) == perturb(g, "boost", 2, 5, 100.0)

@@ -120,6 +120,16 @@ def test_layer_spec_gain_is_product_of_top_singular_values():
     assert spec.output_channels == 2
 
 
+def test_layer_spec_keeps_its_own_read_only_copy_of_the_weights():
+    w = np.eye(3)
+    spec = LayerSpec(PolynomialFilter.propagation(), (w,), Activation.relu())
+    w[0, 0] = 2.0  # the caller's array stays writable
+    assert spec.weights[0][0, 0] == 1.0
+    assert spec.gain() == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.weights[0][0, 0] = 2.0
+
+
 def test_layer_spec_rejects_broken_chain():
     ws = (np.zeros((3, 4)), np.zeros((5, 2)))
     with pytest.raises(ValidationError, match="matrices 0 and 1"):

@@ -1,5 +1,9 @@
 """The package namespace: every exported name resolves, once."""
 
+import importlib
+
+import pytest
+
 import gcn_energy
 
 
@@ -31,3 +35,12 @@ def test_component_labels_are_the_one_component_rule():
     assert "connected_components" not in gcn_energy.__all__
     assert not hasattr(gcn_energy, "connected_components")
     assert not hasattr(gcn_energy.graphs, "connected_components")
+
+
+def test_perturb_takes_its_arguments_and_the_suites_draw_their_own_instances():
+    # no argument bundle for perturb, and no module of its own for the suites' draws
+    assert "PerturbationPlan" not in gcn_energy.__all__
+    assert not hasattr(gcn_energy, "PerturbationPlan")
+    assert not hasattr(gcn_energy.graphs, "PerturbationPlan")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("gcn_energy.sampling")

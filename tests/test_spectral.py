@@ -10,7 +10,6 @@ from gcn_energy import (
     FilterContraction,
     Graph,
     NumericError,
-    PerturbationPlan,
     PolynomialFilter,
     ValidationError,
     apply_filter,
@@ -95,7 +94,7 @@ def test_spectrum_stays_inside_zero_two(seed):
     else:
         g = generate(kind, n)
     if seed % 2 and g.edge_count:
-        g = perturb(g, PerturbationPlan.boost(1, 10000.0, seed=seed))
+        g = perturb(g, "boost", 1, seed=seed, factor=10000.0)
     s = g.spectrum
     assert s[0] >= -1e-10
     assert s[-1] <= 2.0 - 1e-12
@@ -111,7 +110,7 @@ def test_kernel_dim_matches_component_count():
 
 def boosted_path40():
     """One component whose three boosted edges push two eigenvalues below 1e-8."""
-    return perturb(generate("path", 40), PerturbationPlan.boost(3, 1e8, seed=0))
+    return perturb(generate("path", 40), "boost", 3, seed=0, factor=1e8)
 
 
 def test_boosted_path_kernel_is_the_component_count():
@@ -161,7 +160,7 @@ def test_energy_sandwich_on_seeded_graphs(seed):
         g = generate(kind, n)
     if seed % 2:
         factor = (10.0, 1e4, 1e8)[seed % 3]
-        g = perturb(g, PerturbationPlan.boost(min(3, g.edge_count), factor, seed=seed))
+        g = perturb(g, "boost", min(3, g.edge_count), seed=seed, factor=factor)
     x = rng.standard_normal((g.n, 3))
     assert_energy_sandwich(g, x)
     # a large kernel component moves neither side
@@ -462,10 +461,9 @@ def _weighted_edge_list():
 LANCZOS_GRAPHS = {
     "er-dense": lambda: generate("erdos_renyi", 800, 7, p=0.02),
     "er-sparse": lambda: generate("erdos_renyi", 800, 8, p=0.008),
-    "er-drop": lambda: perturb(generate("erdos_renyi", 800, 7, p=0.02),
-                               PerturbationPlan.drop(0.3, seed=0)),
-    "er-boost": lambda: perturb(generate("erdos_renyi", 800, 7, p=0.02),
-                                PerturbationPlan.boost(5, 1e4, seed=0)),
+    "er-drop": lambda: perturb(generate("erdos_renyi", 800, 7, p=0.02), "drop", 0.3),
+    "er-boost": lambda: perturb(generate("erdos_renyi", 800, 7, p=0.02), "boost", 5,
+                                factor=1e4),
     "disconnected": _two_er_components_and_isolated_nodes,
     "complete": lambda: generate("complete", 800),
     "weighted": _weighted_edge_list,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -215,3 +216,15 @@ def test_probe_spec_validation():
         ProbeSpec(kind="telepathy")
     with pytest.raises(ValidationError):
         ProbeSpec(kind="fixed-field", channels=0)
+    for channels in (0, -5):  # either kind needs a channel
+        with pytest.raises(ValidationError, match=f"probe channels must be >= 1, got {channels}"):
+            ProbeSpec(kind="spectrum-only", channels=channels)
+
+
+def test_sweep_row_degenerate_follows_edges_after():
+    row = run_sweep(small_config(trials=1))[0]
+    assert row.edges_after > 0 and not row.degenerate
+    assert dataclasses.replace(row, edges_after=0).degenerate
+    assert "degenerate" not in {f.name for f in dataclasses.fields(row)}
+    with pytest.raises(AttributeError):
+        row.degenerate = True
