@@ -29,6 +29,10 @@ factors read the pair ``Graph.extremes``; every other filter reads the full
 ``LANCZOS_MIN_NODES`` nodes the pair comes from :func:`lanczos_extremes`, a
 numpy-only Lanczos iteration on the edge arrays that may do as much work as
 the dense solve it would fall back to, and no more (:func:`lanczos_step_cap`).
+It stops once both ends have settled: each end's Ritz residual ``r`` is
+within ``LANCZOS_RESIDUAL`` of its Ritz value, or its error bound
+``r^2 / gap`` to the neighbouring Ritz value is within rounding of it
+(:func:`_extreme_ritz`).
 """
 
 from __future__ import annotations
@@ -53,18 +57,24 @@ ROOT_SLACK = 1e-6
 EPS = float(np.finfo(float).eps)
 # Graphs of at least LANCZOS_MIN_NODES nodes take the Lanczos route to their
 # two extreme nonzero eigenvalues.  On ER graphs of mean degree 10 to 20 at 2
-# BLAS threads it breaks even with the dense solve between 450 and 600 nodes;
-# the dense solve takes about 32 ms at 700 nodes and 16 ms at 500.
-# Every LANCZOS_CHECK_EVERY steps the extreme Ritz residuals are checked
-# against LANCZOS_RESIDUAL times their Ritz values.  A run that has done the
-# work of the dense solve it would fall back to stops, leaving the graph to
-# that solve (lanczos_step_cap).  LANCZOS_WORK_RATIO weighs the products and
-# reorthogonalization, m (E + m n) through step m, against eigvalsh's n^3.
-# The checks' eigvalsh of the j x j tridiagonal costs j^3 in the units of the
-# dense solve's n^3, and counts at that weight.  The ratio is fitted from
-# graphs that do not settle in time, rings, paths and 4-regular circulants of
-# 800 to 5,000 nodes at 2 BLAS threads: at 12 their attempt takes 0.75 to 1.04
-# times the dense solve that follows.
+# BLAS threads it breaks even with the dense solve near 300 nodes, and at 500
+# it takes about 7 ms against 12; the dense solve takes about 27 ms at 700
+# nodes.  The cutoff sits higher because a graph that does not settle pays its
+# attempt, up to one dense solve, on top of that solve.
+# Every LANCZOS_CHECK_EVERY steps the two extreme Ritz values are checked: an
+# end settles when its residual is within LANCZOS_RESIDUAL of its Ritz value,
+# or when its error bound r^2 / gap is within EPS of it (_extreme_ritz).  A
+# run that has done the work of the dense solve it would fall back to stops,
+# leaving the graph to that solve (lanczos_step_cap).  LANCZOS_WORK_RATIO
+# weighs the products and reorthogonalization, m (E + m n) through step m,
+# against eigvalsh's n^3.  The checks' eigvalsh of the j x j tridiagonal costs
+# j^3 in the units of the dense solve's n^3, and counts at that weight.  The
+# ratio is fitted from graphs that do not settle in time, rings, paths and
+# 4-regular circulants of 800 to 5,000 nodes at 2 BLAS threads: at 12 their
+# attempt takes 0.75 to 1.04 times the dense solve that follows.  The r^2 / gap
+# rule needs no term of its own: a run that never settles takes the cap's
+# steps whatever the rule, and the rule adds only two O(m) recurrences, for
+# the neighbours, to a check's O(m^3) eigvalsh.
 LANCZOS_MIN_NODES = 700
 LANCZOS_CHECK_EVERY = 10
 LANCZOS_RESIDUAL = 1e-13
@@ -287,9 +297,13 @@ def lanczos_step_cap(g: Graph) -> int:
 
 def lanczos_extremes(g: Graph) -> np.ndarray | None:
     """Read-only ``[lam_min_nonzero, lam_max]`` of the Laplacian of graph ``g``
-    by Lanczos on its edge arrays, or None when the extreme Ritz residuals do
-    not reach ``LANCZOS_RESIDUAL`` times their Ritz values within
-    :func:`lanczos_step_cap` steps.
+    by Lanczos on its edge arrays, or None when the extreme Ritz values have
+    not settled within :func:`lanczos_step_cap` steps.
+
+    Every ``LANCZOS_CHECK_EVERY`` steps :func:`_extreme_ritz` tells whether
+    both ends have settled, on their residuals or on their error bounds
+    ``r^2 / gap`` to the neighbouring Ritz values.  Those neighbours can be
+    trusted only because every step fully reorthogonalizes, as below.
 
     Each step takes one ``g.laplacian_times``, on the edge arrays, never a
     matrix, subtracts the three-term recurrence and then makes one full
@@ -328,25 +342,43 @@ def lanczos_extremes(g: Graph) -> np.ndarray | None:
         beta[j] = np.linalg.norm(x)
         m = j + 1
         if m % LANCZOS_CHECK_EVERY == 0 or m == steps or beta[j] <= LANCZOS_RESIDUAL:
-            ends, residuals = _extreme_ritz(alpha[:m], beta[:m])
-            worst = float(np.max(residuals / np.abs(ends)))
+            ends, settled = _extreme_ritz(alpha[:m], beta[:m])
             # a beta this small leaves span(basis) invariant: its Ritz values are eigenvalues
-            if worst <= LANCZOS_RESIDUAL or beta[j] <= LANCZOS_RESIDUAL or m == dim:
+            if settled or beta[j] <= LANCZOS_RESIDUAL or m == dim:
                 ends.flags.writeable = False
                 return ends
         q = x / beta[j]
     return None
 
 
-def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The extreme Ritz values of the Lanczos tridiagonal ``T`` (diagonal
-    ``alpha``, off-diagonal ``beta[:-1]``) and their residual norms
-    ``beta[-1] |s_last|``, with ``s`` the unit Ritz vector.
+def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The extreme Ritz values ``[theta_1, theta_k]`` of the Lanczos
+    tridiagonal ``T`` (diagonal ``alpha``, off-diagonal ``beta[:-1]``), and
+    whether both have settled.
+
+    A Ritz value ``theta`` has the residual norm ``r = beta[-1] |s_last|``,
+    with ``s`` its unit Ritz vector.  An end settles when
+    ``r <= LANCZOS_RESIDUAL |theta|``, or when ``gap > 0`` and
+    ``r^2 <= EPS |theta| gap``.  ``gap = |theta_nb - theta| - r_nb`` is the
+    distance from ``theta`` to the interval of radius ``r_nb`` around its
+    neighbouring Ritz value ``theta_nb`` (``theta_2`` at the bottom,
+    ``theta_{k-1}`` at the top), which holds an eigenvalue.  ``r^2 / gap``
+    bounds the error of ``theta`` when ``gap`` separates it from the rest of
+    the spectrum (Parlett, *The Symmetric Eigenvalue Problem*, 11.7), so the
+    second rule stops once that bound reaches rounding; the first still
+    settles an end whose neighbour is too close for a positive ``gap``.  A
+    ``1 x 1`` ``T`` has no neighbour and settles by the first rule alone.
+
+    ``theta_nb`` and ``r_nb`` can be trusted only because every Lanczos step
+    fully reorthogonalizes: with an orthonormal basis each residual bounds
+    the distance from its Ritz value to an eigenvalue, and no ghost copy of a
+    converged end can appear beside it as its neighbour.
 
     ``s`` solves the eigenvector equations of rows ``k-1`` down to ``1`` of
     ``T`` upwards from ``s_last = 1``.  A converged Ritz vector grows in that
     direction, so the recurrence is stable; one that grows past 1e150 has a
-    last component below 1e-150, taken as zero.
+    last component below 1e-150, taken as zero.  A neighbour's residual only
+    narrows its ``gap``, so it needs a few correct digits, not all of them.
     """
     k = alpha.size
     off = beta[:-1]
@@ -355,10 +387,11 @@ def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.n
     t.flat[1::k + 1] = off
     t.flat[k::k + 1] = off
     ritz = np.linalg.eigvalsh(t)
-    ends = np.array([ritz[0], ritz[-1]])
+    # the two ends, then their neighbours
+    thetas = ritz[[0, -1, min(1, k - 1), max(k - 2, 0)]]
     a, b = alpha.tolist(), off.tolist() + [0.0]
     last = []
-    for theta in ends.tolist():
+    for theta in thetas.tolist():
         below, here, norm_sq = 0.0, 1.0, 1.0
         for i in range(k - 1, 0, -1):
             below, here = here, ((theta - a[i]) * here - b[i] * below) / b[i - 1]
@@ -366,4 +399,8 @@ def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.n
             if norm_sq > 1e300:
                 break
         last.append(0.0 if norm_sq > 1e300 else 1.0 / math.sqrt(norm_sq))
-    return ends, beta[-1] * np.array(last)
+    residuals = beta[-1] * np.array(last)
+    ends, r, size = thetas[:2], residuals[:2], np.abs(thetas[:2])
+    gap = np.abs(thetas[2:] - ends) - residuals[2:]
+    settled = (r <= LANCZOS_RESIDUAL * size) | ((gap > 0.0) & (r * r <= EPS * size * gap))
+    return ends, bool(settled.all())

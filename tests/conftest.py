@@ -1,8 +1,9 @@
 """One Hypothesis profile for the whole suite: derandomized, so every run
 draws the same examples, and with no deadline, since the numerical tests'
 timing follows the host.  Each test keeps its own ``max_examples``.  The
-``counted`` fixture counts the dense Laplacian builds and eigensolves, and
-:func:`search_components` is the component oracle of the tests."""
+``counted`` fixture counts the dense Laplacian builds, the eigensolves and the
+edge products, and :func:`search_components` is the component oracle of the
+tests."""
 
 import sys
 
@@ -17,8 +18,9 @@ settings.load_profile("tier1")
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count the Laplacian builds and eigensolves, wherever a module calls them."""
-    calls = {"laplacian": 0, "eigendecompose": 0}
+    """Count the Laplacian builds and eigensolves, wherever a module calls them,
+    and the edge products ``Graph.laplacian_times``."""
+    calls = {"laplacian": 0, "eigendecompose": 0, "products": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -33,6 +35,8 @@ def counted(monkeypatch):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("gcn_energy") and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(graphs.Graph, "laplacian_times",
+                        counting("products", graphs.Graph.laplacian_times))
     return calls
 
 

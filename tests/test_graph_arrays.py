@@ -192,7 +192,7 @@ def test_the_graph_holds_no_dense_matrix():
 def test_the_energy_command_builds_one_laplacian(counted, capsys):
     assert main(["energy", "--graph", "gen:er:20:0.3:5"]) == 0
     capsys.readouterr()
-    assert counted == {"laplacian": 1, "eigendecompose": 0}
+    assert counted == {"laplacian": 1, "eigendecompose": 0, "products": 0}
 
 
 def test_weight_and_activation_suites_build_no_laplacian(counted):
@@ -200,7 +200,7 @@ def test_weight_and_activation_suites_build_no_laplacian(counted):
     # energies read only the edge arrays
     run_suite("L3.2", trials=5, seed=2)
     run_suite("L3.3", trials=5, seed=2)
-    assert counted == {"laplacian": 0, "eigendecompose": 0}
+    assert counted == {"laplacian": 0, "eigendecompose": 0, "products": 0}
 
 
 def test_prop_7_1_suite_runs_one_eigensolve_per_trial(counted):
@@ -224,7 +224,7 @@ def test_sweep_builds_one_laplacian_and_one_eigensolve_per_graph(counted):
                       drop_ratios=(0.1, 0.3, 0.5), boost_counts=(5,), trials=5)
     rows = run_sweep(cfg)
     assert len(rows) == 20
-    assert counted == {"laplacian": 21, "eigendecompose": 21}
+    assert counted == {"laplacian": 21, "eigendecompose": 21, "products": 0}
 
 
 def test_layer_gain_is_computed_once_at_construction(monkeypatch):

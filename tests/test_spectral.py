@@ -24,8 +24,11 @@ from gcn_energy import (
     perturb,
 )
 from gcn_energy.spectral import (
+    EPS,
     LANCZOS_MIN_NODES,
+    LANCZOS_RESIDUAL,
     _critical_slopes,
+    _extreme_ritz,
     _is_monotone,
     eval_filter_matrix,
     lanczos_extremes,
@@ -524,38 +527,82 @@ def test_lanczos_matches_the_closed_form_of_a_dense_circulant(k):
     assert g.spectrum[1] == pytest.approx(exact, rel=0.0, abs=DENSE_ABS)
 
 
-def test_a_slow_graph_spends_at_most_its_step_cap_before_the_dense_route(monkeypatch):
+def test_a_slow_graph_spends_at_most_its_step_cap_before_the_dense_route(counted):
     # a ring cannot settle: its Lanczos run stops at a dense solve's worth of work
     g = generate("ring", 800)
-    calls = []
-    product = Graph.laplacian_times
-
-    def counted(self, x):
-        calls.append(x)
-        return product(self, x)
-
-    monkeypatch.setattr(Graph, "laplacian_times", counted)
     ends = g.extremes
-    monkeypatch.undo()
-    assert 0 < len(calls) <= lanczos_step_cap(g) < g.n
+    assert 0 < counted["products"] <= lanczos_step_cap(g) < g.n
     assert np.array_equal(ends, g.spectrum[[g.kernel_dim, -1]])
 
 
-@pytest.mark.parametrize("n,p,steps", [(1000, 0.02, 150), (2000, 0.01, 180)])
-def test_lanczos_step_counts_on_the_benchmark_graphs(monkeypatch, n, p, steps):
+@pytest.mark.parametrize("n,p,steps", [(1000, 0.02, 130), (2000, 0.01, 150)])
+def test_lanczos_step_counts_on_the_benchmark_graphs(counted, n, p, steps):
     # the sweep's and run-deep's graphs at seed 1: a cheaper step that needs
     # more of them to settle shows here
     g = generate("erdos_renyi", n, 1, p=p)
-    calls = []
-    product = Graph.laplacian_times
-
-    def counted(self, x):
-        calls.append(x)
-        return product(self, x)
-
-    monkeypatch.setattr(Graph, "laplacian_times", counted)
     assert lanczos_extremes(g) is not None
-    assert len(calls) == steps
+    assert counted["products"] == steps
+
+
+def _ritz_pairs(alpha, beta):
+    """Ritz values and residual norms ``beta[-1] |s_last|`` of the tridiagonal,
+    from the eigenvectors of a dense ``eigh``."""
+    t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    theta, s = np.linalg.eigh(t)
+    return theta, beta[-1] * np.abs(s[-1])
+
+
+def test_ends_settle_on_their_error_bound_before_their_residuals_do():
+    # 0.5 and 1.5 sit 0.5 from their neighbour 1.0, whose residual is 4e-15, so
+    # r^2 / gap is far below rounding while r / theta is 2e-12 and 7e-10
+    alpha, beta = np.array([1.0, 0.5, 1.5]), np.array([1e-3, 1e-3, 1e-9])
+    theta, r = _ritz_pairs(alpha, beta)
+    assert np.all(r[[0, -1]] > LANCZOS_RESIDUAL * theta[[0, -1]])
+    ends, settled = _extreme_ritz(alpha, beta)
+    assert settled and ends == pytest.approx(theta[[0, -1]], rel=1e-15, abs=0.0)
+
+
+def test_an_end_within_its_neighbours_residual_does_not_settle():
+    # theta_2 sits 1e-6 above theta_1 with a residual of 2e-6: the interval
+    # around theta_2 reaches past theta_1, so gap <= 0.  Measured from theta_2
+    # itself, r_1^2 / (theta_2 - theta_1) would be below rounding.
+    alpha, beta = np.array([0.5, 2.0, 0.5 + 1e-6]), np.array([1e-6, 1e-6, 2e-6])
+    theta, r = _ritz_pairs(alpha, beta)
+    assert r[1] >= theta[1] - theta[0] and r[0] > LANCZOS_RESIDUAL * theta[0]
+    assert r[0] ** 2 <= EPS * theta[0] * (theta[1] - theta[0])
+    assert not _extreme_ritz(alpha, beta)[1]
+
+
+@pytest.mark.parametrize("residual,settled", [(1e-14, True), (1e-9, False)])
+def test_a_one_by_one_tridiagonal_settles_on_its_residual_alone(residual, settled):
+    # no neighbour, so no gap: 1e-9 is far inside any r^2 / gap rule but not
+    # within LANCZOS_RESIDUAL of 0.7
+    ends, got = _extreme_ritz(np.array([0.7]), np.array([residual]))
+    assert ends.tolist() == [0.7, 0.7] and got is settled
+
+
+def _rayleigh_quotient(g, x):
+    """``x^T Ltil x / x^T x`` in ``np.longdouble``, as ``sum w (y_u - y_v)^2``
+    over the edges with ``y = Dtil^{-1/2} x``: no cancellation, so it holds
+    a small eigenvalue to more digits than a double eigensolver."""
+    x = x.astype(np.longdouble)
+    w = g.w.astype(np.longdouble)
+    degrees = 1 + np.bincount(g.u, g.w, g.n).astype(np.longdouble) \
+        + np.bincount(g.v, g.w, g.n).astype(np.longdouble)
+    y = x / np.sqrt(degrees)
+    diff = y[g.u] - y[g.v]
+    return (w * diff * diff).sum() / (x * x).sum()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lanczos_extremes_match_an_extended_precision_oracle(seed):
+    # five edges boosted 1e4 push lam_min_nonzero to about 1.5e-3, where eigvalsh
+    # is itself off by up to 1.6e-12 relative; the Rayleigh quotient of eigh's
+    # eigenvector is not, since its error is quadratic in the vector's
+    g = perturb(generate("erdos_renyi", 1000, 1, p=0.02), "boost", 5, seed=seed, factor=1e4)
+    vectors = np.linalg.eigh(augmented_normalized_laplacian(g))[1]
+    oracle = [float(_rayleigh_quotient(g, vectors[:, i])) for i in (g.kernel_dim, -1)]
+    assert lanczos_extremes(g) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_a_graph_that_settles_within_its_cap_takes_the_lanczos_route(counted):
