@@ -72,7 +72,7 @@ def _holds(lhs: float, rhs: float, rel: float = TOLERANCE_REL) -> bool:
 class BoundReport:
     """Outcome of one inequality check.
 
-    ``margin`` is ``rhs_paper - lhs`` exactly as computed.  ``vacuous`` marks
+    ``margin`` is computed from the report, ``rhs_paper - lhs``.  ``vacuous`` marks
     instances with zero input energy (they pass iff the left side is zero up
     to 1e-12 and are excluded from statistics).  ``asserted`` is False for
     purely informational checks (Tanh/Sigmoid on irregular graphs).
@@ -82,7 +82,6 @@ class BoundReport:
     lhs: float
     rhs_paper: float
     rhs_safe: float | None
-    margin: float
     holds_paper: bool
     holds_safe: bool | None
     vacuous: bool = False
@@ -92,6 +91,11 @@ class BoundReport:
     def __post_init__(self) -> None:
         if self.statement not in STATEMENTS:
             raise ValidationError(f"unknown statement id {self.statement!r}")
+
+    @property
+    def margin(self) -> float:
+        """``rhs_paper - lhs``: how far the left side stays below the paper's bound."""
+        return self.rhs_paper - self.lhs
 
     @property
     def gate_holds(self) -> bool:
@@ -125,7 +129,7 @@ def _dual_report(statement: str, lhs: float, ex: float, factor_paper: float,
     else:
         holds_paper = _holds(lhs, rhs_paper, rel)
         holds_safe = None if rhs_safe is None else _holds(lhs, rhs_safe, rel)
-    return BoundReport(statement, lhs, rhs_paper, rhs_safe, rhs_paper - lhs,
+    return BoundReport(statement, lhs, rhs_paper, rhs_safe,
                        holds_paper=holds_paper, holds_safe=holds_safe,
                        vacuous=ex == 0.0, asserted=asserted, context=context)
 
@@ -262,24 +266,27 @@ def verify_corollary_3_5(traj: Trajectory, context: str = "") -> BoundReport:
 class Prop71Verdict:
     """Outcome of the monotone-filter decay check.
 
-    ``ok`` reports the preconditions (monotone decreasing filters, activations
-    that never raise energy, and ``s^2 * P(lam_i)^2 < 1 - eps`` on every nonzero
-    eigenvalue); a failed precondition is a verdict, not an error.  When preconditions hold,
-    ``per_layer`` carries one report per layer and ``decay`` the global
-    ``E(X_l) <= (1 - eps)^l E(X_0)`` check.
+    The preconditions are monotone decreasing filters, activations that never
+    raise energy, and ``s^2 * P(lam_i)^2 < 1 - eps`` on every nonzero
+    eigenvalue; a failed precondition is a verdict, not an error, with
+    ``reason``, an optional ``witness``, no rows and ``decay`` None.  When
+    they hold, ``per_layer`` carries one report per layer and ``decay`` the
+    global ``E(X_l) <= (1 - eps)^l E(X_0)`` check.
     """
 
-    ok: bool
     reason: str
     witness: float | None
     per_layer: tuple[BoundReport, ...]
     decay: BoundReport | None
 
     @property
+    def ok(self) -> bool:
+        """Whether the preconditions hold, which is when there is a decay check."""
+        return self.decay is not None
+
+    @property
     def holds(self) -> bool:
-        if not self.ok or self.decay is None:
-            return False
-        return self.decay.gate_holds and all(r.gate_holds for r in self.per_layer)
+        return self.ok and self.decay.gate_holds and all(r.gate_holds for r in self.per_layer)
 
 
 def _decay_ratio(energy: float, threshold: float, layer: int) -> float:
@@ -294,7 +301,7 @@ def _decay_ratio(energy: float, threshold: float, layer: int) -> float:
 
 
 def _unmet(reason: str, witness: float | None = None) -> Prop71Verdict:
-    return Prop71Verdict(ok=False, reason=reason, witness=witness, per_layer=(), decay=None)
+    return Prop71Verdict(reason=reason, witness=witness, per_layer=(), decay=None)
 
 
 def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop71Verdict:
@@ -331,7 +338,7 @@ def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop
            else max(_decay_ratio(e, threshold, l) for l, e in enumerate(later, start=1)))
     ctx = f"{context} eps={epsilon:.17g} depth={traj.depth}".strip()
     decay = _dual_report("P7.1", lhs, e0, 1.0, context=ctx, rel=DECAY_REL)
-    return Prop71Verdict(ok=True, reason="preconditions satisfied", witness=None,
+    return Prop71Verdict(reason="preconditions satisfied", witness=None,
                          per_layer=per_layer, decay=decay)
 
 
@@ -474,8 +481,8 @@ def _suite_l33(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     g, desc = random_graph(rng)
     x = random_embedding(rng, g.n)
     ctx = f"{prefix} graph={desc} C={x.shape[1]}"
-    acts = [Activation.relu()] + [Activation.leaky_relu(a) for a in _L33_SLOPES]
-    acts += [Activation.tanh(), Activation.sigmoid()]
+    acts = [Activation("relu")] + [Activation("leaky_relu", a) for a in _L33_SLOPES]
+    acts += [Activation("tanh"), Activation("sigmoid")]
     ex = dirichlet_energy_edge_sum(x, g)  # one input energy for all six activations
     return [_activation_report(g, x, ex, act, f"{ctx} act={act.kind}"
                                + (f"({act.slope})" if act.slope is not None else ""))
@@ -484,8 +491,8 @@ def _suite_l33(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
 
 def _random_energy_activation(rng: np.random.Generator) -> Activation:
     if rng.random() < 0.5:
-        return Activation.relu()
-    return Activation.leaky_relu(float(rng.uniform(0.01, 0.99)))
+        return Activation("relu")
+    return Activation("leaky_relu", float(rng.uniform(0.01, 0.99)))
 
 
 def _suite_t34(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
@@ -549,7 +556,7 @@ def _suite_p71(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
         layers.append(LayerSpec(
             filter=PolynomialFilter.from_coefficients((t, -t / 2.0)),
             weights=(make_weights(channels, channels, target, seed=int(rng.integers(2**63))),),
-            activation=Activation.relu(),
+            activation=Activation("relu"),
         ))
     x0 = rng.standard_normal((g.n, channels))
     traj = run_network(x0, layers, g)

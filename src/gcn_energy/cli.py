@@ -154,6 +154,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be a positive integer, got {args.trials}")
     check_work_size("--trials", args.trials, MAX_TRIALS, "trials")
     check_seed("--seed", args.seed)
     tokens = list(SUITE_TOKENS) if args.suite == "all" else [args.suite]
@@ -189,19 +191,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_sweep_config(args.config)
+    cfg, doc = load_sweep_config(args.config)
     rows = run_sweep(cfg)
-    doc = {
-        "command": "sweep",
-        "graph": cfg.source,
-        "drop_ratios": list(cfg.drop_ratios),
-        "boost_counts": list(cfg.boost_counts),
-        "boost_factor": cfg.boost_factor,
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "probe": {"kind": cfg.probe.kind, "channels": cfg.probe.channels,
-                  "seed": cfg.probe.seed},
-    }
     meta = (f"# probe: {cfg.probe.kind} channels={cfg.probe.channels} seed={cfg.probe.seed}\n"
             f"# edge-selection: uniform without replacement (seeded)\n")
     table = _table(SWEEP_CSV_HEADER, (

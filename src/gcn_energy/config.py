@@ -25,7 +25,7 @@ from .graphs import check_work_size, from_edge_list, generate
 from .network import PLACEMENTS, Activation, LayerSpec, make_weights
 from .seeding import check_seed, derive_seed
 from .spectral import PolynomialFilter
-from .sweeps import ProbeSpec, SweepConfig
+from .sweeps import ProbeSpec, SweepConfig, check_sweep_values
 
 _GEN_ALIASES = {
     "er": "erdos_renyi",
@@ -308,7 +308,12 @@ def load_run_config(path: str) -> RunSetup:
                     epsilon=epsilon, seed=seed, document=doc)
 
 
-def load_sweep_config(path: str) -> SweepConfig:
+def load_sweep_config(path: str) -> tuple[SweepConfig, dict]:
+    """The sweep of the config document at ``path``, and the document as read.
+
+    Every value is checked before the graph is built, so a bad document
+    exits 2 without building a large graph first.
+    """
     doc = _load_json(path)
     _check_keys(doc, _SWEEP_KEYS)
     graph_source = _field(doc, "graph", str)
@@ -316,17 +321,17 @@ def load_sweep_config(path: str) -> SweepConfig:
     check_work_size("config key 'trials'", trials, MAX_TRIALS, "trials")
     probe_channels = _field(doc, "probe.channels", int, 4)
     check_work_size("config key 'probe.channels'", probe_channels, MAX_CHANNELS, "channels")
-    return SweepConfig(
+    values = dict(
         drop_ratios=tuple(_field(doc, "drop_ratios", [float], [])),
         boost_counts=tuple(_field(doc, "boost_counts", [int], [])),
         boost_factor=_field(doc, "boost_factor", float, 10000.0),
         trials=trials,
         base_seed=_field(doc, "base_seed", int, 0),
-        probe=ProbeSpec(
-            kind=_field(doc, "probe.kind", str, "fixed-field"),
-            channels=probe_channels,
-            seed=_field(doc, "probe.seed", int, 0),
-        ),
-        graph=resolve_graph_source(graph_source),  # built after every size check above
-        source=graph_source,
     )
+    check_sweep_values(**values)
+    probe = ProbeSpec(
+        kind=_field(doc, "probe.kind", str, "fixed-field"),
+        channels=probe_channels,
+        seed=_field(doc, "probe.seed", int, 0),
+    )
+    return SweepConfig(graph=resolve_graph_source(graph_source), probe=probe, **values), doc

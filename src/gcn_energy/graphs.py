@@ -1,12 +1,13 @@
 """Undirected weighted graphs and their augmented normalized Laplacians.
 
 The central object is an immutable :class:`Graph`: a node count plus three
-read-only edge arrays, endpoints ``u``, ``v`` and weights ``w``, sorted by
-``(u, v)`` with ``u < v``, no duplicate pair and ``w > 0``; ``Graph.edges``
-derives ``(u, v, w)`` tuples from them.  Explicit self-loops are rejected;
-augmentation adds the implicit unit self-loop to every node instead.  With
-``A`` the weighted adjacency matrix, ``Atil = A + I`` and ``Dtil = D + I``
-(``D`` the diagonal of weighted degrees), the augmented normalized Laplacian is
+read-only edge arrays, int64 endpoints ``u``, ``v`` and float64 weights
+``w``, sorted by ``(u, v)`` with ``u < v``, no duplicate pair and ``w > 0``;
+``Graph.edges`` derives ``(u, v, w)`` tuples from them.  Explicit self-loops
+are rejected; augmentation adds the implicit unit self-loop to every node
+instead.  With ``A`` the weighted adjacency matrix, ``Atil = A + I`` and
+``Dtil = D + I`` (``D`` the diagonal of weighted degrees), the augmented
+normalized Laplacian is
 
     Ltil = I - Dtil^{-1/2} Atil Dtil^{-1/2}
 
@@ -101,6 +102,7 @@ class Graph:
             raise ValidationError("edge arrays u, v, w must be 1-D and of one length")
         if u.dtype.kind != "i" or v.dtype.kind != "i" or w.dtype != np.float64:
             raise ValidationError("edge endpoints must be integers and weights float64")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         unsorted = np.zeros(u.size, dtype=bool)
         unsorted[1:] = (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
         for bad, message in (
@@ -133,10 +135,13 @@ class Graph:
         return cls(n, u, v, np.array(w, dtype=np.float64))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
+        return (isinstance(other, Graph) and self.n == other.n
+                and all(np.array_equal(a, b) for a, b in
+                        ((self.u, other.u), (self.v, other.v), (self.w, other.w))))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        # equal int64 ids and positive finite weights have equal bytes
+        return hash((self.n, self.u.tobytes(), self.v.tobytes(), self.w.tobytes()))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -376,13 +381,12 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
 
     Kinds: ``erdos_renyi`` (edge probability ``p``), ``ring`` (cycle, n >= 3),
     ``k_regular`` (circulant; ``k`` even, ``k < n``), ``complete``, ``path``.
-    Only ``erdos_renyi`` consumes the seed, which must be nonnegative.
+    Only ``erdos_renyi`` consumes the seed, which must lie in ``[0, 2**64)``.
     """
     if n < 1:
         raise ValidationError(f"generator needs n >= 1, got {n}")
     _check_node_count(n)
-    if seed < 0:
-        raise ValidationError(f"generator seed must be nonnegative, got {seed}")
+    check_seed("generator seed", seed)
     if kind == "erdos_renyi":
         if p is None or not (0.0 <= p <= 1.0):
             raise ValidationError(f"erdos_renyi needs edge probability p in [0, 1], got {p!r}")
@@ -421,7 +425,8 @@ def perturb(g: Graph, op: str, param: float | int, seed: int = 0,
     check_seed("perturbation seed", seed)
     rng = np.random.default_rng(seed)
     if op == "drop":
-        if not (0.0 <= param <= 1.0):
+        # a bool is not a ratio, as it is not a count
+        if isinstance(param, (bool, np.bool_)) or not (0.0 <= param <= 1.0):
             raise ValidationError(f"drop ratio must lie in [0, 1], got {param}")
         m = math.ceil(param * g.edge_count)
         if m == 0:

@@ -38,7 +38,8 @@ PLACEMENTS = ("paper", "conventional")
 
 @dataclass(frozen=True)
 class Activation:
-    """Entrywise nonlinearity; ``leaky_relu`` carries a slope in (0, 1)."""
+    """Entrywise nonlinearity, one of ``ACTIVATION_KINDS``: ``Activation("relu")``,
+    or ``Activation("leaky_relu", slope)`` with a slope in (0, 1)."""
 
     kind: str
     slope: float | None = None
@@ -53,26 +54,6 @@ class Activation:
                 )
         elif self.slope is not None:
             raise ValidationError(f"activation {self.kind!r} takes no slope")
-
-    @classmethod
-    def relu(cls) -> "Activation":
-        return cls("relu")
-
-    @classmethod
-    def leaky_relu(cls, slope: float) -> "Activation":
-        return cls("leaky_relu", float(slope))
-
-    @classmethod
-    def tanh(cls) -> "Activation":
-        return cls("tanh")
-
-    @classmethod
-    def sigmoid(cls) -> "Activation":
-        return cls("sigmoid")
-
-    @classmethod
-    def identity(cls) -> "Activation":
-        return cls("identity")
 
 
 def apply_activation(x: np.ndarray, act: Activation) -> np.ndarray:

@@ -21,7 +21,8 @@ BLAS thread count.
 
 The module returns rows and duality entries; the command line writes them as
 CSV.  A boost count stays a Python integer from the config to its row, so a
-count past the float range is reported as written.
+count past the float range is reported as written.  A :class:`SweepConfig`
+holds the built graph, not its source: ``sweep`` hashes its document as read.
 """
 
 from __future__ import annotations
@@ -61,6 +62,32 @@ class ProbeSpec:
         check_seed("'probe.seed'", self.seed)
 
 
+def check_sweep_values(drop_ratios, boost_counts, boost_factor: float, trials: int,
+                       base_seed: int) -> None:
+    """The checks of every :class:`SweepConfig` field but the graph and the
+    probe, callable before the graph is built (exit 2)."""
+    if not drop_ratios and not boost_counts:
+        raise ValidationError("sweep needs at least one drop ratio or boost count")
+    for r in drop_ratios:
+        if not (0.0 < r < 1.0):
+            raise ValidationError(f"drop ratios must lie in (0, 1), got {r}")
+    for c in boost_counts:
+        if not (type(c) is int and c >= 1):  # a bool is not a count
+            raise ValidationError(f"boost counts must be positive integers, got {c!r}")
+    # duality rows are keyed by (trial, op, param), so a repeat would lose rows
+    for name, values in (("drop ratio", drop_ratios), ("boost count", boost_counts)):
+        seen = set()
+        for x in values:
+            if x in seen:
+                raise ValidationError(f"{name} {x!r} is listed more than once")
+            seen.add(x)
+    if not (math.isfinite(boost_factor) and boost_factor >= 1.0):
+        raise ValidationError(f"boost factor must be >= 1, got {boost_factor}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_seed("'base_seed'", base_seed)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: a base graph, perturbation grids, trials and seeds."""
@@ -72,29 +99,10 @@ class SweepConfig:
     trials: int = 1
     base_seed: int = 0
     probe: ProbeSpec = ProbeSpec()
-    source: str = ""
 
     def __post_init__(self) -> None:
-        if not self.drop_ratios and not self.boost_counts:
-            raise ValidationError("sweep needs at least one drop ratio or boost count")
-        for r in self.drop_ratios:
-            if not (0.0 < r < 1.0):
-                raise ValidationError(f"drop ratios must lie in (0, 1), got {r}")
-        for c in self.boost_counts:
-            if not (type(c) is int and c >= 1):  # a bool is not a count
-                raise ValidationError(f"boost counts must be positive integers, got {c!r}")
-        # duality rows are keyed by (trial, op, param), so a repeat would lose rows
-        for name, values in (("drop ratio", self.drop_ratios), ("boost count", self.boost_counts)):
-            seen = set()
-            for x in values:
-                if x in seen:
-                    raise ValidationError(f"{name} {x!r} is listed more than once")
-                seen.add(x)
-        if not (math.isfinite(self.boost_factor) and self.boost_factor >= 1.0):
-            raise ValidationError(f"boost factor must be >= 1, got {self.boost_factor}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        check_seed("'base_seed'", self.base_seed)
+        check_sweep_values(self.drop_ratios, self.boost_counts, self.boost_factor,
+                           self.trials, self.base_seed)
 
     def operations(self) -> tuple[tuple[str, float | int], ...]:
         """(op, param) pairs: drops with their float ratio, then boosts with

@@ -136,8 +136,8 @@ def test_criterion_04_lemma_3_2_suite():
 
 
 def test_criterion_05_lemma_3_3_suite():
-    acts = [Activation.relu(), Activation.leaky_relu(0.01),
-            Activation.leaky_relu(0.2), Activation.leaky_relu(0.5)]
+    acts = [Activation("relu"), Activation("leaky_relu", 0.01),
+            Activation("leaky_relu", 0.2), Activation("leaky_relu", 0.5)]
     failures = 0
     for i in range(500):
         rng = np.random.default_rng(derive_seed(5, i))
@@ -150,7 +150,7 @@ def test_criterion_05_lemma_3_3_suite():
     for j in range(100):
         rng = np.random.default_rng(derive_seed(55, j))
         g = mixed_graph(j, n_max=40, boost_every=0)
-        rep = verify_lemma_3_3(g, np.abs(rng.standard_normal((g.n, 2))), Activation.relu())
+        rep = verify_lemma_3_3(g, np.abs(rng.standard_normal((g.n, 2))), Activation("relu"))
         nonneg_bad += rep.margin != 0.0
     regular_failures = 0
     for j in range(200):
@@ -158,7 +158,7 @@ def test_criterion_05_lemma_3_3_suite():
         n = int(rng.integers(5, 41))
         g = generate("k_regular", n, k=2 * int(rng.integers(1, (n - 1) // 2 + 1)))
         x = rng.standard_normal((g.n, 3))
-        for act in (Activation.tanh(), Activation.sigmoid()):
+        for act in (Activation("tanh"), Activation("sigmoid")):
             rep = verify_lemma_3_3(g, x, act)
             regular_failures += not (rep.asserted and rep.gate_holds)
     ok = failures == 0 and nonneg_bad == 0 and regular_failures == 0
@@ -223,7 +223,7 @@ def test_criterion_08_proposition_7_1():
     flt = PolynomialFilter((1.0, -1.0))
     layers = tuple(
         LayerSpec(filter=flt, weights=(make_weights(4, 4, 1.0, seed=derive_seed(8, l)),),
-                  activation=Activation.relu())
+                  activation=Activation("relu"))
         for l in range(20)
     )
     traj = run_network(x0, layers, g, placement="paper")

@@ -35,7 +35,7 @@ def propagation_layer(channels, target, seed=0, act=None):
     return LayerSpec(
         filter=PolynomialFilter.propagation(),
         weights=(make_weights(channels, channels, target, seed=seed),),
-        activation=act or Activation.relu(),
+        activation=act or Activation("relu"),
     )
 
 
@@ -55,7 +55,7 @@ def test_holds_tolerance_edges():
 
 def test_bound_report_rejects_unknown_statement():
     with pytest.raises(ValidationError):
-        BoundReport("L9.9", 0.0, 1.0, None, 1.0, holds_paper=True, holds_safe=None)
+        BoundReport("L9.9", 0.0, 1.0, None, holds_paper=True, holds_safe=None)
 
 
 def test_lemma_3_1_path3_one_hot():
@@ -125,7 +125,7 @@ def test_lemma_3_2_rectangular_shapes_and_mismatch():
 def test_lemma_3_3_relu_on_nonnegative_input_is_equality():
     g = generate("path", 5)
     x = np.abs(np.random.default_rng(0).standard_normal((5, 2)))
-    r = verify_lemma_3_3(g, x, Activation.relu())
+    r = verify_lemma_3_3(g, x, Activation("relu"))
     assert r.margin == 0.0
     assert r.asserted and r.gate_holds
 
@@ -134,11 +134,11 @@ def test_lemma_3_3_relu_on_nonnegative_input_is_equality():
 def test_lemma_3_3_leaky_relu_any_graph(slope):
     g = generate("erdos_renyi", 25, seed=6, p=0.25)
     x = np.random.default_rng(6).standard_normal((25, 3))
-    r = verify_lemma_3_3(g, x, Activation.leaky_relu(slope))
+    r = verify_lemma_3_3(g, x, Activation("leaky_relu", slope))
     assert r.asserted and r.gate_holds
 
 
-@pytest.mark.parametrize("act", [Activation.tanh(), Activation.sigmoid()])
+@pytest.mark.parametrize("act", [Activation("tanh"), Activation("sigmoid")])
 def test_lemma_3_3_saturating_on_regular_graph_is_asserted(act):
     # the ring is 2-regular, so the bound applies
     g = generate("ring", 6)
@@ -150,7 +150,7 @@ def test_lemma_3_3_saturating_on_regular_graph_is_asserted(act):
 def test_lemma_3_3_saturating_on_irregular_graph_is_informational():
     g = generate("path", 6)  # endpoint degrees differ from interior ones
     x = np.random.default_rng(8).standard_normal((6, 2))
-    r = verify_lemma_3_3(g, x, Activation.sigmoid())
+    r = verify_lemma_3_3(g, x, Activation("sigmoid"))
     assert not r.asserted
     assert r.gate_holds  # informational reports never gate
 
@@ -158,7 +158,7 @@ def test_lemma_3_3_saturating_on_irregular_graph_is_informational():
 def test_theorem_3_4_identity_on_complete3():
     # all nonzero eigenvalues of K3 equal 1, so the bound collapses to zero
     g = generate("complete", 3)
-    layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(2),), Activation.identity())
+    layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(2),), Activation("identity"))
     x = np.random.default_rng(9).standard_normal((3, 2))
     r = verify_theorem_3_4(g, x, layer)
     assert r.rhs_paper == pytest.approx(0.0, abs=1e-24)
@@ -168,7 +168,7 @@ def test_theorem_3_4_identity_on_complete3():
 
 def test_theorem_3_4_zero_weights():
     g = generate("path", 4)
-    layer = LayerSpec(PolynomialFilter.propagation(), (np.zeros((2, 2)),), Activation.relu())
+    layer = LayerSpec(PolynomialFilter.propagation(), (np.zeros((2, 2)),), Activation("relu"))
     x = np.random.default_rng(10).standard_normal((4, 2))
     r = verify_theorem_3_4(g, x, layer)
     assert r.lhs == 0.0
@@ -182,7 +182,7 @@ def test_theorem_3_4_two_weight_chain_on_path3():
     layer = LayerSpec(
         PolynomialFilter.propagation(),
         (make_weights(2, 2, 1.5, seed=0), make_weights(2, 2, 0.5, seed=1)),
-        Activation.relu(),
+        Activation("relu"),
     )
     x = np.random.default_rng(11).standard_normal((3, 2))
     r = verify_theorem_3_4(g, x, layer)
@@ -202,7 +202,7 @@ def test_theorem_3_4_safe_bound_is_attained_at_every_gain(target):
     v = eigenvectors[:, 1 + int(np.argmax((1.0 - eigenvalues[1:]) ** 2))]
     w = make_weights(4, 4, target, seed=3)
     a = np.linalg.svd(w)[0][:, 0]
-    layer = LayerSpec(PolynomialFilter.propagation(), (w,), Activation.identity())
+    layer = LayerSpec(PolynomialFilter.propagation(), (w,), Activation("identity"))
     r = verify_theorem_3_4(g, np.outer(v, a), layer)
     assert r.lhs / r.rhs_safe == pytest.approx(1.0, rel=1e-12)
     assert r.holds_safe and r.gate_holds
@@ -211,10 +211,10 @@ def test_theorem_3_4_safe_bound_is_attained_at_every_gain(target):
 def test_theorem_3_4_rejects_other_filters_and_activations():
     g = generate("path", 3)
     x = np.ones((3, 1))
-    bad_filter = LayerSpec(PolynomialFilter((0.5,)), (np.eye(1),), Activation.relu())
+    bad_filter = LayerSpec(PolynomialFilter((0.5,)), (np.eye(1),), Activation("relu"))
     with pytest.raises(ValidationError, match="filter"):
         verify_theorem_3_4(g, x, bad_filter)
-    bad_act = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation.tanh())
+    bad_act = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation("tanh"))
     with pytest.raises(ValidationError, match="ReLU"):
         verify_theorem_3_4(g, x, bad_act)
 
@@ -315,7 +315,7 @@ def test_prop_7_1_path3_half_margin():
 
 def test_prop_7_1_rejects_increasing_filter_with_witness():
     g = generate("path", 3)
-    layer = LayerSpec(PolynomialFilter((0.0, 1.0)), (np.eye(2),), Activation.relu())
+    layer = LayerSpec(PolynomialFilter((0.0, 1.0)), (np.eye(2),), Activation("relu"))
     verdict = verify_prop_7_1(run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
     assert not verdict.ok
     assert "monotone" in verdict.reason
@@ -326,7 +326,7 @@ def test_prop_7_1_rejects_increasing_filter_with_witness():
 def test_prop_7_1_margin_precondition_is_a_verdict():
     # constant filter 0.9 has s P^2 = 0.81, which misses 1 - eps for eps = 0.5
     g = generate("path", 3)
-    layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation.relu())
+    layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation("relu"))
     verdict = verify_prop_7_1(run_network(np.ones((3, 2)), [layer], g), epsilon=0.5)
     assert not verdict.ok
     assert "1 - eps" in verdict.reason
@@ -335,7 +335,7 @@ def test_prop_7_1_margin_precondition_is_a_verdict():
 
 def test_prop_7_1_constant_filter_with_wide_margin():
     g = generate("path", 3)
-    layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation.relu())
+    layer = LayerSpec(PolynomialFilter((0.9,)), (np.eye(2),), Activation("relu"))
     x0 = np.random.default_rng(3).standard_normal((3, 2))
     verdict = verify_prop_7_1(run_network(x0, [layer] * 5, g), epsilon=0.1)
     assert verdict.ok and verdict.holds
@@ -360,21 +360,21 @@ def test_prop_7_1_zero_input_holds_iff_every_later_energy_is_at_most_1e_12(later
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.2, 1.5])
 def test_prop_7_1_epsilon_validation(eps):
     g = generate("path", 3)
-    layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation.relu())
+    layer = LayerSpec(PolynomialFilter.propagation(), (np.eye(1),), Activation("relu"))
     with pytest.raises(ValidationError):
         verify_prop_7_1(run_network(np.ones(3), [layer], g), epsilon=eps)
 
 
 def test_prop_7_1_tanh_on_a_regular_graph_is_ok():
     g = generate("ring", 8)
-    layers = [propagation_layer(2, 0.5, seed=i, act=Activation.tanh()) for i in range(4)]
+    layers = [propagation_layer(2, 0.5, seed=i, act=Activation("tanh")) for i in range(4)]
     x0 = np.random.default_rng(0).standard_normal((8, 2))
     verdict = verify_prop_7_1(run_network(x0, layers, g), epsilon=0.3)
     assert verdict.ok and verdict.holds
     assert len(verdict.per_layer) == 4
 
 
-@pytest.mark.parametrize("act", [Activation.tanh(), Activation.sigmoid()])
+@pytest.mark.parametrize("act", [Activation("tanh"), Activation("sigmoid")])
 def test_prop_7_1_saturating_activation_on_an_irregular_graph_is_a_failed_precondition(act):
     g = generate("path", 5)
     layers = [propagation_layer(2, 0.5, seed=i, act=act) for i in range(3)]
@@ -386,7 +386,7 @@ def test_prop_7_1_saturating_activation_on_an_irregular_graph_is_a_failed_precon
 
 
 def test_theorem_3_4_tanh_holds_on_a_ring_and_is_refused_on_a_path():
-    layer = propagation_layer(2, 0.5, act=Activation.tanh())
+    layer = propagation_layer(2, 0.5, act=Activation("tanh"))
     g = generate("ring", 8)
     x = np.random.default_rng(0).standard_normal((8, 2))
     r = verify_theorem_3_4(g, x, layer)
@@ -444,9 +444,8 @@ def test_suite_validation():
 
 
 def test_suite_result_excludes_vacuous_from_margin():
-    vac = BoundReport("L3.1", 0.0, 0.0, 0.0, -5.0, holds_paper=True,
-                      holds_safe=True, vacuous=True)
-    ok = BoundReport("L3.1", 1.0, 2.0, 2.0, 1.0, holds_paper=True, holds_safe=True)
+    vac = BoundReport("L3.1", 0.0, 0.0, 0.0, holds_paper=True, holds_safe=True, vacuous=True)
+    ok = BoundReport("L3.1", 1.0, 2.0, 2.0, holds_paper=True, holds_safe=True)
     res = SuiteResult("L3.1", trials=2, seed=0, reports=(vac, ok))
     assert res.worst_margin == 1.0
     assert res.n_vacuous == 1

@@ -536,6 +536,13 @@ def test_verify_trials_above_limit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_zero_trials_exits_2_before_its_directory(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert main(["verify", "--trials", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --trials must be a positive integer, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_verify_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
     # derive_seed reads the base modulo 2**64, so these would alias 2**64 - 1 and 0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gcn_energy import config
+from gcn_energy.cli import main
 from gcn_energy.config import (
     RunSetup,
     config_hash,
@@ -367,7 +368,7 @@ def write_sweep_config(tmp_path, name="sweep.json", **overrides):
 
 
 def test_sweep_config_defaults(tmp_path):
-    cfg = load_sweep_config(write_sweep_config(tmp_path))
+    cfg, _ = load_sweep_config(write_sweep_config(tmp_path))
     assert cfg.drop_ratios == (0.2,)
     assert cfg.boost_counts == (1,)
     assert cfg.boost_factor == 10000.0
@@ -389,7 +390,7 @@ def test_sweep_config_full_document(tmp_path):
         base_seed=9,
         probe={"kind": "spectrum-only", "channels": 2, "seed": 4},
     )
-    cfg = load_sweep_config(path)
+    cfg, _ = load_sweep_config(path)
     assert cfg.drop_ratios == (0.1, 0.5)
     assert cfg.boost_counts == (2, 3)
     assert cfg.boost_factor == 100.0
@@ -447,19 +448,35 @@ def test_sweep_config_validation(tmp_path, overrides, fragment):
         load_sweep_config(path)
 
 
-@pytest.mark.parametrize("overrides", [{"trials": 100001}, {"probe": {"channels": 4097}}])
+@pytest.mark.parametrize("overrides", [
+    {"trials": 100001}, {"probe": {"channels": 4097}},
+    {"base_seed": -1}, {"drop_ratios": [1.5]}, {"drop_ratios": [0.2, 0.2]},
+    {"boost_counts": [0]}, {"boost_factor": 0.5}, {"trials": 0},
+])
 def test_sweep_config_caps_reject_before_any_graph(tmp_path, monkeypatch, overrides):
+    # every value is checked before the graph, with the message it gets after one
+    path = write_sweep_config(tmp_path, **overrides)
+    with pytest.raises(ValidationError) as after_graph:
+        load_sweep_config(path)
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("graph built before the size check")
+        raise AssertionError("graph built before the values were checked")
 
     monkeypatch.setattr(config, "resolve_graph_source", forbidden)
-    with pytest.raises(ValidationError, match="above the limit"):
-        load_sweep_config(write_sweep_config(tmp_path, **overrides))
+    with pytest.raises(ValidationError, match=re.escape(str(after_graph.value))):
+        load_sweep_config(path)
 
 
-def test_sweep_config_keeps_graph_source(tmp_path):
-    cfg = load_sweep_config(write_sweep_config(tmp_path))
-    assert cfg.source == "gen:ring:12"
+def test_sweep_hashes_its_config_document_as_read(tmp_path, capsys):
+    # the rule of run: the document as read, not the config it resolves to
+    path = write_sweep_config(tmp_path, trials=2)
+    doc = json.loads(Path(path).read_text())
+    assert load_sweep_config(path)[1] == doc
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    for table in (out, tmp_path / "rows.duality.csv"):
+        assert table.read_text().splitlines()[1] == f"# config-sha256: {config_hash(doc)}"
 
 
 def test_documented_and_benchmark_configs_hold_only_known_keys(tmp_path, monkeypatch):

@@ -182,7 +182,7 @@ def test_the_graph_holds_no_dense_matrix():
     assert g.spectrum.size == g.n and g.extremes.size == 2
     f = PolynomialFilter((0.2, 0.9, -1.1, 0.3))
     filter_contraction(f, g)
-    layer = LayerSpec(f, (make_weights(2, 2, 0.9, seed=1),), Activation.relu())
+    layer = LayerSpec(f, (make_weights(2, 2, 0.9, seed=1),), Activation("relu"))
     run_network(np.random.default_rng(3).standard_normal((g.n, 2)), [layer], g)
     assert "spectrum" in vars(g) and "extremes" in vars(g) and "neighbours" in vars(g)
     for name, value in vars(g).items():
@@ -229,7 +229,7 @@ def test_sweep_builds_one_laplacian_and_one_eigensolve_per_graph(counted):
 
 def test_layer_gain_is_computed_once_at_construction(monkeypatch):
     layers = [LayerSpec(PolynomialFilter((0.6, -0.3)), (make_weights(2, 2, 0.9, seed=i),),
-                        Activation.relu()) for i in range(3)]
+                        Activation("relu")) for i in range(3)]
 
     def refuse(w):
         raise AssertionError("gain recomputed an SVD")

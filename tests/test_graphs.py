@@ -80,6 +80,24 @@ def test_graphs_compare_and_hash_by_value():
     assert len({a, b, generate("path", 4)}) == 2
 
 
+def test_graphs_compare_and_hash_without_edge_tuples(monkeypatch):
+    a, b = generate("erdos_renyi", 30, 1, p=0.2), generate("erdos_renyi", 30, 1, p=0.2)
+
+    def no_tuples(self):
+        raise AssertionError("edge tuples built")
+
+    monkeypatch.setattr(Graph, "edges", property(no_tuples))
+    assert a == b and hash(a) == hash(b) and b in {a}
+    assert a != perturb(a, "boost", 1, factor=2.0) and a != generate("erdos_renyi", 31, 1, p=0.2)
+
+
+def test_an_int32_built_graph_equals_and_hashes_as_its_int64_twin():
+    a = generate("ring", 6)
+    b = Graph(6, a.u.astype(np.int32), a.v.astype(np.int32), a.w)
+    assert b.u.dtype == b.v.dtype == np.int64
+    assert a == b and hash(a) == hash(b)
+
+
 def test_parse_merges_duplicate_and_reversed_pairs():
     g = from_edge_list("0 1 1.0\n1 0 2.0\n")
     assert g.edges == ((0, 1, 3.0),)
@@ -281,6 +299,7 @@ def test_generate_erdos_renyi_deterministic_per_seed():
         ("erdos_renyi", dict(n=5, p=0.5, seed=-1)),
         ("erdos_renyi", dict(n=10**6, p=0.5)),  # above MAX_NODES; rejected before any draw
         ("path", dict(n=MAX_NODES + 1)),
+        ("erdos_renyi", dict(n=10, p=0.5, seed=2**70)),  # the seed rule of every entry point
     ],
 )
 def test_generate_rejects_bad_parameters(kind, kwargs):
@@ -341,10 +360,11 @@ def test_boost_count_exceeding_edges_is_an_error():
         (("boost", 1, 0, 0.5), "boost factor must be >= 1"),
         (("boost", 1, 0, math.nan), "boost factor must be >= 1"),
         (("boost", 1, -3, 10.0), "perturbation seed is -3"),
+        (("drop", True), "drop ratio must lie in [0, 1], got True"),
     ],
     ids=["unknown-kind", "negative-ratio", "ratio-above-1", "negative-seed", "seed-past-2-64",
          "zero-count", "float-count", "bool-count", "factor-below-1", "nan-factor",
-         "boost-negative-seed"],
+         "boost-negative-seed", "bool-ratio"],
 )
 def test_perturb_rejects_invalid_arguments(args, message):
     with pytest.raises(ValidationError, match=re.escape(message)):

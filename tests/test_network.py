@@ -27,7 +27,7 @@ def identity_layer(n_channels=1, filt=(1.0, -1.0), act=None):
     return LayerSpec(
         filter=PolynomialFilter(filt),
         weights=(np.eye(n_channels),),
-        activation=act or Activation.relu(),
+        activation=act or Activation("relu"),
     )
 
 
@@ -46,7 +46,7 @@ def test_activation_pointwise_values(kind, x, expected):
 
 
 def test_leaky_relu_slope_applies_to_negatives_only():
-    act = Activation.leaky_relu(0.2)
+    act = Activation("leaky_relu", 0.2)
     out = apply_activation(np.array([-5.0, 5.0]), act)
     assert out.tolist() == [-1.0, 5.0]
 
@@ -62,7 +62,7 @@ def test_saturating_activations_do_not_overflow(kind):
 
 def test_sigmoid_matches_naive_formula_on_moderate_inputs():
     x = np.linspace(-30.0, 30.0, 101)
-    out = apply_activation(x, Activation.sigmoid())
+    out = apply_activation(x, Activation("sigmoid"))
     assert np.allclose(out, 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
 
 
@@ -113,7 +113,7 @@ def test_top_singular_value_matches_svd_oracle():
 def test_layer_spec_gain_is_product_of_top_singular_values():
     rng = np.random.default_rng(1)
     ws = (rng.standard_normal((4, 6)), rng.standard_normal((6, 2)))
-    spec = LayerSpec(PolynomialFilter.propagation(), ws, Activation.relu())
+    spec = LayerSpec(PolynomialFilter.propagation(), ws, Activation("relu"))
     expected = np.prod([np.linalg.svd(w, compute_uv=False)[0] for w in ws])
     assert spec.gain() == pytest.approx(expected, rel=1e-12)
     assert spec.input_channels == 4
@@ -122,7 +122,7 @@ def test_layer_spec_gain_is_product_of_top_singular_values():
 
 def test_layer_spec_keeps_its_own_read_only_copy_of_the_weights():
     w = np.eye(3)
-    spec = LayerSpec(PolynomialFilter.propagation(), (w,), Activation.relu())
+    spec = LayerSpec(PolynomialFilter.propagation(), (w,), Activation("relu"))
     w[0, 0] = 2.0  # the caller's array stays writable
     assert spec.weights[0][0, 0] == 1.0
     assert spec.gain() == 1.0
@@ -133,16 +133,16 @@ def test_layer_spec_keeps_its_own_read_only_copy_of_the_weights():
 def test_layer_spec_rejects_broken_chain():
     ws = (np.zeros((3, 4)), np.zeros((5, 2)))
     with pytest.raises(ValidationError, match="matrices 0 and 1"):
-        LayerSpec(PolynomialFilter.propagation(), ws, Activation.relu())
+        LayerSpec(PolynomialFilter.propagation(), ws, Activation("relu"))
 
 
 def test_layer_spec_rejects_empty_or_bad_weights():
     with pytest.raises(ValidationError):
-        LayerSpec(PolynomialFilter.propagation(), (), Activation.relu())
+        LayerSpec(PolynomialFilter.propagation(), (), Activation("relu"))
     with pytest.raises(ValidationError):
-        LayerSpec(PolynomialFilter.propagation(), (np.array([1.0, 2.0]),), Activation.relu())
+        LayerSpec(PolynomialFilter.propagation(), (np.array([1.0, 2.0]),), Activation("relu"))
     with pytest.raises(ValidationError):
-        LayerSpec(PolynomialFilter.propagation(), (np.full((2, 2), np.inf),), Activation.relu())
+        LayerSpec(PolynomialFilter.propagation(), (np.full((2, 2), np.inf),), Activation("relu"))
 
 
 def test_layer_forward_k2_hand_value():
@@ -169,7 +169,7 @@ def test_placements_differ_for_sigmoid():
     # paper placement squashes the filtered input once more than the
     # conventional one, so outputs must differ
     g = generate("path", 4)
-    spec = identity_layer(act=Activation.sigmoid())
+    spec = identity_layer(act=Activation("sigmoid"))
     x = np.array([1.0, -2.0, 3.0, -4.0])
     a = layer_forward(x, spec, g, placement="paper")
     b = layer_forward(x, spec, g, placement="conventional")
@@ -178,7 +178,7 @@ def test_placements_differ_for_sigmoid():
 
 def test_placements_agree_for_identity_activation():
     g = generate("path", 4)
-    spec = identity_layer(act=Activation.identity())
+    spec = identity_layer(act=Activation("identity"))
     x = np.array([1.0, -2.0, 3.0, -4.0])
     a = layer_forward(x, spec, g, placement="paper")
     b = layer_forward(x, spec, g, placement="conventional")
@@ -191,7 +191,7 @@ def test_run_network_record_shape_and_layer_zero():
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(3, 3, 0.9, seed=i),),
-                  Activation.relu())
+                  Activation("relu"))
         for i in range(4)
     ]
     traj = run_network(rng.standard_normal((12, 3)), layers, g)
@@ -217,7 +217,7 @@ def test_run_network_matches_eigenbasis_reference_loop(placement):
     # the Horner forward pass and edge-sum energies against a loop that filters
     # with V diag(p(lam)) V^T and takes energies in the trace form
     g = generate("erdos_renyi", 40, seed=4, p=0.15)
-    act = Activation.leaky_relu(0.3)
+    act = Activation("leaky_relu", 0.3)
     filters = [(1.0, -1.0), (0.6, -0.5, 0.1), (0.2, 0.9, -1.1, 0.3), (0.9,), (1.0, -1.0)]
     layers = [LayerSpec(PolynomialFilter(f), (make_weights(3, 5, 1.3, seed=i),
                                               make_weights(5, 3, 0.8, seed=50 + i)), act)
@@ -245,10 +245,10 @@ def test_run_network_tracks_changing_channel_widths():
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(8, 16, 1.0, seed=0), make_weights(16, 4, 1.0, seed=1)),
-                  Activation.relu()),
+                  Activation("relu")),
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(4, 2, 1.0, seed=2),),
-                  Activation.relu()),
+                  Activation("relu")),
     ]
     traj = run_network(np.random.default_rng(0).standard_normal((10, 8)), layers, g)
     assert [rec.channels for rec in traj.records] == [8, 4, 2]
@@ -276,7 +276,7 @@ def test_per_layer_energy_respects_safe_bound_when_gain_at_most_one(seed):
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(3, 3, float(rng.uniform(0.2, 1.0)), seed=10 * seed + i),),
-                  Activation.relu())
+                  Activation("relu"))
         for i in range(6)
     ]
     traj = run_network(rng.standard_normal((20, 3)), layers, g)
@@ -309,7 +309,7 @@ def test_deep_contractive_run_decays_exponentially():
     layers = [
         LayerSpec(PolynomialFilter.propagation(),
                   (make_weights(4, 4, 3.2, seed=100 + i),),
-                  Activation.relu())
+                  Activation("relu"))
         for i in range(30)
     ]
     x0 = np.random.default_rng(0).standard_normal((3, 4))

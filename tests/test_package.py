@@ -1,5 +1,6 @@
 """The package namespace: every exported name resolves, once."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -44,3 +45,18 @@ def test_perturb_takes_its_arguments_and_the_suites_draw_their_own_instances():
     assert not hasattr(gcn_energy.graphs, "PerturbationPlan")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("gcn_energy.sampling")
+
+
+def test_one_activation_constructor_and_reports_compute_margin_and_ok():
+    for name in ("relu", "leaky_relu", "tanh", "sigmoid", "identity"):
+        assert not hasattr(gcn_energy.Activation, name)
+    assert "margin" not in {f.name for f in dataclasses.fields(gcn_energy.BoundReport)}
+    assert "ok" not in {f.name for f in dataclasses.fields(gcn_energy.Prop71Verdict)}
+    report = gcn_energy.BoundReport("L3.1", 1.0, 2.5, 3.0, holds_paper=True, holds_safe=True)
+    assert report.margin == 1.5
+    with pytest.raises(AttributeError):
+        report.margin = 0.0
+    unmet = gcn_energy.Prop71Verdict("filter not monotone", 0.5, (), None)
+    assert not unmet.ok and not unmet.holds
+    with pytest.raises(AttributeError):
+        unmet.ok = True

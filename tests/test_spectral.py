@@ -444,7 +444,7 @@ def test_filter_contraction_overflow_is_a_numeric_error():
 
 
 # ---------------------------------------------------------------------------
-# the Lanczos route to the extremes, against the dense eigvalsh oracle
+# the Lanczos route to the extremes, against dense oracles
 
 
 def _two_er_components_and_isolated_nodes():
@@ -484,16 +484,19 @@ MONOTONE = (PolynomialFilter.propagation(), PolynomialFilter((1.0, -0.9, 0.2)))
 
 @pytest.mark.parametrize("name", list(LANCZOS_GRAPHS))
 def test_lanczos_extremes_match_eigvalsh_above_the_cutoff(name):
+    # eigvalsh can be off by more than 1e-12 relative on a small eigenvalue, so the
+    # oracle is the extended-precision Rayleigh quotient of eigh's eigenvectors
     g = LANCZOS_GRAPHS[name]()
     assert g.n >= LANCZOS_MIN_NODES
-    oracle = np.linalg.eigvalsh(augmented_normalized_laplacian(g))[len(search_components(g)):]
+    vectors = np.linalg.eigh(augmented_normalized_laplacian(g))[1]
+    oracle = np.array([float(_rayleigh_quotient(g, vectors[:, i]))
+                       for i in (len(search_components(g)), -1)])
     ends = g.extremes
     assert ends.shape == (2,) and not ends.flags.writeable
     assert np.array_equal(ends, lanczos_extremes(g))  # the Lanczos route, not the fallback
-    floor = DENSE_ABS if name == "k-regular" else 0.0
-    assert ends[0] == pytest.approx(oracle[0], rel=1e-12, abs=floor)
-    assert ends[-1] == pytest.approx(oracle[-1], rel=1e-12, abs=floor)
-    for f in MONOTONE:
+    assert ends[0] == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
+    assert ends[-1] == pytest.approx(oracle[-1], rel=1e-12, abs=0.0)
+    for f in MONOTONE:  # monotone on [0, 2]: the factors of the two ends
         got, want = filter_contraction(f, g), dense_factors(f, oracle, 0)
         # on the complete graph 1 - x vanishes at the one nonzero eigenvalue, so its
         # factors are squares of round-off and compare absolutely

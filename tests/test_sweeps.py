@@ -228,3 +228,9 @@ def test_sweep_row_degenerate_follows_edges_after():
     assert "degenerate" not in {f.name for f in dataclasses.fields(row)}
     with pytest.raises(AttributeError):
         row.degenerate = True
+
+
+def test_a_sweep_config_holds_its_graph_not_its_source():
+    # the sweep command hashes the document it read, so no field keeps the source
+    assert "source" not in {f.name for f in dataclasses.fields(SweepConfig)}
+    assert not hasattr(small_config(), "source")
