@@ -44,7 +44,7 @@ import numpy as np
 
 from .energy import as_embedding, dirichlet_energy_edge_sum
 from .errors import ValidationError
-from .graphs import Graph, generate
+from .graphs import MAX_TRIALS, Graph, check_work_size, generate
 from .network import (Activation, LayerSpec, Trajectory, apply_activation, make_weights,
                       run_network, top_singular_value)
 from .seeding import derive_seed
@@ -186,9 +186,9 @@ def _activation_report(g: Graph, x: np.ndarray, ex: float, act: Activation,
                         asserted=_contracts_energy(act, g))
 
 
-def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
-                       *, context: str = "") -> BoundReport:
-    """Full layer with the propagation filter ``1 - x``: a one-layer run.
+def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, *, context: str = "") -> BoundReport:
+    """Full layer with the propagation filter ``1 - x`` and the paper's
+    activation placement: a one-layer run.
 
     The bound is the run's record: the spectral factor times the product
     ``s`` of the top singular values of the realized weight matrices in the
@@ -196,7 +196,7 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
     activation must never raise energy on ``g``: ReLU, LeakyReLU or identity,
     or Tanh or Sigmoid on a regular graph.
     """
-    if tuple(layer.filter.coefficients) != (1.0, -1.0):
+    if layer.filter.coefficients != (1.0, -1.0):
         raise ValidationError(
             f"statement T3.4 requires the filter (1, -1), got {layer.filter.coefficients}"
         )
@@ -205,7 +205,7 @@ def verify_theorem_3_4(g: Graph, x, layer: LayerSpec, placement: str = "paper",
             f"statement T3.4 requires ReLU/LeakyReLU (or identity; Tanh/Sigmoid on a "
             f"regular graph), got {layer.activation.kind}"
         )
-    before, after = run_network(x, (layer,), g, placement).records
+    before, after = run_network(x, (layer,), g).records
     return _dual_report("T3.4", after.energy, before.energy, after.bound_paper,
                         after.bound_safe, context)
 
@@ -411,13 +411,11 @@ class SuiteResult:
 _KINDS = ("erdos_renyi", "ring", "k_regular", "path")
 
 
-def random_graph(rng: np.random.Generator, *, n_lo: int = 5,
-                 n_hi: int = 60) -> tuple[Graph, str]:
-    """Draw one graph with at least one edge plus a short description of how it was built."""
+def random_graph(rng: np.random.Generator, *, n_hi: int = 60) -> tuple[Graph, str]:
+    """Draw one graph of 5 to ``n_hi`` nodes with at least one edge, plus a
+    short description of how it was built."""
     kind = _KINDS[int(rng.integers(len(_KINDS)))]
-    n = int(rng.integers(n_lo, n_hi + 1))
-    if kind in ("ring", "k_regular"):
-        n = max(n, 3)
+    n = int(rng.integers(5, n_hi + 1))
     if kind == "erdos_renyi":
         p = float(rng.uniform(0.05, 0.5))
         for _ in range(200):
@@ -429,7 +427,7 @@ def random_graph(rng: np.random.Generator, *, n_lo: int = 5,
     if kind == "ring":
         return generate("ring", n), f"ring(n={n})"
     if kind == "k_regular":
-        k_max = max(1, min(4, (n - 1) // 2))
+        k_max = min(4, (n - 1) // 2)
         k = 2 * int(rng.integers(1, k_max + 1))
         return generate("k_regular", n, k=k), f"kregular(n={n},k={k})"
     return generate("path", n), f"path(n={n})"
@@ -506,7 +504,7 @@ def _suite_t34(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
 
 
 def _suite_c35(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng, n_lo=5, n_hi=40)
+    g, desc = random_graph(rng, n_hi=40)
     channels = int(rng.integers(1, 7))
     depth = int(rng.integers(3, 11))
     target = float(rng.uniform(0.3, 1.0))
@@ -531,9 +529,9 @@ def _random_filter(rng: np.random.Generator) -> PolynomialFilter:
         a, b, c = rng.uniform(0.0, 0.5, size=3)
         # a + b(2 - x) + c(2 - x)^2 expanded in the standard basis
         coeffs = (a + 2.0 * b + 4.0 * c, -(b + 4.0 * c), c)
-        return PolynomialFilter.from_coefficients(coeffs)
+        return PolynomialFilter(coeffs)
     degree = int(rng.integers(0, 5))
-    return PolynomialFilter.from_coefficients(rng.uniform(-1.0, 1.0, size=degree + 1))
+    return PolynomialFilter(rng.uniform(-1.0, 1.0, size=degree + 1))
 
 
 def _suite_l72(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
@@ -546,7 +544,7 @@ def _suite_l72(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
 
 
 def _suite_p71(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng, n_lo=5, n_hi=40)
+    g, desc = random_graph(rng, n_hi=40)
     channels = int(rng.integers(1, 7))
     depth = int(rng.integers(2, 7))
     layers = []
@@ -554,7 +552,7 @@ def _suite_p71(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
         t = float(rng.uniform(0.2, 0.95))
         target = float(rng.uniform(0.3, 1.0))
         layers.append(LayerSpec(
-            filter=PolynomialFilter.from_coefficients((t, -t / 2.0)),
+            filter=PolynomialFilter((t, -t / 2.0)),
             weights=(make_weights(channels, channels, target, seed=int(rng.integers(2**63))),),
             activation=Activation("relu"),
         ))
@@ -582,8 +580,7 @@ def run_suite(statement: str, trials: int, seed: int) -> SuiteResult:
     """
     if statement not in _SUITE_BUILDERS:
         raise ValidationError(f"unknown statement {statement!r}; known: {STATEMENTS}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_work_size("trials", trials, MAX_TRIALS, "trials")
     builder = _SUITE_BUILDERS[statement]
     reports: list[BoundReport] = []
     for trial in range(trials):

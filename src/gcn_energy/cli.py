@@ -104,8 +104,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    if args.channels < 1:
-        raise ValidationError(f"--channels must be a positive integer, got {args.channels}")
     check_work_size("--channels", args.channels, MAX_CHANNELS, "channels")
     check_seed("--seed", args.seed)
     g = resolve_graph_source(args.graph)
@@ -154,8 +152,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be a positive integer, got {args.trials}")
     check_work_size("--trials", args.trials, MAX_TRIALS, "trials")
     check_seed("--seed", args.seed)
     tokens = list(SUITE_TOKENS) if args.suite == "all" else [args.suite]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .graphs import MAX_CHANNELS, MAX_LAYERS, MAX_TRIALS, MAX_WEIGHT_ENTRIES, Graph
+from .graphs import MAX_CHANNELS, MAX_LAYERS, MAX_WEIGHT_ENTRIES, Graph
 from .graphs import check_work_size, from_edge_list, generate
 from .network import PLACEMENTS, Activation, LayerSpec, make_weights
 from .seeding import check_seed, derive_seed
@@ -204,13 +204,13 @@ def _parse_activation(doc: dict) -> Activation:
 def _parse_filters(doc: dict, depth: int) -> list[PolynomialFilter]:
     filters = _field(doc, "filters", [[float]], None)
     if filters is None:
-        return [PolynomialFilter.from_coefficients(_field(doc, "filter", [float], [1.0, -1.0]))] * depth
+        return [PolynomialFilter(_field(doc, "filter", [float], [1.0, -1.0]))] * depth
     if doc.get("filter") is not None:
         raise ValidationError("config gives both 'filter' and 'filters'; "
                               "give 'filters' (one per layer) instead of 'filter'")
     if len(filters) != depth:
         raise ValidationError(f"'filters' must list {depth} filters, got {len(filters)}")
-    return [PolynomialFilter.from_coefficients(c) for c in filters]
+    return [PolynomialFilter(c) for c in filters]
 
 
 def _parse_weight_plan(doc: dict, depth: int, channels: int):
@@ -271,16 +271,16 @@ class RunSetup:
 
 
 def load_run_config(path: str) -> RunSetup:
+    """The run of the config document at ``path``.  Every value is checked,
+    and the weights drawn and the layers built, before the graph is resolved,
+    so a bad document exits 2 without building a graph; each weight draws
+    from its own seed stream, so the order moves no value."""
     doc = _load_json(path)
     _check_keys(doc, _RUN_KEYS)
     source = _field(doc, "graph", str)
     depth = _field(doc, "layers", int)
-    if depth < 1:
-        raise ValidationError(f"a run needs at least one layer, got layers={depth}")
     check_work_size("config key 'layers'", depth, MAX_LAYERS, "layers")
     channels = _field(doc, "channels", int, 4)
-    if channels < 1:
-        raise ValidationError(f"'channels' must be a positive integer, got {channels!r}")
     check_work_size("config key 'channels'", channels, MAX_CHANNELS, "channels")
     seed = _field(doc, "seed", int, 0)
     check_seed("config key 'seed'", seed)
@@ -294,7 +294,6 @@ def load_run_config(path: str) -> RunSetup:
     act = _parse_activation(doc)
     filters = _parse_filters(doc, depth)
     plan = _parse_weight_plan(doc, depth, channels)
-    graph = resolve_graph_source(source)
     layers = []
     for l in range(depth):
         mats = tuple(
@@ -302,6 +301,7 @@ def load_run_config(path: str) -> RunSetup:
             for h, (rows, cols, target) in enumerate(plan[l])
         )
         layers.append(LayerSpec(filter=filters[l], weights=mats, activation=act))
+    graph = resolve_graph_source(source)
     rng = np.random.default_rng(derive_seed(seed, _X0_STREAM))
     x0 = rng.standard_normal((graph.n, channels))
     return RunSetup(graph=graph, x0=x0, layers=tuple(layers), placement=placement,
@@ -317,21 +317,17 @@ def load_sweep_config(path: str) -> tuple[SweepConfig, dict]:
     doc = _load_json(path)
     _check_keys(doc, _SWEEP_KEYS)
     graph_source = _field(doc, "graph", str)
-    trials = _field(doc, "trials", int, 1)
-    check_work_size("config key 'trials'", trials, MAX_TRIALS, "trials")
-    probe_channels = _field(doc, "probe.channels", int, 4)
-    check_work_size("config key 'probe.channels'", probe_channels, MAX_CHANNELS, "channels")
     values = dict(
         drop_ratios=tuple(_field(doc, "drop_ratios", [float], [])),
         boost_counts=tuple(_field(doc, "boost_counts", [int], [])),
         boost_factor=_field(doc, "boost_factor", float, 10000.0),
-        trials=trials,
+        trials=_field(doc, "trials", int, 1),
         base_seed=_field(doc, "base_seed", int, 0),
     )
     check_sweep_values(**values)
     probe = ProbeSpec(
         kind=_field(doc, "probe.kind", str, "fixed-field"),
-        channels=probe_channels,
+        channels=_field(doc, "probe.channels", int, 4),
         seed=_field(doc, "probe.seed", int, 0),
     )
     return SweepConfig(graph=resolve_graph_source(graph_source), probe=probe, **values), doc

@@ -72,15 +72,13 @@ MAX_TRIALS = 100_000         # sweep "trials" and verify --trials
 
 
 def check_work_size(name: str, value: int, limit: int, unit: str) -> None:
-    """Reject ``value`` of ``name`` above ``limit`` (exit 2)."""
+    """The one rule of every count a user gives: ``value`` of ``name`` is a
+    Python ``int``, not a bool, from 1 to ``limit``; anything else exits 2.
+    Boost counts, which have no limit, keep their own rule."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if value > limit:
         raise ValidationError(f"{name} is {value}, above the limit of {limit} {unit}")
-
-
-def _check_node_count(n: int) -> None:
-    if n > MAX_NODES:
-        raise ValidationError(f"graph has {n} nodes, above the limit of {MAX_NODES} "
-                              "for dense n x n matrices")
 
 
 @dataclass(frozen=True, eq=False)  # value equality is defined below, over the arrays
@@ -95,9 +93,7 @@ class Graph:
     def __post_init__(self) -> None:
         # private read-only copies: the cached context relies on edges never changing
         n, u, v, w = self.n, np.array(self.u), np.array(self.v), np.array(self.w)
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"node count must be a positive integer, got {n!r}")
-        _check_node_count(n)
+        check_work_size("node count", n, MAX_NODES, "nodes")
         if not (u.ndim == v.ndim == w.ndim == 1 and u.size == v.size == w.size):
             raise ValidationError("edge arrays u, v, w must be 1-D and of one length")
         if u.dtype.kind != "i" or v.dtype.kind != "i" or w.dtype != np.float64:
@@ -322,7 +318,7 @@ def from_edge_list(text: str) -> Graph:
     if not raw:
         raise ValidationError("empty edge list")
     n = max_id + 1
-    _check_node_count(n)
+    check_work_size("node count", n, MAX_NODES, "nodes")
     u, v, w = zip(*raw)
     return _merge_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
 
@@ -383,9 +379,7 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
     ``k_regular`` (circulant; ``k`` even, ``k < n``), ``complete``, ``path``.
     Only ``erdos_renyi`` consumes the seed, which must lie in ``[0, 2**64)``.
     """
-    if n < 1:
-        raise ValidationError(f"generator needs n >= 1, got {n}")
-    _check_node_count(n)
+    check_work_size("node count", n, MAX_NODES, "nodes")
     check_seed("generator seed", seed)
     if kind == "erdos_renyi":
         if p is None or not (0.0 <= p <= 1.0):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .energy import as_embedding, dirichlet_energy_edge_sum
 from .errors import NumericError, ValidationError
-from .graphs import Graph
+from .graphs import MAX_CHANNELS, Graph, check_work_size
 from .spectral import FilterContraction, PolynomialFilter, apply_filter, filter_contraction
 
 ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh", "sigmoid", "identity")
@@ -85,8 +85,8 @@ def make_weights(rows: int, cols: int, target_top_singular: float, seed: int = 0
     matches ``target_top_singular`` to within 1e-9 relative; rectangular
     shapes are fine.
     """
-    if rows < 1 or cols < 1:
-        raise ValidationError(f"weight shape must be positive, got ({rows}, {cols})")
+    check_work_size("weight rows", rows, MAX_CHANNELS, "channels")
+    check_work_size("weight cols", cols, MAX_CHANNELS, "channels")
     if not (math.isfinite(target_top_singular) and target_top_singular > 0.0):
         raise ValidationError(
             f"target top singular value must be finite and positive, got {target_top_singular}"

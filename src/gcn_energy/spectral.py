@@ -38,6 +38,7 @@ within ``LANCZOS_RESIDUAL`` of its Ritz value, or its error bound
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -109,19 +110,27 @@ def nonzero_spectrum(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolynomialFilter:
-    """Polynomial ``P(x) = a_0 + a_1 x + ... + a_k x^k`` of a symmetric matrix."""
+    """Polynomial ``P(x) = a_0 + a_1 x + ... + a_k x^k`` of a symmetric matrix.
+
+    ``PolynomialFilter(coeffs)`` takes ``a_0, ..., a_k`` as any iterable of
+    finite real numbers, Python or numpy, and stores them as a tuple of
+    floats; a bool or a string is not a coefficient.
+    """
 
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) == 0:
+        try:
+            raw = tuple(self.coefficients)
+            reals = all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in raw)
+            coeffs = tuple(float(c) for c in raw) if reals else None
+        except (TypeError, OverflowError):  # not iterable, or an int past the float range
+            coeffs = None
+        if coeffs == ():
             raise ValidationError("filter needs at least one coefficient")
-        if not all(isinstance(c, float) and np.isfinite(c) for c in self.coefficients):
-            raise ValidationError(f"filter coefficients must be finite reals: {self.coefficients}")
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "PolynomialFilter":
-        return cls(tuple(float(c) for c in coeffs))
+        if coeffs is None or not all(math.isfinite(c) for c in coeffs):
+            raise ValidationError(f"filter coefficients must be finite reals: {self.coefficients!r}")
+        object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def propagation(cls) -> "PolynomialFilter":

@@ -34,7 +34,7 @@ import numpy as np
 
 from .energy import dirichlet_energy_edge_sum
 from .errors import DegenerateSpectrumError, ValidationError
-from .graphs import Graph, perturb
+from .graphs import MAX_CHANNELS, MAX_TRIALS, Graph, check_work_size, perturb
 from .seeding import check_seed, derive_seed
 from .spectral import contraction_factors
 
@@ -57,8 +57,7 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if self.kind not in PROBE_KINDS:
             raise ValidationError(f"probe kind must be one of {PROBE_KINDS}, got {self.kind!r}")
-        if self.channels < 1:
-            raise ValidationError(f"probe channels must be >= 1, got {self.channels}")
+        check_work_size("'probe.channels'", self.channels, MAX_CHANNELS, "channels")
         check_seed("'probe.seed'", self.seed)
 
 
@@ -83,8 +82,7 @@ def check_sweep_values(drop_ratios, boost_counts, boost_factor: float, trials: i
             seen.add(x)
     if not (math.isfinite(boost_factor) and boost_factor >= 1.0):
         raise ValidationError(f"boost factor must be >= 1, got {boost_factor}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_work_size("'trials'", trials, MAX_TRIALS, "trials")
     check_seed("'base_seed'", base_seed)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gcn_energy import config
+from gcn_energy.bounds import run_suite
 from gcn_energy.cli import main
 from gcn_energy.config import (
     RunSetup,
@@ -20,8 +21,9 @@ from gcn_energy.config import (
     resolve_graph_source,
 )
 from gcn_energy.errors import ParseError, ValidationError
-from gcn_energy.graphs import MAX_LAYERS, check_work_size, generate
-from gcn_energy.network import top_singular_value
+from gcn_energy.graphs import MAX_LAYERS, Graph, check_work_size, generate
+from gcn_energy.network import make_weights, top_singular_value
+from gcn_energy.sweeps import ProbeSpec
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +244,7 @@ def test_run_config_bare_leaky_relu_gets_a_hint(tmp_path):
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
-        ({"layers": 0}, "at least one layer"),
+        ({"layers": 0}, "config key 'layers' must be a positive integer, got 0"),
         ({"channels": 0}, "channels"),
         ({"channels": 2.5}, "channels"),
         ({"seed": "zero"}, "seed"),
@@ -320,6 +322,60 @@ def test_work_size_limit_is_inclusive():
     check_work_size("x", MAX_LAYERS, MAX_LAYERS, "layers")
     with pytest.raises(ValidationError, match="above the limit"):
         check_work_size("x", MAX_LAYERS + 1, MAX_LAYERS, "layers")
+
+
+def test_work_size_starts_at_one_and_takes_python_ints_only():
+    check_work_size("x", 1, MAX_LAYERS, "layers")
+    for bad in (0, -1, -10**12, True, False, 2.0, "3", None):
+        with pytest.raises(ValidationError, match=re.escape(f"x must be a positive integer, got {bad!r}")):
+            check_work_size("x", bad, MAX_LAYERS, "layers")
+
+
+@pytest.mark.parametrize("overrides,draws_weights", [
+    pytest.param({"weights": {"shapes": [[[4, 0]], [[0, 4]]]}}, False, id="width-0"),
+    pytest.param({"weights": {"shapes": [[[4, -1]], [[-1, 4]]]}}, False, id="width-minus-1"),
+    # a negative width would cancel the entry sum against the cap
+    pytest.param({"graph": "gen:ring:8", "layers": 1,
+                  "weights": {"shapes": [[[4, 64], [64, 64], [64, -1000]]]}}, False,
+                 id="negative-chain-sum"),
+    pytest.param({"weights": {"target_singular": 0}}, True, id="target-0"),
+    pytest.param({"weights": {"target_singular": -1}}, True, id="target-minus-1"),
+    pytest.param({"layers": 1, "weights": {"shapes": [[[4, 4], [4, 4]]],
+                                           "target_singular": [[1.0, 0.0]]}}, True,
+                 id="per-matrix-target-0"),
+    pytest.param({"layers": 0}, False, id="layers-0"),
+    pytest.param({"channels": 0}, False, id="channels-0"),
+])
+def test_run_config_values_reject_before_any_graph(tmp_path, monkeypatch, overrides, draws_weights):
+    # every value, the weights' own included, is checked before the graph,
+    # with the message it gets when the graph can be built
+    path = write_run_config(tmp_path, **overrides)
+    with pytest.raises(ValidationError) as after_graph:
+        load_run_config(path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the values were checked")
+
+    monkeypatch.setattr(config, "resolve_graph_source", forbidden)
+    if not draws_weights:
+        monkeypatch.setattr(config, "make_weights", forbidden)
+    with pytest.raises(ValidationError, match=re.escape(str(after_graph.value))):
+        load_run_config(path)
+
+
+def test_library_counts_reject_bools():
+    # a bool is not a count, wherever a count is given
+    cases = [
+        lambda: Graph(True, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)),
+        lambda: make_weights(True, 2, 1.0),
+        lambda: make_weights(2, True, 1.0),
+        lambda: run_suite("L3.1", True, 0),
+        lambda: ProbeSpec(channels=True),
+        lambda: generate("path", True),
+    ]
+    for case in cases:
+        with pytest.raises(ValidationError, match="must be a positive integer, got True"):
+            case()
 
 
 def test_run_config_missing_graph_key(tmp_path):

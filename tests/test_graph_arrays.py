@@ -140,7 +140,7 @@ def test_laplacian_times_matches_the_dense_laplacian(g, channels, seed, coeffs):
     # formed as x - P x with ||P|| <= 1, the product rounds relative to ||x||: on
     # weights near 1e-3, ||Ltil|| ||x|| is far smaller than that cancellation
     assert np.linalg.norm(got - lap @ x) <= 1e-14 * max(1.0, np.linalg.norm(lap, 2)) * np.linalg.norm(x)
-    f = PolynomialFilter.from_coefficients(coeffs)
+    f = PolynomialFilter(coeffs)
     want = eval_filter_matrix(f, lap) @ x
     # Horner and the eigenbasis both round at about eps * sum |a_k| ||Ltil||^k ||x||
     bound = sum(abs(c) * 2.0**k for k, c in enumerate(coeffs)) * np.linalg.norm(x)

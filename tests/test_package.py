@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -36,6 +37,15 @@ def test_component_labels_are_the_one_component_rule():
     assert "connected_components" not in gcn_energy.__all__
     assert not hasattr(gcn_energy, "connected_components")
     assert not hasattr(gcn_energy.graphs, "connected_components")
+
+
+def test_one_count_rule_one_filter_constructor_and_no_unused_knobs():
+    # every count goes through check_work_size, a filter has one constructor,
+    # and no suite knob that no caller sets is left
+    assert not hasattr(gcn_energy.graphs, "_check_node_count")
+    assert not hasattr(gcn_energy.PolynomialFilter, "from_coefficients")
+    assert "placement" not in inspect.signature(gcn_energy.bounds.verify_theorem_3_4).parameters
+    assert "n_lo" not in inspect.signature(gcn_energy.bounds.random_graph).parameters
 
 
 def test_perturb_takes_its_arguments_and_the_suites_draw_their_own_instances():

@@ -214,20 +214,20 @@ def test_eigendecompose_failure_is_a_numeric_error(monkeypatch):
 )
 @settings(max_examples=60)
 def test_filter_scalar_matches_polyval(coeffs, x):
-    f = PolynomialFilter.from_coefficients(coeffs)
+    f = PolynomialFilter(coeffs)
     expected = np.polyval(list(reversed(coeffs)), x)
     assert eval_filter_scalar(f, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_filter_scalar_on_arrays():
-    f = PolynomialFilter.from_coefficients([1.0, -1.0])
+    f = PolynomialFilter([1.0, -1.0])
     out = eval_filter_scalar(f, np.array([0.0, 0.5, 2.0]))
     assert out.tolist() == [1.0, 0.5, -1.0]
 
 
 def test_filter_matrix_matches_direct_powers():
     lap = augmented_normalized_laplacian(generate("erdos_renyi", 20, seed=5, p=0.3))
-    f = PolynomialFilter.from_coefficients([0.3, -1.2, 0.5])
+    f = PolynomialFilter([0.3, -1.2, 0.5])
     direct = 0.3 * np.eye(20) - 1.2 * lap + 0.5 * (lap @ lap)
     assert np.allclose(eval_filter_matrix(f, lap), direct, atol=1e-10)
 
@@ -260,7 +260,7 @@ def seeded_filter(rng, degree, monotone):
         return PolynomialFilter((float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 1))))
     # two or more roots inside (0, 2) put a turning point between them
     coeffs = np.polynomial.polynomial.polyfromroots(rng.uniform(0.1, 1.9, degree))
-    return PolynomialFilter.from_coefficients(float(rng.uniform(0.5, 2)) * coeffs)
+    return PolynomialFilter(float(rng.uniform(0.5, 2)) * coeffs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -304,11 +304,32 @@ def test_eigendecompose_values_match_full_eigh(kind, seed):
         (),
         (1.0, float("nan")),
         (1.0, float("inf")),
+        # a string or a bool is not a coefficient, nor is an int past the float range
+        ("1.5", True),
+        (True, -1.0),
+        (1.0, False),
+        ("1",),
+        "12",
+        (np.bool_(True),),
+        (10**400,),
+        1.0,
+        None,
     ],
 )
 def test_filter_coefficient_validation(coeffs):
     with pytest.raises(ValidationError):
         PolynomialFilter(coeffs)
+
+
+def test_filter_takes_any_finite_reals_as_floats():
+    # one constructor: ints, numpy scalars and arrays become the same float bits
+    drawn = np.random.default_rng(3).uniform(-1.0, 1.0, size=4)
+    f = PolynomialFilter(drawn)
+    assert f.coefficients == tuple(drawn.tolist())
+    assert all(type(c) is float for c in f.coefficients)
+    assert PolynomialFilter([1, -1]) == PolynomialFilter((1.0, -1.0)) == PolynomialFilter.propagation()
+    assert PolynomialFilter(np.array([2, 0], dtype=np.int32)).coefficients == (2.0, 0.0)
+    assert hash(PolynomialFilter([1, np.float64(-1.0)])) == hash(PolynomialFilter.propagation())
 
 
 def test_monotone_gate_accepts_decreasing_and_constant():
@@ -375,7 +396,7 @@ def test_monotone_gate_agrees_with_the_grid_oracle(coeffs, ends):
     # interval and the roots of P'' are the only points that can hold max P'
     lo, hi = sorted(ends)
     assume(lo < hi)
-    f = PolynomialFilter.from_coefficients(coeffs)
+    f = PolynomialFilter(coeffs)
     worst, _ = grid_monotone_oracle(f, lo, hi)
     witness = check_monotone_decreasing(f, lo, hi)
     if witness is not None:
@@ -395,7 +416,7 @@ nonzero = st.floats(-3, 3).filter(lambda c: abs(c) >= 1e-6)
 @example(coeffs=(0.0, 0.0, 0.0, 1.0), ends=(0.0, 2.0))  # P'' = 6x: its root is zero
 def test_cubic_root_matches_np_roots(coeffs, ends):
     # a cubic has a linear P'' = 2 a_2 + 6 a_3 x, with one root
-    f = PolynomialFilter.from_coefficients(coeffs)
+    f = PolynomialFilter(coeffs)
     d1 = np.polynomial.polynomial.polyder(f.coefficients)
     want = float(np.roots(np.polynomial.polynomial.polyder(d1)[::-1]).real[0])
     points, _ = _critical_slopes(f, -1e7, 1e7)  # wide enough to hold every root here

@@ -217,7 +217,7 @@ def test_probe_spec_validation():
     with pytest.raises(ValidationError):
         ProbeSpec(kind="fixed-field", channels=0)
     for channels in (0, -5):  # either kind needs a channel
-        with pytest.raises(ValidationError, match=f"probe channels must be >= 1, got {channels}"):
+        with pytest.raises(ValidationError, match=f"'probe.channels' must be a positive integer, got {channels}"):
             ProbeSpec(kind="spectrum-only", channels=channels)
 
 
