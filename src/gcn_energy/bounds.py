@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import as_embedding, dirichlet_energy_edge_sum
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .graphs import MAX_TRIALS, Graph, check_work_size, generate
 from .network import (Activation, LayerSpec, Trajectory, apply_activation, make_weights,
                       run_network, top_singular_value)
@@ -310,8 +310,7 @@ def verify_prop_7_1(traj: Trajectory, epsilon: float, context: str = "") -> Prop
     Filters and activations come from ``traj.layers``, the spectral range
     from ``traj.graph``, and the margin and per-layer rows from its records.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
+    epsilon = check_real("epsilon", epsilon, 0, 1, open_lo=True, open_hi=True)
     g = traj.graph
     lam_max = float(g.extremes[-1])  # raises on a degenerate spectrum
     for l, layer in enumerate(traj.layers, start=1):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_real
 from .graphs import MAX_CHANNELS, MAX_LAYERS, MAX_WEIGHT_ENTRIES, Graph
 from .graphs import check_work_size, from_edge_list, generate
 from .network import PLACEMENTS, Activation, LayerSpec, make_weights
@@ -288,9 +288,8 @@ def load_run_config(path: str) -> RunSetup:
     if placement not in PLACEMENTS:
         raise ValidationError(f"'activation_placement' must be 'paper' or 'conventional', "
                               f"got {placement!r}")
-    epsilon = _field(doc, "epsilon", float, 0.5)
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"'epsilon' must lie strictly in (0, 1), got {epsilon!r}")
+    epsilon = check_real("'epsilon'", _field(doc, "epsilon", float, 0.5), 0, 1,
+                         open_lo=True, open_hi=True)
     act = _parse_activation(doc)
     filters = _parse_filters(doc, depth)
     plan = _parse_weight_plan(doc, depth, channels)

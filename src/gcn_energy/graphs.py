@@ -49,17 +49,14 @@ monotone need them; a run on the edge arrays alone needs neither.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError, check_real
 from .seeding import check_seed
 from .spectral import LANCZOS_MIN_NODES, eigendecompose, lanczos_extremes, nonzero_spectrum
-
-Edge = tuple[int, int, float]
 
 # at this n one dense float64 n x n matrix takes 0.8 GB, and the dense eigensolve holds two:
 # the Laplacian and the copy eigvalsh works on
@@ -117,19 +114,6 @@ class Graph:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge]) -> Graph:
-        """Build from normalized ``(u, v, w)`` triples of ints and floats."""
-        edges = tuple(edges)
-        try:
-            u, v, w = zip(*edges, strict=True) if edges else ((), (), ())
-            if not (all(isinstance(x, int) for x in u + v) and all(isinstance(x, float) for x in w)):
-                raise TypeError
-            u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("edges must be (u, v, w) triples of int ids and float weights") from None
-        return cls(n, u, v, np.array(w, dtype=np.float64))
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
                 and all(np.array_equal(a, b) for a, b in
@@ -140,7 +124,7 @@ class Graph:
         return hash((self.n, self.u.tobytes(), self.v.tobytes(), self.w.tobytes()))
 
     @property
-    def edges(self) -> tuple[Edge, ...]:
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
         """The edges as ``(u, v, w)`` tuples of Python ints and floats."""
         return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
@@ -382,15 +366,15 @@ def generate(kind: str, n: int, seed: int = 0, *, p: float | None = None,
     check_work_size("node count", n, MAX_NODES, "nodes")
     check_seed("generator seed", seed)
     if kind == "erdos_renyi":
-        if p is None or not (0.0 <= p <= 1.0):
-            raise ValidationError(f"erdos_renyi needs edge probability p in [0, 1], got {p!r}")
+        p = check_real("erdos_renyi edge probability p", p, 0, 1)
         lo, hi = _erdos_renyi_pairs(n, p, np.random.default_rng(seed))
     elif kind == "ring":
         if n < 3:
             raise ValidationError(f"ring needs n >= 3, got {n}")
         lo, hi = _circulant_pairs(n, 1)
     elif kind == "k_regular":
-        if k is None or k < 0 or k % 2 != 0 or k >= n:
+        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                or k < 0 or k % 2 != 0 or k >= n):
             raise ValidationError(
                 f"k_regular needs even k with 0 <= k < n, got k={k!r}, n={n}"
             )
@@ -419,10 +403,7 @@ def perturb(g: Graph, op: str, param: float | int, seed: int = 0,
     check_seed("perturbation seed", seed)
     rng = np.random.default_rng(seed)
     if op == "drop":
-        # a bool is not a ratio, as it is not a count
-        if isinstance(param, (bool, np.bool_)) or not (0.0 <= param <= 1.0):
-            raise ValidationError(f"drop ratio must lie in [0, 1], got {param}")
-        m = math.ceil(param * g.edge_count)
+        m = math.ceil(check_real("drop ratio", param, 0, 1) * g.edge_count)
         if m == 0:
             return g
         kept = np.ones(g.edge_count, dtype=bool)
@@ -430,8 +411,7 @@ def perturb(g: Graph, op: str, param: float | int, seed: int = 0,
         return Graph(g.n, g.u[kept], g.v[kept], g.w[kept])
     if isinstance(param, bool) or not isinstance(param, (int, np.integer)) or param < 1:
         raise ValidationError(f"boost count must be a positive integer, got {param}")
-    if not (math.isfinite(factor) and factor >= 1.0):
-        raise ValidationError(f"boost factor must be >= 1, got {factor}")
+    factor = check_real("boost factor", factor, 1)
     if param > g.edge_count:
         raise ValidationError(f"cannot boost {param} edges, graph has only {g.edge_count}")
     w = g.w.copy()

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import as_embedding, dirichlet_energy_edge_sum
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_real
 from .graphs import MAX_CHANNELS, Graph, check_work_size
 from .spectral import FilterContraction, PolynomialFilter, apply_filter, filter_contraction
 
@@ -39,7 +39,8 @@ PLACEMENTS = ("paper", "conventional")
 @dataclass(frozen=True)
 class Activation:
     """Entrywise nonlinearity, one of ``ACTIVATION_KINDS``: ``Activation("relu")``,
-    or ``Activation("leaky_relu", slope)`` with a slope in (0, 1)."""
+    or ``Activation("leaky_relu", slope)`` with a real slope in (0, 1) under
+    :func:`~gcn_energy.errors.check_real`, stored as the float it returns."""
 
     kind: str
     slope: float | None = None
@@ -48,10 +49,8 @@ class Activation:
         if self.kind not in ACTIVATION_KINDS:
             raise ValidationError(f"unknown activation {self.kind!r}")
         if self.kind == "leaky_relu":
-            if self.slope is None or not (0.0 < self.slope < 1.0):
-                raise ValidationError(
-                    f"leaky_relu slope must lie strictly in (0, 1), got {self.slope!r}"
-                )
+            slope = check_real("leaky_relu slope", self.slope, 0, 1, open_lo=True, open_hi=True)
+            object.__setattr__(self, "slope", slope)
         elif self.slope is not None:
             raise ValidationError(f"activation {self.kind!r} takes no slope")
 
@@ -87,10 +86,8 @@ def make_weights(rows: int, cols: int, target_top_singular: float, seed: int = 0
     """
     check_work_size("weight rows", rows, MAX_CHANNELS, "channels")
     check_work_size("weight cols", cols, MAX_CHANNELS, "channels")
-    if not (math.isfinite(target_top_singular) and target_top_singular > 0.0):
-        raise ValidationError(
-            f"target top singular value must be finite and positive, got {target_top_singular}"
-        )
+    target_top_singular = check_real("target top singular value", target_top_singular, 0,
+                                     open_lo=True)
     m = np.random.default_rng(seed).standard_normal((rows, cols))
     return m * (target_top_singular / top_singular_value(m))
 

@@ -38,13 +38,12 @@ within ``LANCZOS_RESIDUAL`` of its Ritz value, or its error bound
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, NumericError, ValidationError
+from .errors import DegenerateSpectrumError, NumericError, ValidationError, check_real
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -112,24 +111,20 @@ def nonzero_spectrum(g: Graph) -> np.ndarray:
 class PolynomialFilter:
     """Polynomial ``P(x) = a_0 + a_1 x + ... + a_k x^k`` of a symmetric matrix.
 
-    ``PolynomialFilter(coeffs)`` takes ``a_0, ..., a_k`` as any iterable of
-    finite real numbers, Python or numpy, and stores them as a tuple of
-    floats; a bool or a string is not a coefficient.
+    ``PolynomialFilter(coeffs)`` takes ``a_0, ..., a_k`` as any nonempty
+    iterable; each coefficient is a real number under
+    :func:`~gcn_energy.errors.check_real`, with no bounds, and they are stored
+    as a tuple of floats.
     """
 
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            raw = tuple(self.coefficients)
-            reals = all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in raw)
-            coeffs = tuple(float(c) for c in raw) if reals else None
-        except (TypeError, OverflowError):  # not iterable, or an int past the float range
-            coeffs = None
-        if coeffs == ():
-            raise ValidationError("filter needs at least one coefficient")
-        if coeffs is None or not all(math.isfinite(c) for c in coeffs):
-            raise ValidationError(f"filter coefficients must be finite reals: {self.coefficients!r}")
+        raw = tuple(self.coefficients) if np.iterable(self.coefficients) else ()
+        if not raw:
+            raise ValidationError(f"filter needs a nonempty sequence of coefficients, "
+                                  f"got {self.coefficients!r}")
+        coeffs = tuple(check_real(f"filter coefficient a_{j}", c) for j, c in enumerate(raw))
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
@@ -173,7 +168,8 @@ def check_monotone_decreasing(f: PolynomialFilter, lo: float, hi: float) -> floa
     throughout, so that ``P`` decreases there; the witness is the point of
     :func:`_critical_slopes` with the largest ``P'``.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    lo, hi = check_real("monotonicity interval lo", lo), check_real("monotonicity interval hi", hi)
+    if not lo < hi:
         raise ValidationError(f"monotonicity interval must satisfy lo < hi, got [{lo}, {hi}]")
     points, slopes = _critical_slopes(f, lo, hi)
     worst = int(np.argmax(slopes))

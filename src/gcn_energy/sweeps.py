@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import dirichlet_energy_edge_sum
-from .errors import DegenerateSpectrumError, ValidationError
+from .errors import DegenerateSpectrumError, ValidationError, check_real
 from .graphs import MAX_CHANNELS, MAX_TRIALS, Graph, check_work_size, perturb
 from .seeding import check_seed, derive_seed
 from .spectral import contraction_factors
@@ -68,8 +68,7 @@ def check_sweep_values(drop_ratios, boost_counts, boost_factor: float, trials: i
     if not drop_ratios and not boost_counts:
         raise ValidationError("sweep needs at least one drop ratio or boost count")
     for r in drop_ratios:
-        if not (0.0 < r < 1.0):
-            raise ValidationError(f"drop ratios must lie in (0, 1), got {r}")
+        check_real("drop ratios", r, 0, 1, open_lo=True, open_hi=True)
     for c in boost_counts:
         if not (type(c) is int and c >= 1):  # a bool is not a count
             raise ValidationError(f"boost counts must be positive integers, got {c!r}")
@@ -80,8 +79,7 @@ def check_sweep_values(drop_ratios, boost_counts, boost_factor: float, trials: i
             if x in seen:
                 raise ValidationError(f"{name} {x!r} is listed more than once")
             seen.add(x)
-    if not (math.isfinite(boost_factor) and boost_factor >= 1.0):
-        raise ValidationError(f"boost factor must be >= 1, got {boost_factor}")
+    check_real("boost factor", boost_factor, 1)
     check_work_size("'trials'", trials, MAX_TRIALS, "trials")
     check_seed("'base_seed'", base_seed)
 

@@ -164,6 +164,13 @@ def test_spectrum_oversized_graph_exits_2(tmp_path, capsys, graph):
     assert err.endswith(", above the limit of 10000 nodes\n")
 
 
+def test_spectrum_of_an_edgeless_graph_reports_no_nonzero_eigenvalue(capsys):
+    assert main(["spectrum", "--graph", "gen:kregular:4:0"]) == 0
+    out = capsys.readouterr().out
+    assert ("degenerate spectrum: all 4 eigenvalues lie in the kernel; no nonzero eigenvalue"
+            in out.splitlines())
+
+
 def test_spectrum_degree_overflow_exits_3(tmp_path, capsys):
     # each weight is finite, but node 1's degree overflows to inf
     path = tmp_path / "huge.txt"
@@ -624,6 +631,17 @@ def test_sweep_repeat_runs_are_byte_identical(tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert (tmp_path / "s1.duality.csv").read_text().splitlines()[3:] == \
         (tmp_path / "s2.duality.csv").read_text().splitlines()[3:]
+
+
+def test_sweep_duality_skips_trials_whose_drop_left_no_edge(tmp_path, capsys):
+    # half of the path's one edge rounds up to all of it: every drop row is
+    # degenerate, so the pair averages no trial
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps({"graph": "gen:path:2", "drop_ratios": [0.5], "boost_counts": [1],
+                             "trials": 2}))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "rows.csv")]) == 0
+    capsys.readouterr()
+    assert data_lines((tmp_path / "rows.duality.csv").read_text())[1:] == ["0.5,1,nan,nan,0"]
 
 
 @pytest.mark.parametrize("count", [10**400, 10**30], ids=["1e400", "1e30"])

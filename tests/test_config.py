@@ -1,16 +1,20 @@
 """Generator specs, graph-source resolution, and the JSON config loaders."""
 
+import functools
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcn_energy import config
-from gcn_energy.bounds import run_suite
+from gcn_energy.bounds import run_suite, verify_prop_7_1
 from gcn_energy.cli import main
 from gcn_energy.config import (
     RunSetup,
@@ -20,10 +24,11 @@ from gcn_energy.config import (
     parse_generator_spec,
     resolve_graph_source,
 )
-from gcn_energy.errors import ParseError, ValidationError
-from gcn_energy.graphs import MAX_LAYERS, Graph, check_work_size, generate
-from gcn_energy.network import make_weights, top_singular_value
-from gcn_energy.sweeps import ProbeSpec
+from gcn_energy.errors import ParseError, ValidationError, check_real
+from gcn_energy.graphs import MAX_LAYERS, Graph, check_work_size, generate, perturb
+from gcn_energy.network import Activation, LayerSpec, make_weights, run_network, top_singular_value
+from gcn_energy.spectral import PolynomialFilter, check_monotone_decreasing
+from gcn_energy.sweeps import ProbeSpec, check_sweep_values
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +381,127 @@ def test_library_counts_reject_bools():
     for case in cases:
         with pytest.raises(ValidationError, match="must be a positive integer, got True"):
             case()
+
+
+@functools.cache
+def decaying_run():
+    """A two-layer ReLU run on a path, for the epsilon of ``verify_prop_7_1``."""
+    g = generate("path", 3)
+    layer = LayerSpec(PolynomialFilter.propagation(), (make_weights(2, 2, 0.5),), Activation("relu"))
+    return run_network(np.ones((3, 2)), [layer, layer], g)
+
+
+def _config_epsilon(x, directory):
+    path = directory / "epsilon.json"
+    doc = {"graph": "gen:path:3", "layers": 1, "epsilon": x}
+    path.write_text(json.dumps(doc, default=lambda o: o.item()))  # numpy scalars as Python
+    return load_run_config(str(path)).epsilon
+
+
+# every site of the real rule: (fragment its error names, interval, call); a call
+# returns the site's result, which is the value as a float where the site keeps it
+_REAL_SITES = [
+    ("edge probability p", (0, 1, False, False),
+     lambda x, d: generate("erdos_renyi", 6, 1, p=x)),
+    ("drop ratio", (0, 1, False, False), lambda x, d: perturb(generate("ring", 6), "drop", x)),
+    ("boost factor", (1, math.inf, False, False),
+     lambda x, d: perturb(generate("ring", 6), "boost", 2, factor=x)),
+    ("drop ratios", (0, 1, True, True), lambda x, d: check_sweep_values([x], [], 2.0, 1, 0)),
+    ("boost factor", (1, math.inf, False, False),
+     lambda x, d: check_sweep_values([0.1], [], x, 1, 0)),
+    ("leaky_relu slope", (0, 1, True, True), lambda x, d: Activation("leaky_relu", x).slope),
+    ("target top singular value", (0, math.inf, True, False), lambda x, d: make_weights(2, 2, x)),
+    ("epsilon", (0, 1, True, True), lambda x, d: verify_prop_7_1(decaying_run(), x)),
+    ("'epsilon'", (0, 1, True, True), _config_epsilon),
+    ("filter coefficient a_1", (-math.inf, math.inf, False, False),
+     lambda x, d: PolynomialFilter((1.0, x)).coefficients[1]),
+    ("monotonicity interval", (-math.inf, 2.0, False, True),
+     lambda x, d: check_monotone_decreasing(PolynomialFilter.propagation(), x, 2.0)),
+    ("monotonicity interval", (0.0, math.inf, True, False),
+     lambda x, d: check_monotone_decreasing(PolynomialFilter.propagation(), 0.0, x)),
+]
+_NOT_REALS = [True, False, np.bool_(True), np.bool_(False), "0.5", "", None, math.nan, math.inf,
+              -math.inf, np.float64(math.nan), np.float64(-math.inf), 10**400, -10**400]
+
+
+@st.composite
+def real_site_inputs(draw):
+    """A site, a value and whether the rule admits it: something that is not a
+    finite real, an interval end or the float just past one, or a numpy scalar
+    inside the interval (a float32 may round onto an open end)."""
+    site = draw(st.integers(0, len(_REAL_SITES) - 1))
+    lo, hi, open_lo, open_hi = _REAL_SITES[site][1]
+    # JSON null means "take the default", so the config site takes no None
+    not_reals = [v for v in _NOT_REALS if v is not None or _REAL_SITES[site][2] is not _config_epsilon]
+    a, b = max(lo, -10.0), min(hi, 10.0)
+    ends = [v for v in (lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+            if math.isfinite(v)] or [a, b]
+    inside = st.floats(a, b, exclude_min=open_lo, exclude_max=open_hi)
+    value = draw(st.one_of(st.sampled_from(ends), inside.map(np.float64), inside.map(np.float32),
+                           st.integers(math.ceil(a), math.floor(b)).map(np.int64)))
+    ok = (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi)
+    if draw(st.booleans()):
+        value, ok = draw(st.sampled_from(not_reals)), False
+    return site, value, ok
+
+
+@settings(max_examples=300)
+@given(real_site_inputs())
+def test_library_reals_take_one_rule(tmp_path_factory, case):
+    # ROADMAP item 5, library channel: every real a user gives is admitted as a
+    # Python float or refused with ValidationError naming it, never a
+    # TypeError, an OverflowError or a numpy scalar stored
+    site, value, ok = case
+    fragment, _, call = _REAL_SITES[site]
+    try:
+        stored = call(value, tmp_path_factory.getbasetemp())
+    except ValidationError as exc:
+        assert not ok, f"{fragment}: {value!r} refused: {exc}"
+        assert fragment in str(exc)
+    else:
+        assert ok, f"{fragment}: {value!r} admitted"
+        if isinstance(stored, (float, np.generic)):
+            assert type(stored) is float and stored == float(value)
+
+
+def test_library_reals_that_slipped_through_exit_2():
+    # each of these built a graph, scaled a matrix, raised TypeError or took a
+    # bool as a number before every real went through one rule
+    g, traj, f = generate("ring", 6), decaying_run(), PolynomialFilter.propagation()
+    cases = [
+        (lambda: generate("erdos_renyi", 6, 1, p=True), "edge probability p"),
+        (lambda: generate("erdos_renyi", 6, 1, p="0.5"), "edge probability p"),
+        (lambda: make_weights(2, 2, True), "target top singular value"),
+        (lambda: perturb(g, "drop", "0.5"), "drop ratio"),
+        (lambda: perturb(g, "boost", 2, factor=True), "boost factor"),
+        (lambda: check_sweep_values([0.1], [], True, 1, 0), "boost factor"),
+        (lambda: Activation("leaky_relu", "0.2"), "leaky_relu slope"),
+        (lambda: verify_prop_7_1(traj, "0.5"), "epsilon"),
+        (lambda: check_monotone_decreasing(f, False, True), "monotonicity interval lo"),
+        (lambda: generate("k_regular", 6, k=False), "got k=False"),
+        (lambda: generate("k_regular", 6, k=2.0), "got k=2.0"),
+    ]
+    for case, fragment in cases:
+        with pytest.raises(ValidationError, match=re.escape(fragment)):
+            case()
+    assert type(Activation("leaky_relu", np.float64(0.2)).slope) is float
+    # numpy ints and the spec still take the circulant route
+    assert generate("k_regular", 6, k=np.int64(2)) == parse_generator_spec("gen:kregular:6:2")
+
+
+def test_real_rule_message():
+    for args, kwargs, message in [
+        (("drop ratio", True, 0, 1), {}, "drop ratio must lie in [0, 1], got True"),
+        (("boost factor", 0.5, 1), {}, "boost factor must lie in [1, inf), got 0.5"),
+        (("x", 0, 0, 1), {"open_lo": True, "open_hi": True}, "x must lie in (0, 1), got 0"),
+        (("x", None), {}, "x must lie in (-inf, inf), got None"),
+        (("x", 10**400, -1), {}, "x must lie in [-1, inf), got " + "1" + "0" * 36 + "..."),
+        (("x", 10**5000), {}, "x must lie in (-inf, inf), got an int of 16610 bits"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            check_real(*args, **kwargs)
+        assert str(exc.value) == message
+    assert check_real("x", np.int64(3), 3, 3) == 3.0
 
 
 def test_run_config_missing_graph_key(tmp_path):

@@ -41,7 +41,7 @@ def test_energy_k2_antisymmetric():
 def test_energy_weighted_edge_hand_value():
     # single edge of weight 3: degrees (3, 3), augmented (4, 4),
     # E((1, 0)) = 3 * (1/2 - 0)^2 = 3/4
-    g = Graph.from_edges(2, ((0, 1, 3.0),))
+    g = Graph(2, [0], [1], [3.0])
     assert dirichlet_energy_edge_sum([1.0, 0.0], g) == pytest.approx(0.75, abs=1e-15)
     lap = augmented_normalized_laplacian(g)
     assert dirichlet_energy_trace([1.0, 0.0], lap) == pytest.approx(0.75, abs=1e-15)
@@ -109,7 +109,7 @@ def test_energy_of_zero_embedding_is_zero():
 
 
 def test_energy_on_edgeless_graph_is_zero():
-    g = Graph.from_edges(4, ())
+    g = Graph(4, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     x = np.arange(8.0).reshape(4, 2)
     assert dirichlet_energy_edge_sum(x, g) == 0.0
     assert dirichlet_energy_trace(x, augmented_normalized_laplacian(g)) == 0.0

@@ -122,15 +122,18 @@ def weighted_graphs(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                     st.floats(1e-3, 1e3)), max_size=3 * n))
     merged = {(min(a, b), max(a, b)): w for a, b, w in pairs if a != b}
-    return Graph.from_edges(n, ((a, b, w) for (a, b), w in sorted(merged.items())))
+    ends = sorted(merged)
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    return Graph(n, u, v, np.array([merged[e] for e in ends]))
 
 
 @settings(max_examples=200)
 @given(g=weighted_graphs(), channels=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
        coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=5))
-@example(g=Graph.from_edges(6, ((0, 1, 0.5), (2, 3, 40.0))), channels=0, seed=0,
+@example(g=Graph(6, [0, 2], [1, 3], [0.5, 40.0]), channels=0, seed=0,
          coeffs=[1.0, -1.0])  # two components and two isolated nodes, 1-D input
-@example(g=Graph.from_edges(3, ()), channels=2, seed=0, coeffs=[0.5, 2.0])  # edgeless
+@example(g=Graph(3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)), channels=2, seed=0,
+         coeffs=[0.5, 2.0])  # edgeless
 def test_laplacian_times_matches_the_dense_laplacian(g, channels, seed, coeffs):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(g.n if channels == 0 else (g.n, channels))

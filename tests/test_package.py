@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,17 @@ def test_one_count_rule_one_filter_constructor_and_no_unused_knobs():
     assert not hasattr(gcn_energy.PolynomialFilter, "from_coefficients")
     assert "placement" not in inspect.signature(gcn_energy.bounds.verify_theorem_3_4).parameters
     assert "n_lo" not in inspect.signature(gcn_energy.bounds.random_graph).parameters
+
+
+def test_one_real_rule_and_one_way_to_give_edges():
+    # every real a user gives goes through errors.check_real, the only module
+    # that tests for numbers.Real, and explicit edges go through Graph(n, u, v, w)
+    assert callable(gcn_energy.errors.check_real)
+    assert not hasattr(gcn_energy.Graph, "from_edges")
+    package = Path(gcn_energy.__file__).parent
+    importers = {path.stem for path in package.glob("*.py")
+                 if re.search(r"^\s*(import numbers|from numbers import)", path.read_text(), re.M)}
+    assert importers == {"errors"}
 
 
 def test_perturb_takes_its_arguments_and_the_suites_draw_their_own_instances():

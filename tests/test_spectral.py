@@ -104,7 +104,7 @@ def test_spectrum_stays_inside_zero_two(seed):
 
 
 def test_kernel_dim_matches_component_count():
-    g = Graph.from_edges(7, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 5.0)))
+    g = Graph(7, [0, 1, 3], [1, 2, 4], [1.0, 1.0, 5.0])
     s = g.spectrum
     assert g.kernel_dim == len(search_components(g)) == 4
     assert np.max(np.abs(s[:4])) <= 1e-12
@@ -196,7 +196,7 @@ def test_identity_filter_matrix_rebuilds_the_laplacian(n, seed, p):
 def test_contraction_factors_need_a_nonzero_eigenvalue():
     # edgeless graph: the Laplacian is the zero matrix
     with pytest.raises(DegenerateSpectrumError, match="all 4 eigenvalues lie in the kernel"):
-        contraction_factors(Graph.from_edges(4, ()))
+        contraction_factors(Graph(4, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)))
 
 
 def test_eigendecompose_failure_is_a_numeric_error(monkeypatch):
@@ -450,7 +450,7 @@ def test_filter_contraction_constant_filter():
 
 def test_filter_contraction_needs_nonzero_spectrum():
     with pytest.raises(DegenerateSpectrumError):
-        filter_contraction(PolynomialFilter.propagation(), Graph.from_edges(3, ()))
+        filter_contraction(PolynomialFilter.propagation(), Graph(3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)))
 
 
 def test_filter_contraction_overflow_is_a_numeric_error():
@@ -595,6 +595,19 @@ def test_an_end_within_its_neighbours_residual_does_not_settle():
     assert r[1] >= theta[1] - theta[0] and r[0] > LANCZOS_RESIDUAL * theta[0]
     assert r[0] ** 2 <= EPS * theta[0] * (theta[1] - theta[0])
     assert not _extreme_ritz(alpha, beta)[1]
+
+
+def test_a_ritz_vector_that_vanishes_at_the_last_row_settles_with_residual_0():
+    # both ends live on the leading 2 x 2 block, cut off by an off-diagonal of
+    # 1e-200: their Ritz vectors end below 1e-150, so the upward recurrence
+    # stops and takes them as 0.  Their neighbour 1.0 has residual 1, so no gap
+    # is positive, and only residuals of 0 settle the ends.
+    alpha, beta = np.array([0.5, 1.5, 1.0]), np.array([0.3, 1e-200, 1.0])
+    theta, r = _ritz_pairs(alpha, beta)
+    assert np.all(r[[0, -1]] < 1e-150) and r[1] == 1.0
+    ends, settled = _extreme_ritz(alpha, beta)
+    t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    assert settled and ends.tolist() == np.linalg.eigvalsh(t)[[0, -1]].tolist()
 
 
 @pytest.mark.parametrize("residual,settled", [(1e-14, True), (1e-9, False)])

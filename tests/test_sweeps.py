@@ -94,7 +94,7 @@ def test_sweep_probe_matches_exposed_field():
 def test_sweep_degenerate_drop_is_marked_not_fatal():
     # ratio close to 1 on a single-edge graph removes the only edge
     cfg = SweepConfig(
-        graph=Graph.from_edges(2, ((0, 1, 1.0),)),
+        graph=Graph(2, [0], [1], [1.0]),
         drop_ratios=(0.999,),
         trials=2,
         base_seed=0,
