@@ -15,6 +15,7 @@ from .bounds import (
     SuiteResult,
     fit_log_energy_slope,
     run_suite,
+    run_suites,
     verify_corollary_3_5,
     verify_lemma_3_1,
     verify_lemma_3_2,
@@ -113,6 +114,7 @@ __all__ = [
     "probe_field",
     "run_network",
     "run_suite",
+    "run_suites",
     "run_sweep",
     "top_singular_value",
     "verify_corollary_3_5",

@@ -28,10 +28,14 @@ L3.1 is L7.2's filter step with ``1 - x``.  T3.4 is a one-layer
 layers and records, so no check runs layers of its own or pairs a run with
 layers it did not run.
 
-The seeded random suites of :func:`run_suite` draw their own instances from
+The seeded random suites of :func:`run_suites` draw their own instances from
 one generator per trial: graphs with at least one edge from the ring,
 k-regular, path and Erdos-Renyi families (:func:`random_graph`), Gaussian
-embeddings of 1 to 8 channels and chains of weight matrices.
+embeddings of 1 to 8 channels and chains of weight matrices.  Every
+statement of trial ``t`` starts from the same generator state, so the
+statements of one trial draw the same graph; :func:`run_suites` runs them
+trial by trial and builds that graph once, so they share its cached degrees,
+neighbours and spectrum.
 """
 
 from __future__ import annotations
@@ -410,26 +414,43 @@ class SuiteResult:
 _KINDS = ("erdos_renyi", "ring", "k_regular", "path")
 
 
-def random_graph(rng: np.random.Generator, *, n_hi: int = 60) -> tuple[Graph, str]:
+def _generated(graphs: dict, kind: str, n: int, seed: int = 0, **params) -> Graph:
+    """``generate(kind, n, seed, **params)``, built once per key of ``graphs``."""
+    key = (kind, n, seed, *params.values())
+    g = graphs.get(key)
+    if g is None:
+        g = graphs[key] = generate(kind, n, seed, **params)
+    return g
+
+
+def random_graph(rng: np.random.Generator, graphs: dict, *,
+                 n_hi: int = 60) -> tuple[Graph, str]:
     """Draw one graph of 5 to ``n_hi`` nodes with at least one edge, plus a
-    short description of how it was built."""
+    short description of how it was built.
+
+    ``graphs`` maps :func:`~gcn_energy.graphs.generate`'s arguments
+    ``(kind, n, seed, *params)`` to the graph they built, and gains the graphs
+    this draw builds: a draw whose arguments are already there takes that
+    graph, cached spectrum and all, instead of building it again.  The draw
+    itself, and so the generator's stream, does not depend on ``graphs``.
+    """
     kind = _KINDS[int(rng.integers(len(_KINDS)))]
     n = int(rng.integers(5, n_hi + 1))
     if kind == "erdos_renyi":
         p = float(rng.uniform(0.05, 0.5))
         for _ in range(200):
             seed = int(rng.integers(2**63))
-            g = generate("erdos_renyi", n, seed, p=p)
+            g = _generated(graphs, "erdos_renyi", n, seed, p=p)
             if g.edge_count > 0:
                 return g, f"er(n={n},p={p:.3f},seed={seed})"
         raise ValidationError(f"no edges after 200 draws for erdos_renyi({n}, {p})")
     if kind == "ring":
-        return generate("ring", n), f"ring(n={n})"
+        return _generated(graphs, "ring", n), f"ring(n={n})"
     if kind == "k_regular":
         k_max = min(4, (n - 1) // 2)
         k = 2 * int(rng.integers(1, k_max + 1))
-        return generate("k_regular", n, k=k), f"kregular(n={n},k={k})"
-    return generate("path", n), f"path(n={n})"
+        return _generated(graphs, "k_regular", n, k=k), f"kregular(n={n},k={k})"
+    return _generated(graphs, "path", n), f"path(n={n})"
 
 
 def random_embedding(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -454,15 +475,15 @@ def random_weight_chain(rng: np.random.Generator,
     return tuple(weights), desc
 
 
-def _suite_l31(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng)
+def _suite_l31(rng: np.random.Generator, graphs: dict, prefix: str) -> list[BoundReport]:
+    g, desc = random_graph(rng, graphs)
     x = random_embedding(rng, g.n)
     ctx = f"{prefix} graph={desc} C={x.shape[1]}"
     return [verify_lemma_3_1(g, x, context=ctx)]
 
 
-def _suite_l32(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng)
+def _suite_l32(rng: np.random.Generator, graphs: dict, prefix: str) -> list[BoundReport]:
+    g, desc = random_graph(rng, graphs)
     x = random_embedding(rng, g.n)
     cols = int(rng.integers(1, 9))
     target = float(rng.uniform(0.2, 2.0))
@@ -474,8 +495,8 @@ def _suite_l32(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
 _L33_SLOPES = (0.01, 0.2, 0.5)
 
 
-def _suite_l33(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng)
+def _suite_l33(rng: np.random.Generator, graphs: dict, prefix: str) -> list[BoundReport]:
+    g, desc = random_graph(rng, graphs)
     x = random_embedding(rng, g.n)
     ctx = f"{prefix} graph={desc} C={x.shape[1]}"
     acts = [Activation("relu")] + [Activation("leaky_relu", a) for a in _L33_SLOPES]
@@ -492,8 +513,8 @@ def _random_energy_activation(rng: np.random.Generator) -> Activation:
     return Activation("leaky_relu", float(rng.uniform(0.01, 0.99)))
 
 
-def _suite_t34(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng)
+def _suite_t34(rng: np.random.Generator, graphs: dict, prefix: str) -> list[BoundReport]:
+    g, desc = random_graph(rng, graphs)
     x = random_embedding(rng, g.n)
     weights, wdesc = random_weight_chain(rng, x.shape[1])
     act = _random_energy_activation(rng)
@@ -502,15 +523,16 @@ def _suite_t34(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     return [verify_theorem_3_4(g, x, layer, context=ctx)]
 
 
-def _suite_c35(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng, n_hi=40)
+def _suite_c35(rng: np.random.Generator, graphs: dict, prefix: str) -> list[BoundReport]:
+    g, desc = random_graph(rng, graphs, n_hi=40)
     channels = int(rng.integers(1, 7))
     depth = int(rng.integers(3, 11))
     target = float(rng.uniform(0.3, 1.0))
     act = _random_energy_activation(rng)
+    propagation = PolynomialFilter.propagation()
     layers = [
         LayerSpec(
-            filter=PolynomialFilter.propagation(),
+            filter=propagation,
             weights=(make_weights(channels, channels, target, seed=int(rng.integers(2**63))),),
             activation=act,
         )
@@ -533,8 +555,8 @@ def _random_filter(rng: np.random.Generator) -> PolynomialFilter:
     return PolynomialFilter(rng.uniform(-1.0, 1.0, size=degree + 1))
 
 
-def _suite_l72(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng)
+def _suite_l72(rng: np.random.Generator, graphs: dict, prefix: str) -> list[BoundReport]:
+    g, desc = random_graph(rng, graphs)
     x = random_embedding(rng, g.n)
     f = _random_filter(rng)
     coeffs = ",".join(f"{c:.6g}" for c in f.coefficients)
@@ -542,8 +564,8 @@ def _suite_l72(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
     return [verify_lemma_7_2(g, x, f, context=ctx)]
 
 
-def _suite_p71(rng: np.random.Generator, prefix: str) -> list[BoundReport]:
-    g, desc = random_graph(rng, n_hi=40)
+def _suite_p71(rng: np.random.Generator, graphs: dict, prefix: str) -> list[BoundReport]:
+    g, desc = random_graph(rng, graphs, n_hi=40)
     channels = int(rng.integers(1, 7))
     depth = int(rng.integers(2, 7))
     layers = []
@@ -571,18 +593,39 @@ _SUITE_BUILDERS = dict(zip(STATEMENTS, (_suite_l31, _suite_l32, _suite_l33, _sui
                                           _suite_c35, _suite_l72, _suite_p71)))
 
 
-def run_suite(statement: str, trials: int, seed: int) -> SuiteResult:
-    """Run ``trials`` seeded random instances of one statement.
+def run_suites(statements, trials: int, seed: int) -> tuple[SuiteResult, ...]:
+    """Run ``trials`` seeded random instances of each statement, one result
+    per statement in the order given.
 
-    Instance randomness is derived per trial from ``seed`` so identical
-    arguments reproduce identical reports bit for bit.
+    Trial ``t`` of every statement draws from the generator
+    ``default_rng(derive_seed(seed, t))`` at its start state, so identical
+    arguments reproduce identical reports bit for bit, and a statement's
+    reports do not depend on which others run with it.  The loop runs trial by
+    trial: the trial's statements share one ``graphs`` dict
+    (:func:`random_graph`), so each graph they draw is built, and its
+    spectrum solved, once per trial.  Every report is held until the last
+    trial ends.
     """
-    if statement not in _SUITE_BUILDERS:
-        raise ValidationError(f"unknown statement {statement!r}; known: {STATEMENTS}")
+    statements = tuple(statements)
+    for statement in statements:
+        if statement not in _SUITE_BUILDERS:
+            raise ValidationError(f"unknown statement {statement!r}; known: {STATEMENTS}")
     check_work_size("trials", trials, MAX_TRIALS, "trials")
-    builder = _SUITE_BUILDERS[statement]
-    reports: list[BoundReport] = []
+    builders = [_SUITE_BUILDERS[s] for s in statements]
+    reports: list[list[BoundReport]] = [[] for _ in statements]
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, trial))
-        reports += builder(rng, f"seed={seed} trial={trial}")
-    return SuiteResult(statement=statement, trials=trials, seed=seed, reports=tuple(reports))
+        start = rng.bit_generator.state
+        graphs = {}
+        prefix = f"seed={seed} trial={trial}"
+        for builder, suite_reports in zip(builders, reports):
+            rng.bit_generator.state = start
+            suite_reports += builder(rng, graphs, prefix)
+    return tuple(SuiteResult(statement=s, trials=trials, seed=seed, reports=tuple(r))
+                 for s, r in zip(statements, reports))
+
+
+def run_suite(statement: str, trials: int, seed: int) -> SuiteResult:
+    """Run ``trials`` seeded random instances of one statement:
+    ``run_suites((statement,), trials, seed)[0]``."""
+    return run_suites((statement,), trials, seed)[0]

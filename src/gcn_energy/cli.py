@@ -23,7 +23,7 @@ from . import __version__
 from .bounds import (
     SUITE_TOKENS,
     fit_log_energy_slope,
-    run_suite,
+    run_suites,
     verify_prop_7_1,
 )
 from .config import (
@@ -162,10 +162,10 @@ def _cmd_verify(args) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_suites([SUITE_TOKENS[token] for token in tokens], args.trials, args.seed)
     all_ok = True
     summary_blocks = []
-    for token in tokens:
-        result = run_suite(SUITE_TOKENS[token], args.trials, args.seed)
+    for token, result in zip(tokens, results):
         all_ok = all_ok and result.ok
         if out_dir is not None:
             table = _table(

@@ -110,6 +110,8 @@ def _load_json(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer past Python's digit limit for int(str)
+        raise ParseError(f"config {path}: {exc}") from None
     except RecursionError:
         raise ParseError(f"config {path}: nested too deeply to decode") from None
     if not isinstance(doc, dict):

@@ -178,13 +178,15 @@ class Graph:
         contiguous channel at a time: every channel at once needs ``2E x C``
         temporaries.
         """
+        rows, first, cols, w = self.neighbours
+        s = self.inv_sqrt_degrees
         if x.ndim == 2:
             out = np.empty(x.shape)
             for c, channel in enumerate(np.ascontiguousarray(x.T)):
-                out[:, c] = self.laplacian_times(channel)
+                acc = channel * s
+                acc[rows] += np.add.reduceat(w * acc[cols], first)
+                out[:, c] = channel - acc * s
             return out
-        rows, first, cols, w = self.neighbours
-        s = self.inv_sqrt_degrees
         acc = x * s
         acc[rows] += np.add.reduceat(w * acc[cols], first)
         return x - acc * s

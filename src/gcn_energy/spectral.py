@@ -133,10 +133,22 @@ class PolynomialFilter:
         return cls((1.0, -1.0))
 
 
+def _horner(coeffs, x):
+    """``coeffs[0] + coeffs[1] x + ...`` at a float or array ``x`` by Horner's
+    rule, bit for bit the value of ``np.polyval(coeffs[::-1], x)``: it starts
+    from ``0.0 * x + a_k``, as ``np.polyval`` starts from ``zeros_like(x) * x
+    + a_k``, so signed zeros and broadcasting match."""
+    acc = 0.0 * x + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
 def eval_filter_scalar(f: PolynomialFilter, x):
-    """Horner evaluation of the filter polynomial at a scalar or array
-    (``np.polyval``, which takes the coefficients highest degree first)."""
-    return np.polyval(f.coefficients[::-1], x)
+    """The filter polynomial at a float or array ``x`` by Horner's rule:
+    bit for bit ``np.polyval(f.coefficients[::-1], x)``, with none of its
+    per-call array set-up, so a float gives a float."""
+    return _horner(f.coefficients, x)
 
 
 def apply_filter(f: PolynomialFilter, g: Graph, x: np.ndarray) -> np.ndarray:
@@ -204,7 +216,7 @@ def _critical_slopes(f: PolynomialFilter, lo: float, hi: float) -> tuple[np.ndar
                                    f"not found: {exc}") from None
             real = roots.real[np.abs(roots.imag) <= ROOT_SLACK * (1.0 + np.abs(roots))]
             points = np.concatenate((points, real[(real >= lo) & (real <= hi)]))
-        return points, np.polyval(d1[::-1], points)
+        return points, _horner(d1, points)
 
 
 def _is_monotone(f: PolynomialFilter) -> bool:

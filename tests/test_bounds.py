@@ -20,6 +20,7 @@ from gcn_energy import (
     make_weights,
     run_network,
     run_suite,
+    run_suites,
     verify_corollary_3_5,
     verify_lemma_3_1,
     verify_lemma_3_2,
@@ -28,6 +29,7 @@ from gcn_energy import (
     verify_prop_7_1,
     verify_theorem_3_4,
 )
+from gcn_energy import bounds
 from gcn_energy.bounds import STATEMENTS, SUITE_TOKENS, VACUOUS_LHS_TOL, _decay_ratio, _holds
 
 
@@ -417,6 +419,35 @@ def test_suites_are_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_suites_run_together_match_each_suite_alone(seed):
+    # the statements of a trial share its graph, which changes no report
+    shared = run_suites(STATEMENTS, 25, seed)
+    assert [result.statement for result in shared] == list(STATEMENTS)
+    for result in shared:
+        alone = run_suite(result.statement, 25, seed)
+        assert (result.trials, result.seed) == (alone.trials, alone.seed)
+        assert len(result.reports) == len(alone.reports)
+        for a, b in zip(result.reports, alone.reports):
+            assert repr(a) == repr(b)  # every field, floats to the last bit
+
+
+def test_suites_run_together_build_each_trial_graph_once(monkeypatch):
+    # L3.1, L3.2, L3.3, T3.4 and L7.2 draw one graph per trial, C3.5 and P7.1 another
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "generate", counting)
+    run_suites(STATEMENTS, 10, 3)
+    all_seven = len(calls)
+    calls.clear()
+    run_suites(("L3.1", "C3.5"), 10, 3)
+    assert all_seven == len(calls) >= 10
+
+
 def test_suite_l72_records_paper_violations_without_failing():
     # seed 7 draws a few arbitrary filters whose nominal bound loses while
     # the safe one holds; they must be counted, not asserted
@@ -441,6 +472,8 @@ def test_suite_validation():
         run_suite("L9.9", trials=5, seed=0)
     with pytest.raises(ValidationError):
         run_suite("L3.1", trials=0, seed=0)
+    with pytest.raises(ValidationError, match="unknown statement 'L9.9'"):
+        run_suites(("L3.1", "L9.9"), trials=5, seed=0)
 
 
 def test_suite_result_excludes_vacuous_from_margin():

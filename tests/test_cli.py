@@ -364,6 +364,17 @@ def test_run_bad_json_exits_2(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [("run", "epsilon"), ("sweep", "trials")])
+def test_config_integer_past_the_digit_limit_exits_2(tmp_path, capsys, command, key):
+    # json decodes integers with int(str), which refuses more than 4,300 digits
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(f'{{"graph": "gen:ring:6", "{key}": 1{"0" * 5000}}}')
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: ")
+    assert "Traceback" not in err
+
+
 def test_run_prop71_accepts_monotone_filter(tmp_path, capsys):
     cfg = run_json(tmp_path, layers=6, weights={"target_singular": 1.0}, epsilon=0.5)
     assert main(["run", "--config", cfg, "--mode", "prop71"]) == 0
@@ -565,10 +576,22 @@ def test_verify_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
 def test_verify_failed_safe_bound_exits_3(monkeypatch, capsys):
     fake = SimpleNamespace(ok=False, reports=[],
                            summary_lines=lambda: ["statement: L3.2", "failures: 1"])
-    monkeypatch.setattr("gcn_energy.cli.run_suite", lambda *a, **k: fake)
+    monkeypatch.setattr("gcn_energy.cli.run_suites", lambda *a, **k: [fake])
     assert main(["verify", "--suite", "l32", "--trials", "1"]) == 3
     captured = capsys.readouterr()
     assert "FAILED" in captured.err
+
+
+def test_verify_builder_error_writes_no_csv(tmp_path, monkeypatch, capsys):
+    # every suite runs before any file is written, so a failing builder leaves none
+    def broken(rng, graphs, prefix):
+        raise gcn_energy.ValidationError("suite generated an invalid instance")
+
+    monkeypatch.setitem(gcn_energy.bounds._SUITE_BUILDERS, "P7.1", broken)
+    out = tmp_path / "v"
+    assert main(["verify", "--suite", "all", "--trials", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: suite generated an invalid instance\n"
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -209,14 +209,19 @@ def test_eigendecompose_failure_is_a_numeric_error(monkeypatch):
 
 
 @given(
-    coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=5),
-    x=st.floats(-2, 2),
+    coeffs=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3)),
+                    min_size=1, max_size=7),
+    x=st.one_of(st.floats(-2, 2),
+                st.lists(st.floats(-2, 2), min_size=1, max_size=6).map(np.array)),
 )
-@settings(max_examples=60)
+@settings(max_examples=80)
 def test_filter_scalar_matches_polyval(coeffs, x):
+    # bit for bit: degrees 0 to 6, signed zeros among the coefficients,
+    # scalar and array points
     f = PolynomialFilter(coeffs)
-    expected = np.polyval(list(reversed(coeffs)), x)
-    assert eval_filter_scalar(f, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    got, expected = eval_filter_scalar(f, x), np.polyval(f.coefficients[::-1], x)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_filter_scalar_on_arrays():
